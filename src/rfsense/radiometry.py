@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, SingularFitError
 from .quantities import CODATA
@@ -67,6 +66,10 @@ class CalibrationPoint:
     output_power_w: float
 
     def __post_init__(self) -> None:
+        for name in ("antenna_temperature_k", "output_power_w"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"calibration point {name} must be finite, got {value!r}")
         if self.antenna_temperature_k < 0.0:
             raise DomainError("load temperature must be >= 0 K")
         if self.output_power_w < 0.0:
@@ -127,27 +130,50 @@ def calibrate_hot_cold(
     warning rather than clamped: real calibration data can produce it and
     hiding it would mask instrument faults.
 
+    The fit runs in coordinates shifted to the coldest load and the lowest
+    power and scaled by the spread of each, so its sums neither overflow
+    nor underflow whatever the magnitude of the inputs.
+
     Raises:
-        SingularFitError: fewer than two points, or all load temperatures
-            identical (degenerate design matrix).
-        DomainError: non-positive bandwidth.
+        SingularFitError: fewer than two points, all load temperatures
+            identical (degenerate design matrix), a non-positive fitted
+            slope, or a gain or receiver temperature beyond the
+            floating-point range.
+        DomainError: non-positive or non-finite bandwidth.
     """
-    if bandwidth_hz <= 0.0:
-        raise DomainError("bandwidth must be > 0 Hz")
+    if not 0.0 < bandwidth_hz < math.inf:
+        raise DomainError("bandwidth must be finite and > 0 Hz")
     if len(points) < 2:
         raise SingularFitError("calibration needs at least two points")
-    temperatures = np.array([p.antenna_temperature_k for p in points], dtype=float)
-    powers = np.array([p.output_power_w for p in points], dtype=float)
-    if np.ptp(temperatures) == 0.0:
+    temperatures = [p.antenna_temperature_k for p in points]
+    powers = [p.output_power_w for p in points]
+    t_min = min(temperatures)
+    t_span = max(temperatures) - t_min
+    if t_span == 0.0:
         raise SingularFitError("all load temperatures identical; cannot separate G and T_Rx")
+    p_min = min(powers)
+    # Equal powers give a zero slope, which is rejected below.
+    p_span = (max(powers) - p_min) or 1.0
 
-    design = np.column_stack([temperatures, np.ones_like(temperatures)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, powers, rcond=None)
-
-    gain = slope / (CODATA.boltzmann * bandwidth_hz)
+    # Both coordinates map onto [0, 1], so the sums stay near n whatever the
+    # magnitudes; slope and cold are in these scaled coordinates.
+    n = len(points)
+    xs = [(t - t_min) / t_span for t in temperatures]
+    ys = [(p - p_min) / p_span for p in powers]
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    us = [x - x_mean for x in xs]
+    slope = math.fsum(map(mul, us, ys)) / math.fsum(map(mul, us, us))
     if slope <= 0.0:
         raise SingularFitError("fitted slope is non-positive; measurements are inconsistent")
-    receiver_temperature = intercept / slope
+    # Fitted power at the coldest load.
+    cold = p_min / p_span + (y_mean - slope * x_mean)
+    gain = p_span / t_span * slope / CODATA.boltzmann / bandwidth_hz
+    receiver_temperature = t_span * (cold / slope) - t_min
+    if not (0.0 < gain < math.inf and math.isfinite(receiver_temperature)):
+        raise SingularFitError(
+            "fitted gain or receiver temperature is beyond the floating-point range"
+        )
     warnings: tuple[str, ...] = ()
     if receiver_temperature < 0.0:
         warnings = (

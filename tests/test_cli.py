@@ -205,6 +205,29 @@ class TestExitCodesAndValidation:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "points,named",
+        [
+            (["nan:1e-11", "300:3e-11"], "antenna_temperature_k"),
+            (["-inf:1e-11", "300:3e-11"], "antenna_temperature_k"),
+            (["77:inf", "300:3e-11"], "output_power_w"),
+            (["77:nan", "300:3e-11"], "output_power_w"),
+            (["77:1.063e-11", "1e308:1.243e-11"], "floating-point range"),
+            (["1e200:3e-11", "3e200:1e-11"], "slope is non-positive"),
+        ],
+        ids=["nan-temperature", "minus-inf-temperature", "inf-power", "nan-power",
+             "receiver-temperature-overflow", "falling-power-at-1e200-k"],
+    )
+    def test_non_finite_or_extreme_calibration_point_is_domain_error(
+        self, capsys, points, named
+    ):
+        argv = ["calibrate", "--bandwidth", "1ghz"] + [f"--point={p}" for p in points]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain-error:") and err.count("\n") == 1
+        assert named in err
+
     def test_no_subcommand_exits_nonzero(self, capsys):
         assert main([]) == 2
 

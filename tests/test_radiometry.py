@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -196,6 +200,79 @@ class TestCalibration:
         result = calibrate_hot_cold(points, bandwidth)
         assert result.gain == pytest.approx(gain, rel=1e-9)
         assert result.receiver_temperature_k == pytest.approx(t_rx, rel=1e-9, abs=1e-9 * t_rx)
+
+
+def exact_fit(points, bandwidth):
+    # Exact reference: the centred least-squares line in rational arithmetic
+    # on the float inputs, rounded once at the end.
+    temps = [Fraction(p.antenna_temperature_k) for p in points]
+    powers = [Fraction(p.output_power_w) for p in points]
+    t_mean = sum(temps) / len(temps)
+    p_mean = sum(powers) / len(powers)
+    sxx = sum((t - t_mean) ** 2 for t in temps)
+    sxy = sum((t - t_mean) * (p - p_mean) for t, p in zip(temps, powers))
+    slope = sxy / sxx
+    intercept = p_mean - slope * t_mean
+    return float(slope / Fraction(K_B) / Fraction(bandwidth)), float(intercept / slope)
+
+
+def sweep_points(n, scale, noise, seed):
+    # Loads spread over [50, 350]*scale, T_Rx = 600*scale, G = 1e5, B = 1 GHz.
+    rng = random.Random(seed)
+    if n == 2:
+        loads = [77.0 * scale, 300.0 * scale]
+    else:
+        loads = [(50.0 + 300.0 * i / (n - 1) + rng.uniform(-0.5, 0.5)) * scale for i in range(n)]
+    return [
+        CalibrationPoint(t, 1e5 * K_B * 1e9 * (t + 600.0 * scale) * (1.0 + rng.uniform(-noise, noise)))
+        for t in loads
+    ]
+
+
+class TestCalibrationAgainstExactFit:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+    @pytest.mark.parametrize("n,noise", [(2, 0.0), (3, 1e-3), (256, 1e-2), (4096, 1e-3)])
+    def test_matches_rational_least_squares(self, n, noise, scale):
+        points = sweep_points(n, scale, noise, seed=n)
+        gain, t_rx = exact_fit(points, 1e9)
+        result = calibrate_hot_cold(points, 1e9)
+        # Two points are exact interpolation; more are a few roundings per sum.
+        rel = 1e-14 if n == 2 else 1e-12
+        assert result.gain == pytest.approx(gain, rel=rel)
+        assert result.receiver_temperature_k == pytest.approx(t_rx, rel=rel)
+        assert type(result.gain) is float and type(result.receiver_temperature_k) is float
+
+    def test_full_float_range_two_points(self):
+        points = [CalibrationPoint(0.0, 0.0), CalibrationPoint(1e308, 1e308)]
+        result = calibrate_hot_cold(points, 1e9)
+        assert result.gain == pytest.approx(exact_fit(points, 1e9)[0], rel=1e-15)
+        assert result.receiver_temperature_k == 0.0
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(77.0, 1.063e-11), (1e308, 1.243e-11)],       # T_Rx beyond 1.8e308 K
+            [(77.0, 1e-11), (300.0, 1e-11), (150.0, 1e-11)],  # flat: zero slope
+            [(77.0, 2e-11), (300.0, 1e-11)],                # falling power
+        ],
+        ids=["receiver-temperature-overflow", "equal-powers", "negative-slope"],
+    )
+    def test_unrepresentable_or_inconsistent_fit_is_singular(self, points):
+        with pytest.raises(SingularFitError):
+            calibrate_hot_cold([CalibrationPoint(t, p) for t, p in points], 1e9)
+
+    @pytest.mark.parametrize("field", ["antenna_temperature_k", "output_power_w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_names_the_field(self, field, value):
+        values = {"antenna_temperature_k": 77.0, "output_power_w": 1e-11, field: value}
+        with pytest.raises(DomainError, match=field):
+            CalibrationPoint(**values)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        points = sweep_points(2, 1.0, 0.0, seed=0)
+        with pytest.raises(DomainError, match="bandwidth"):
+            calibrate_hot_cold(points, bandwidth)
 
 
 class TestTsysFromNedt:
