@@ -8,8 +8,9 @@ Conventions at this boundary:
   for the wrong scale.
 - Reports are deterministic byte-for-byte: stable key order, numbers at six
   significant digits, scientific notation outside [1e-3, 1e6).
-- Exit codes: 0 success, 2 domain error (single-line ``domain-error: ...``),
-  3 schema/parse error (single-line ``schema-error: ...``).
+- Exit codes: 0 success, 2 usage or domain error (one stderr line, e.g.
+  ``domain-error: ...``), 3 schema/parse error or an unreadable input or
+  unwritable output (one stderr line, ``schema-error: ...``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import json as _json_module
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from . import dataset as ds
 from . import fieldmetrics as fm
@@ -115,6 +118,16 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=_HELP_WIDTH)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line (no usage block), exit 2.
+
+    Subparsers inherit the class, so the rule holds for every subcommand.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # Flag value parsing (magnitude + unit suffix)
 
@@ -202,7 +215,10 @@ def gain_flag(text: str) -> float:
     """Antenna/system gain: explicit 'dbi' or 'lin' suffix, returns linear."""
     value, suffix = _split_quantity(text)
     if suffix == "dbi":
-        return db_to_linear(value)
+        try:
+            return db_to_linear(value)
+        except OverflowError as exc:
+            raise argparse.ArgumentTypeError(f"gain {text!r} overflows the float range") from exc
     if suffix == "lin":
         if value <= 0.0:
             raise argparse.ArgumentTypeError("linear gain must be > 0")
@@ -265,8 +281,6 @@ def format_number(x: float) -> str:
 
 
 def _render_json_value(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -276,20 +290,24 @@ def _render_json_value(value, indent: int) -> str:
     if isinstance(value, float):
         return format_number(value)
     if isinstance(value, str):
-        return _json_module.dumps(value)
+        return _quote(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = [
-            f"{inner}{_json_module.dumps(str(k))}: {_render_json_value(v, indent + 1)}"
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        ]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+        pad = "  " * indent
+        inner = pad + "  "
+        items = sorted([(str(k), v) for k, v in value.items()], key=itemgetter(0))
+        body = f",\n{inner}".join(
+            [f"{_quote(k)}: {_render_json_value(v, indent + 1)}" for k, v in items]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        rows = [f"{inner}{_render_json_value(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+        pad = "  " * indent
+        inner = pad + "  "
+        body = f",\n{inner}".join([_render_json_value(v, indent + 1) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
     raise DomainError(f"cannot serialize {type(value).__name__}")
 
 
@@ -607,7 +625,12 @@ def _cmd_nef(args) -> tuple[dict, None, None]:
 def _cmd_convert(args) -> tuple[dict, None, None]:
     payload: dict = {}
     if args.db_to_linear is not None:
-        payload["linear_ratio"] = db_to_linear(args.db_to_linear)
+        try:
+            payload["linear_ratio"] = db_to_linear(args.db_to_linear)
+        except OverflowError as exc:
+            raise DomainError(
+                f"--db-to-linear {args.db_to_linear:g} overflows the float range"
+            ) from exc
     if args.linear_to_db is not None:
         payload["value_db"] = linear_to_db(args.linear_to_db)
     if args.wavelength_of is not None:
@@ -862,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH", default=None,
                         help="write the report to PATH instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rfsense",
         description="Sensitivity figures of merit for RF/microwave receivers "
                     "and atomic field sensors.",
@@ -1144,12 +1167,20 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"schema-error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError:
+        print(f"domain-error: {args.command}: a result overflows the float range",
+              file=sys.stderr)
+        return 2
 
-    if args.output is not None:
+    if args.output is None:
+        sys.stdout.write(rendered)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    except OSError as exc:
+        print(f"schema-error: cannot write output: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

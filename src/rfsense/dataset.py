@@ -195,13 +195,14 @@ def round_to_sig_figs(value: float, figures: int = 2) -> float:
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def _parse_cell(text: str | None) -> float | None:
-    if text is None:
-        return None
-    text = text.strip()
+def _parse_cell(row: dict, column: str) -> float | None:
+    text = (row.get(column) or "").strip()
     if not text:
         return None
-    return float(text)  # ValueError propagates to the row handler
+    value = float(text)  # ValueError propagates to the row handler
+    if not math.isfinite(value):
+        raise DomainError(f"{column} must be finite, got {text!r}")
+    return value
 
 
 def _tag(text: str | None) -> str | None:
@@ -258,22 +259,22 @@ def _parse_row(row: dict) -> InstrumentRecord:
     if t_sys_method not in T_SYS_METHODS:
         raise bad(f"t_sys_method must be one of {T_SYS_METHODS}, got {t_sys_method!r}")
 
-    f0_ghz = _parse_cell(row.get("f0_ghz"))
+    f0_ghz = _parse_cell(row, "f0_ghz")
     if f0_ghz is None or f0_ghz <= 0.0:
         raise bad("f0_ghz must be present and > 0")
-    bandwidth_hz = _parse_cell(row.get("bandwidth_hz"))
+    bandwidth_hz = _parse_cell(row, "bandwidth_hz")
     if bandwidth_hz is None or bandwidth_hz <= 0.0:
         raise bad("bandwidth_hz must be present and > 0")
-    rho2 = _parse_cell(row.get("rho2"))
+    rho2 = _parse_cell(row, "rho2")
     if rho2 is None:
         rho2 = default_polarisation_coupling(coherence)
     if not 0.0 < rho2 <= 1.0:
         raise bad("rho2 must be in (0, 1]")
 
-    a_e = _parse_cell(row.get("a_e_m2"))
-    a_phys = _parse_cell(row.get("a_phys_m2"))
-    eta_ap = _parse_cell(row.get("eta_ap"))
-    gain_dbi = _parse_cell(row.get("gain_dbi"))
+    a_e = _parse_cell(row, "a_e_m2")
+    a_phys = _parse_cell(row, "a_phys_m2")
+    eta_ap = _parse_cell(row, "eta_ap")
+    gain_dbi = _parse_cell(row, "gain_dbi")
     if a_e is None:
         if aperture_method == "direct":
             raise bad("aperture_method 'direct' needs a_e_m2")
@@ -282,15 +283,15 @@ def _parse_row(row: dict) -> InstrumentRecord:
         if aperture_method == "gain" and gain_dbi is None:
             raise bad("aperture_method 'gain' needs gain_dbi (or a pre-derived a_e_m2)")
 
-    t_a = _parse_cell(row.get("t_a_k"))
+    t_a = _parse_cell(row, "t_a_k")
     t_a_flag = _tag(row.get("t_a_flag"))
     if t_a is not None and t_a_flag is None:
         t_a_flag = "measured"
     if t_a_flag is not None and t_a_flag not in T_A_FLAGS:
         raise bad(f"t_a_flag must be one of {T_A_FLAGS}, got {t_a_flag!r}")
 
-    t_rx = _parse_cell(row.get("t_rx_k"))
-    nf_db = _parse_cell(row.get("nf_db"))
+    t_rx = _parse_cell(row, "t_rx_k")
+    nf_db = _parse_cell(row, "nf_db")
     t_rx_method = _tag(row.get("t_rx_method"))
     if t_rx_method is None and (t_rx is not None or nf_db is not None):
         t_rx_method = "NF" if (t_rx is None and nf_db is not None) else "direct"
@@ -299,9 +300,9 @@ def _parse_row(row: dict) -> InstrumentRecord:
     if t_rx_method == "NF" and t_rx is None and nf_db is None:
         raise bad("t_rx_method 'NF' needs nf_db (or a pre-derived t_rx_k)")
 
-    t_sys = _parse_cell(row.get("t_sys_k"))
-    nedt_k = _parse_cell(row.get("nedt_k"))
-    tau_s = _parse_cell(row.get("tau_s"))
+    t_sys = _parse_cell(row, "t_sys_k")
+    nedt_k = _parse_cell(row, "nedt_k")
+    tau_s = _parse_cell(row, "tau_s")
     if t_sys is None:
         if t_sys_method == "NEDT" and (nedt_k is None or tau_s is None):
             raise bad("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
@@ -334,7 +335,7 @@ def _parse_row(row: dict) -> InstrumentRecord:
         tau_s=tau_s,
         rho2=rho2,
         reference=(row.get("reference") or "").strip(),
-        e_free_reported=_parse_cell(row.get("e_free_reported")),
+        e_free_reported=_parse_cell(row, "e_free_reported"),
     )
 
 
@@ -476,7 +477,15 @@ def synthesize_ranges(
     ``sig_figs`` significant digits (half-up).  Pass ``sig_figs=None`` to
     skip rounding.
     """
-    members = [r for r in records if r.category == category]
+    return _synthesize(category, [r for r in records if r.category == category], sig_figs, eta_0)
+
+
+def _synthesize(
+    category: str,
+    members: list[InstrumentRecord],
+    sig_figs: int | None,
+    eta_0: float | None,
+) -> CategoryRange:
     if not members:
         raise DomainError(f"no records in category {category!r}")
     not_derived = [r.instrument for r in members if not r.is_derived]
@@ -527,13 +536,18 @@ def synthesize_all(
     sig_figs: int | None = 2,
     eta_0: float | None = None,
 ) -> tuple[CategoryRange, ...]:
-    """Synthesize every category, in first-appearance order."""
-    seen: list[str] = []
+    """Synthesize every category, in first-appearance order.
+
+    One pass groups the records by category, so the cost is linear in the
+    number of records; each range equals ``synthesize_ranges(records,
+    category, sig_figs, eta_0)``, and the first failing category raises.
+    """
+    groups: dict[str, list[InstrumentRecord]] = {}
     for record in records:
-        if record.category not in seen:
-            seen.append(record.category)
+        groups.setdefault(record.category, []).append(record)
     return tuple(
-        synthesize_ranges(records, category, sig_figs, eta_0) for category in seen
+        _synthesize(category, members, sig_figs, eta_0)
+        for category, members in groups.items()
     )
 
 

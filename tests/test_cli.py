@@ -1,9 +1,14 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rfsense.dataset
 import rfsense.fieldmetrics
@@ -12,7 +17,8 @@ import rfsense.quantities
 import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
-from rfsense.cli import OPERATION_MAP, build_parser, format_number, main
+from rfsense.cli import OPERATION_MAP, build_parser, format_number, main, render_json
+from rfsense.errors import DomainError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -183,8 +189,22 @@ class TestExitCodesAndValidation:
         assert code == 2
 
     def test_unknown_flag_rejected(self, capsys):
-        code, _, _ = run(capsys, ["nedt", "--frobnicate", "1"])
+        code, _, err = run(capsys, ["nedt", "--frobnicate", "1"])
         assert code == 2
+        assert err.startswith("rfsense nedt: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["nedt", "--bandwidth", "1ghz", "--integration-time", "1s", "--frobnicate", "1"],
+        ["no-such-subcommand"],
+        ["radar", "--tx-power", "1", "--tx-gain", "4000dbi", "--rx-gain", "1lin",
+         "--frequency", "1ghz", "--sigma", "1", "--range", "1km"],
+    ])
+    def test_usage_error_is_one_stderr_line(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("rfsense") and err.count("\n") == 1
+        assert "error: " in err
 
     def test_unknown_db_reference_rejected(self, capsys):
         args = list(BUDGET_ARGS)
@@ -233,6 +253,72 @@ class TestExitCodesAndValidation:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+def _old_render_json_value(value, indent: int) -> str:
+    """The recursive renderer ``render_json`` replaced: the reference output."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [
+            f"{inner}{json.dumps(str(k))}: {_old_render_json_value(v, indent + 1)}"
+            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
+        ]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rows = [f"{inner}{_old_render_json_value(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    raise DomainError(f"cannot serialize {type(value).__name__}")
+
+
+_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800\U0001f600'),
+))
+_FINITE = st.one_of(
+    st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300), st.sampled_from([0.0, -0.0]),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, _TEXT)
+_UNRENDERABLE = st.sampled_from([math.nan, math.inf, -math.inf, b"x", frozenset(), 1j])
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_TEXT, st.integers()), children, max_size=4),
+    ), max_leaves=25)
+
+
+class TestRenderJson:
+    @settings(max_examples=150, deadline=None)
+    @given(_trees(_SCALARS))
+    @example({"1": None, 1: "a", "k": [{0: 1.5, "0": True}, (), {}]})
+    def test_matches_the_recursive_renderer(self, payload):
+        assert render_json(payload) == _old_render_json_value(payload, 0) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_trees(st.one_of(_SCALARS, _UNRENDERABLE)), _UNRENDERABLE)
+    def test_unrenderable_values_raise_the_same_error(self, tree, bad):
+        payload = {"a": tree, "b": [tree, {"c": bad}]}
+        with pytest.raises(DomainError) as expected:
+            _old_render_json_value(payload, 0)
+        with pytest.raises(DomainError) as actual:
+            render_json(payload)
+        assert str(actual.value) == str(expected.value)
 
 
 class TestSubcommands:
@@ -432,3 +518,57 @@ class TestOperationCoverage:
         parser = build_parser()
         choices = parser._subparsers._group_actions[0].choices
         assert set(choices) == set(OPERATION_MAP)
+
+
+def _non_finite_dataset(tmp_path) -> str:
+    """The bundled table with ``f0_ghz=nan`` in row 2 and ``t_sys_k=inf`` in row 3."""
+    lines = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8").splitlines()
+    assert ",coherent,8.4," in lines[1] and ",23,sum," in lines[2]
+    lines[1] = lines[1].replace(",coherent,8.4,", ",coherent,nan,")
+    lines[2] = lines[2].replace(",23,sum,", ",inf,sum,")
+    path = tmp_path / "non-finite.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestErrorContract:
+    """Every argv ends in exit 0, 2 or 3, an error in one stderr line."""
+
+    def test_non_finite_cells_become_row_diagnostics(self, capsys, tmp_path):
+        path = _non_finite_dataset(tmp_path)
+        code, out, err = run(capsys, ["dataset-derive", "--input", path])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["record_count"] == 19
+        messages = [(d["row"], d["message"]) for d in report["diagnostics"]]
+        assert (2, "f0_ghz must be finite, got 'nan'") in messages
+        assert (3, "t_sys_k must be finite, got 'inf'") in messages
+        code, out, err = run(capsys, ["dataset-ranges", "--input", path])
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv,code,named", [
+        (["convert", "--db-to-linear", "4000"], 2, "domain-error: --db-to-linear"),
+        (["convert", "--noise-figure", "4000db"], 2, "domain-error: convert:"),
+        (["nef", "--tsys", "20", "--diameter", "34m", "--output", "{missing}"], 3,
+         "schema-error: cannot write output:"),
+        (["nedt", "--frobnicate", "1"], 2, "rfsense nedt: error:"),
+        (["dataset-derive", "--input", "{nan_csv}"], 0, None),
+        (["dataset-ranges", "--input", "{nan_csv}"], 0, None),
+    ], ids=["db-overflow", "noise-figure-overflow", "unwritable-output", "unknown-flag",
+            "nan-csv-derive", "nan-csv-ranges"])
+    def test_fresh_interpreter(self, tmp_path, argv, code, named):
+        paths = {"missing": str(tmp_path / "missing" / "x"),
+                 "nan_csv": _non_finite_dataset(tmp_path)}
+        src = Path(rfsense.dataset.__file__).resolve().parents[1]
+        child = subprocess.run(
+            [sys.executable, "-m", "rfsense", *(a.format(**paths) for a in argv)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert "Traceback" not in child.stderr
+        assert child.returncode == code, child.stderr
+        if named is None:
+            assert child.stderr == ""
+        else:
+            assert child.stdout == ""
+            assert child.stderr.startswith(named) and child.stderr.count("\n") == 1

@@ -1,11 +1,16 @@
+import csv
+import io
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import DomainError, SchemaError
 from rfsense.dataset import (
     REQUIRED_COLUMNS,
     InstrumentRecord,
+    bundled_dataset_path,
     consistency_diagnostics,
     derive_record,
     derive_records,
@@ -114,6 +119,25 @@ class TestParse:
         first = load_bundled_dataset().records
         again = parse_instruments(serialize_instruments(first)).records
         assert again == first
+
+    @pytest.mark.parametrize(
+        "column,text",
+        [("f0_ghz", "nan"), ("t_sys_k", "inf"), ("a_e_m2", "-Infinity"),
+         ("e_free_reported", "NaN"), ("rho2", "1e400")],
+    )
+    def test_non_finite_cell_is_a_row_diagnostic_naming_the_column(self, column, text):
+        reader = csv.DictReader(io.StringIO(bundled_dataset_path().read_text(encoding="utf-8")))
+        rows = list(reader)
+        rows[4][column] = text
+        document = io.StringIO()
+        writer = csv.DictWriter(document, reader.fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+        result = parse_instruments(document.getvalue())
+        assert len(result.records) == 20
+        [diagnostic] = result.diagnostics
+        assert (diagnostic.row, diagnostic.instrument) == (6, rows[4]["instrument"])
+        assert diagnostic.message == f"{column} must be finite, got {text!r}"
 
     def test_empty_rho2_defaults_from_coherence(self):
         rows = (
@@ -275,6 +299,44 @@ class TestSynthesize:
         ranges = synthesize_all(derived)
         assert len(ranges) == 11
         assert sum(r.members for r in ranges) == len(derived)
+
+    # Rows of the bundled table with rho2 = 1, re-categorised and shuffled;
+    # a row may get its rho2 flipped (mixed-rho2 error) or its field erased
+    # (not-derived error).
+    COHERENT_ROWS = [
+        r for r in derive_records(load_bundled_dataset().records)[0] if r.rho2 == 1.0
+    ]
+    TABLE_ROW = st.tuples(
+        st.integers(0, len(COHERENT_ROWS) - 1),
+        st.sampled_from("abcdef"),
+        st.sampled_from([None] * 8 + ["rho2", "underived"]),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TABLE_ROW, max_size=30), st.sampled_from([2, None]))
+    @example([(0, "a", None), (1, "b", None), (2, "a", "rho2")], 2)
+    @example([(0, "a", None), (1, "b", "underived"), (2, "b", None)], None)
+    def test_synthesize_all_equals_per_category_synthesis(self, rows, sig_figs):
+        records = []
+        for index, category, mutation in rows:
+            record = replace(self.COHERENT_ROWS[index], category=category)
+            if mutation == "rho2":
+                record = replace(record, rho2=0.5)
+            elif mutation == "underived":
+                record = replace(record, e_free_vm_sqrthz=None)
+            records.append(record)
+
+        def outcome(build):
+            try:
+                return build()
+            except DomainError as exc:
+                return str(exc)
+
+        first_appearance = dict.fromkeys(r.category for r in records)
+        expected = outcome(lambda: tuple(
+            synthesize_ranges(records, category, sig_figs) for category in first_appearance
+        ))
+        assert outcome(lambda: synthesize_all(records, sig_figs)) == expected
 
     def test_envelope_property_on_bundled_categories(self):
         derived, _ = derive_records(load_bundled_dataset().records)
