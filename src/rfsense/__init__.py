@@ -3,7 +3,6 @@ atomic field sensors: radiometry, radar, link budgets, noise-equivalent
 field conversions, cavity field enhancement, and the instrument-range
 dataset pipeline."""
 
-from . import fieldmetrics, linkbudget, quantities, radar, radiometry, rydberg
 from .errors import DomainError, SchemaError, SingularFitError, UnitMismatchError
 
 __version__ = "0.1.0"
@@ -25,10 +24,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The CLI (argparse, json) and the dataset pipeline load on first use, so
-    # library users do not pay for them at import.  __import__, unlike
-    # importlib.import_module, keeps their cost visible to -X importtime.
-    if name in ("cli", "dataset"):
+    # Every submodule loads on first use, so a caller pays only for the ones
+    # it touches: a CLI call loads the engine module of its subcommand alone.
+    # The error classes are bound above and never reach this hook.
+    # __import__, unlike importlib.import_module, keeps each module's cost
+    # visible to -X importtime.
+    if name in __all__:
         __import__(f"{__name__}.{name}")
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

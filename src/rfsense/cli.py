@@ -8,6 +8,9 @@ Conventions at this boundary:
   for the wrong scale.
 - Reports are deterministic byte-for-byte: stable key order, numbers at six
   significant digits, scientific notation outside [1e-3, 1e6).
+- Each handler imports the engine module it calls, so a cold call loads
+  only the modules its ``OPERATION_MAP`` entry names (and what they
+  import), besides this one, ``errors`` and ``quantities``.
 - Exit codes: 0 success, 2 usage or domain error (one stderr line, e.g.
   ``domain-error: ...``), 3 schema/parse error or an unreadable input or
   unwritable output (one stderr line, ``schema-error: ...``).
@@ -23,12 +26,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from . import dataset as ds
-from . import fieldmetrics as fm
-from . import linkbudget as lb
-from . import radar as rd
-from . import radiometry as rm
-from . import rydberg as ry
 from .errors import DomainError, SchemaError
 from .quantities import db_to_linear, frequency_to_wavelength, linear_to_db, power_from_field
 
@@ -148,7 +145,17 @@ def _split_quantity(text: str) -> tuple[float, str]:
     match = _QUANTITY_RE.match(text.strip())
     if match is None:
         raise argparse.ArgumentTypeError(f"cannot parse quantity {text!r}")
-    return float(match.group(1)), (match.group(2) or "").lower()
+    value = float(match.group(1))
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value {text!r} overflows the float range")
+    return value, (match.group(2) or "").lower()
+
+
+def _to_linear(kind: str, text: str, value_db: float) -> float:
+    try:
+        return db_to_linear(value_db)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"{kind} {text!r} overflows the float range") from exc
 
 
 def _scaled(kind: str, table: dict[str, float], require_suffix: bool):
@@ -166,7 +173,10 @@ def _scaled(kind: str, table: dict[str, float], require_suffix: bool):
             raise argparse.ArgumentTypeError(
                 f"unknown {kind} unit {suffix!r} (expected {units})"
             )
-        return value * table[suffix]
+        value *= table[suffix]
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{kind} {text!r} overflows the float range")
+        return value
 
     parse.__name__ = kind
     return parse
@@ -215,10 +225,7 @@ def gain_flag(text: str) -> float:
     """Antenna/system gain: explicit 'dbi' or 'lin' suffix, returns linear."""
     value, suffix = _split_quantity(text)
     if suffix == "dbi":
-        try:
-            return db_to_linear(value)
-        except OverflowError as exc:
-            raise argparse.ArgumentTypeError(f"gain {text!r} overflows the float range") from exc
+        return _to_linear("gain", text, value)
     if suffix == "lin":
         if value <= 0.0:
             raise argparse.ArgumentTypeError("linear gain must be > 0")
@@ -226,6 +233,14 @@ def gain_flag(text: str) -> float:
     raise argparse.ArgumentTypeError(
         f"gain {text!r} needs an explicit 'dbi' or 'lin' suffix"
     )
+
+
+def ratio_db_flag(text: str) -> float:
+    """Power ratio in dB (suffix 'db') that the handler turns into a linear
+    factor, so its linear value must fit the float range."""
+    value = db_flag("db")(text)
+    _to_linear("dB value", text, value)
+    return value
 
 
 def named_db_flag(text: str) -> tuple[str, float]:
@@ -261,6 +276,8 @@ def marker_flag(text: str) -> tuple[str, float, float]:
         e_field = float(field_raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse field {field_raw!r}") from exc
+    if not math.isfinite(e_field):
+        raise argparse.ArgumentTypeError(f"field {field_raw!r} must be finite")
     return name.strip(), bandwidth, e_field
 
 
@@ -373,6 +390,8 @@ def render_report(payload: dict, fmt: str, table: list[dict] | None = None,
 # Subcommand handlers.  Each returns (payload, table, columns).
 
 def _cmd_nedt(args) -> tuple[dict, None, None]:
+    from . import radiometry as rm
+
     if args.nedt is not None:
         _positive("--nedt", args.nedt)
         _positive("--bandwidth", args.bandwidth)
@@ -406,6 +425,8 @@ def _cmd_nedt(args) -> tuple[dict, None, None]:
 
 
 def _cmd_calibrate(args) -> tuple[dict, None, None]:
+    from . import radiometry as rm
+
     _positive("--bandwidth", args.bandwidth)
     points = [rm.CalibrationPoint(t, p) for t, p in args.point]
     result = rm.calibrate_hot_cold(points, args.bandwidth)
@@ -420,6 +441,8 @@ def _cmd_calibrate(args) -> tuple[dict, None, None]:
 
 
 def _cmd_radar(args) -> tuple[dict, None, None]:
+    from . import radar as rd
+
     if args.wavelength is not None:
         wavelength = args.wavelength
     elif args.frequency is not None:
@@ -487,6 +510,8 @@ def _cmd_radar(args) -> tuple[dict, None, None]:
 
 
 def _budget_from_json(path: str) -> lb.LinkBudget:
+    from . import linkbudget as lb
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = _json_module.load(handle)
@@ -531,6 +556,8 @@ def _budget_from_json(path: str) -> lb.LinkBudget:
 
 
 def _cmd_budget(args) -> tuple[dict, None, None]:
+    from . import linkbudget as lb
+
     if args.input is not None:
         budget = _budget_from_json(args.input)
     else:
@@ -584,6 +611,8 @@ def _cmd_budget(args) -> tuple[dict, None, None]:
 
 
 def _aperture_from_args(args) -> float:
+    from . import fieldmetrics as fm
+
     ways = [
         args.aperture is not None,
         args.diameter is not None,
@@ -597,13 +626,18 @@ def _aperture_from_args(args) -> float:
     if args.aperture is not None:
         return args.aperture
     if args.diameter is not None:
-        return fm.aperture_from_diameter(args.diameter, args.aperture_efficiency)
+        eta = args.aperture_efficiency
+        return fm.aperture_from_diameter(
+            args.diameter, fm.DEFAULT_APERTURE_EFFICIENCY if eta is None else eta
+        )
     if args.frequency is None:
         raise DomainError("--gain needs --frequency to form an aperture")
     return fm.aperture_from_gain(args.gain, args.frequency)
 
 
 def _cmd_nef(args) -> tuple[dict, None, None]:
+    from . import fieldmetrics as fm
+
     _positive("--tsys", args.tsys)
     aperture = _aperture_from_args(args)
     rho2 = args.rho2
@@ -623,6 +657,8 @@ def _cmd_nef(args) -> tuple[dict, None, None]:
 
 
 def _cmd_convert(args) -> tuple[dict, None, None]:
+    from . import fieldmetrics as fm
+
     payload: dict = {}
     if args.db_to_linear is not None:
         try:
@@ -656,6 +692,8 @@ def _cmd_convert(args) -> tuple[dict, None, None]:
 
 
 def _cmd_enhance(args) -> tuple[dict, None, None]:
+    from . import fieldmetrics as fm
+
     q_ways = [
         args.q_loaded is not None,
         args.q_external is not None or args.q_internal is not None,
@@ -707,6 +745,8 @@ def _cmd_enhance(args) -> tuple[dict, None, None]:
 
 
 def _cmd_rydberg(args) -> tuple[dict, None, None]:
+    from . import rydberg as ry
+
     payload: dict = {}
     dipole = args.dipole
     if args.dipole_ea0 is not None:
@@ -756,6 +796,8 @@ def _cmd_rydberg(args) -> tuple[dict, None, None]:
 
 
 def _load_dataset(path: str | None) -> ds.ParseResult:
+    from . import dataset as ds
+
     if path is None:
         return ds.load_bundled_dataset()
     try:
@@ -781,6 +823,8 @@ _RECORD_COLUMNS = [
 
 
 def _cmd_dataset_derive(args) -> tuple[dict, list[dict], list[str]]:
+    from . import dataset as ds
+
     parsed = _load_dataset(args.input)
     derived, derive_diags = ds.derive_records(parsed.records)
     mismatch_diags = ds.consistency_diagnostics(derived, rel_tol=args.mismatch_tolerance)
@@ -825,6 +869,8 @@ _RANGE_COLUMNS = [
 
 
 def _cmd_dataset_ranges(args) -> tuple[dict, list[dict], list[str]]:
+    from . import dataset as ds
+
     parsed = _load_dataset(args.input)
     derived, derive_diags = ds.derive_records(parsed.records)
     sig_figs = None if args.no_rounding else args.sig_figs
@@ -855,14 +901,19 @@ def _cmd_dataset_ranges(args) -> tuple[dict, list[dict], list[str]]:
 
 
 def _cmd_dataset_plotdata(args) -> tuple[dict, None, None]:
+    from . import dataset as ds
+
     parsed = _load_dataset(args.input)
     derived, _ = ds.derive_records(parsed.records)
     ranges = ds.synthesize_all(derived)
+    bandwidth = args.converter_bandwidth
     document = ds.emit_plot_data(
         ranges,
         markers=tuple(args.marker or ()),
         include_converter_marker=not args.no_converter_marker,
-        converter_bandwidth_hz=args.converter_bandwidth,
+        converter_bandwidth_hz=(
+            ds.CONVERTER_MARKER_BANDWIDTH_HZ if bandwidth is None else bandwidth
+        ),
         thermal_reference_field=args.thermal_line,
     )
     return document, None, None
@@ -941,9 +992,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resolution cell area in m^2")
     p.add_argument("--range", type=distance_flag, required=True, metavar="DIST",
                    help="slant range with unit suffix (m/km)")
-    p.add_argument("--system-loss", type=db_flag("db"), default=0.0, metavar="DB",
+    p.add_argument("--system-loss", type=ratio_db_flag, default=0.0, metavar="DB",
                    help="system loss in dB (suffix db required; default 0db)")
-    p.add_argument("--propagation-loss", type=db_flag("db"), default=0.0, metavar="DB",
+    p.add_argument("--propagation-loss", type=ratio_db_flag, default=0.0, metavar="DB",
                    help="propagation loss in dB (suffix db required; default 0db)")
     p.add_argument("--processing-gain", type=plain_flag, default=1.0, metavar="G",
                    help="linear processing gain (default 1)")
@@ -996,8 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="effective aperture in m^2")
     p.add_argument("--diameter", type=distance_flag, metavar="DIST",
                    help="dish diameter with unit suffix (m); uses aperture efficiency")
-    p.add_argument("--aperture-efficiency", type=plain_flag,
-                   default=fm.DEFAULT_APERTURE_EFFICIENCY, metavar="ETA",
+    p.add_argument("--aperture-efficiency", type=plain_flag, metavar="ETA",
                    help="aperture efficiency used with --diameter (default 0.65)")
     p.add_argument("--gain", type=gain_flag, metavar="GAIN",
                    help="receiver gain with explicit suffix dbi or lin; needs --frequency")
@@ -1023,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="field amplitude in V/m for the power relation (needs --aperture)")
     p.add_argument("--aperture", type=area_flag, metavar="M2",
                    help="aperture in m^2 for the power relation")
-    p.add_argument("--noise-figure", type=db_flag("db"), metavar="DB",
+    p.add_argument("--noise-figure", type=ratio_db_flag, metavar="DB",
                    help="noise figure with suffix db to convert to T_Rx in kelvin")
     p.add_argument("--nef", type=plain_flag, metavar="V_M_SQRTHZ",
                    help="field sensitivity in V/m/sqrt(Hz) to map to a noise temperature")
@@ -1057,8 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference effective aperture in m^2")
     p.add_argument("--diameter", type=distance_flag, metavar="DIST",
                    help="reference dish diameter with unit suffix (m)")
-    p.add_argument("--aperture-efficiency", type=plain_flag,
-                   default=fm.DEFAULT_APERTURE_EFFICIENCY, metavar="ETA",
+    p.add_argument("--aperture-efficiency", type=plain_flag, metavar="ETA",
                    help="aperture efficiency used with --diameter (default 0.65)")
     p.add_argument("--gain", type=gain_flag, metavar="GAIN",
                    help="reference gain with explicit suffix dbi or lin; needs --frequency")
@@ -1133,8 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME:FREQ:E",
                    help="extra point marker: name, bandwidth with unit suffix, "
                         "field in V/m/sqrt(Hz) (repeatable)")
-    p.add_argument("--converter-bandwidth", type=frequency_flag,
-                   default=ds.CONVERTER_MARKER_BANDWIDTH_HZ, metavar="FREQ",
+    p.add_argument("--converter-bandwidth", type=frequency_flag, metavar="FREQ",
                    help="bandwidth coordinate with unit suffix for the built-in "
                         "converter marker (default 1e7hz)")
     p.add_argument("--no-converter-marker", action="store_true",

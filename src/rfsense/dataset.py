@@ -28,6 +28,11 @@ from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
 from typing import Iterable, Sequence
 
+# The pipeline uses none of these three.  They load here because the
+# benchmark's tracer (bench/tracing.py, Recorder.install) wraps all six engine
+# modules once it has imported rfsense.cli and rfsense.dataset, and fails on
+# one that is not loaded.  Drop this import when the tracer imports them itself.
+from . import linkbudget, radar, rydberg  # noqa: F401
 from .errors import DomainError, SchemaError
 from .fieldmetrics import (
     DEFAULT_APERTURE_EFFICIENCY,
@@ -36,6 +41,7 @@ from .fieldmetrics import (
     nef_from_aperture,
     trx_from_noise_figure,
 )
+from .quantities import default_eta0
 from .radiometry import tsys_from_nedt
 
 __all__ = [
@@ -422,7 +428,13 @@ def derive_records(
     records: Iterable[InstrumentRecord],
     eta_0: float | None = None,
 ) -> tuple[tuple[InstrumentRecord, ...], tuple[Diagnostic, ...]]:
-    """Derive every record, collecting failures as diagnostics."""
+    """Derive every record, collecting failures as diagnostics.
+
+    ``eta_0`` is resolved once, so an invalid ``RFSENSE_ETA0_OHMS`` raises
+    one :class:`DomainError` instead of blaming every row.
+    """
+    if eta_0 is None:
+        eta_0 = default_eta0()
     derived: list[InstrumentRecord] = []
     diagnostics: list[Diagnostic] = []
     for index, record in enumerate(records, start=1):
@@ -542,6 +554,8 @@ def synthesize_all(
     number of records; each range equals ``synthesize_ranges(records,
     category, sig_figs, eta_0)``, and the first failing category raises.
     """
+    if eta_0 is None:
+        eta_0 = default_eta0()
     groups: dict[str, list[InstrumentRecord]] = {}
     for record in records:
         groups.setdefault(record.category, []).append(record)

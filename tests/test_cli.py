@@ -531,6 +531,20 @@ def _non_finite_dataset(tmp_path) -> str:
     return str(path)
 
 
+RADAR_ARGS = ["radar", "--tx-power", "1e3w", "--tx-gain", "1e3lin", "--rx-gain", "1e3lin",
+              "--wavelength", "0.03m", "--sigma", "1m2"]
+
+
+def _fresh_cli(argv, **env):
+    """``python -m rfsense argv`` in a fresh interpreter, with extra ``env``."""
+    src = Path(rfsense.dataset.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "rfsense", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src), **env),
+    )
+
+
 class TestErrorContract:
     """Every argv ends in exit 0, 2 or 3, an error in one stderr line."""
 
@@ -548,23 +562,45 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("argv,code,named", [
         (["convert", "--db-to-linear", "4000"], 2, "domain-error: --db-to-linear"),
-        (["convert", "--noise-figure", "4000db"], 2, "domain-error: convert:"),
+        (["convert", "--noise-figure", "4000db"], 2,
+         "rfsense convert: error: argument --noise-figure:"),
         (["nef", "--tsys", "20", "--diameter", "34m", "--output", "{missing}"], 3,
          "schema-error: cannot write output:"),
         (["nedt", "--frobnicate", "1"], 2, "rfsense nedt: error:"),
         (["dataset-derive", "--input", "{nan_csv}"], 0, None),
         (["dataset-ranges", "--input", "{nan_csv}"], 0, None),
+        (["nedt", "--antenna-temp", "1e400", "--receiver-temp", "600",
+          "--bandwidth", "1ghz", "--integration-time", "15ms"], 2,
+         "rfsense nedt: error: argument --antenna-temp:"),
+        (["nef", "--tsys", "20", "--diameter", "1e400m"], 2,
+         "rfsense nef: error: argument --diameter:"),
+        (RADAR_ARGS + ["--range", "1e306km"], 2, "rfsense radar: error: argument --range:"),
+        (["nedt", "--antenna-temp", "250", "--receiver-temp", "600",
+          "--bandwidth", "1e300thz", "--integration-time", "15ms"], 2,
+         "rfsense nedt: error: argument --bandwidth:"),
+        (RADAR_ARGS + ["--range", "100km", "--system-loss", "4000db"], 2,
+         "rfsense radar: error: argument --system-loss:"),
+        (RADAR_ARGS + ["--range", "100km", "--propagation-loss", "4000db"], 2,
+         "rfsense radar: error: argument --propagation-loss:"),
+        (["dataset-plotdata", "--marker", "probe:1e7hz:nan"], 2,
+         "rfsense dataset-plotdata: error: argument --marker:"),
     ], ids=["db-overflow", "noise-figure-overflow", "unwritable-output", "unknown-flag",
-            "nan-csv-derive", "nan-csv-ranges"])
+            "nan-csv-derive", "nan-csv-ranges", "antenna-temp-overflow", "diameter-overflow",
+            "range-overflow-after-scaling", "bandwidth-overflow-after-scaling",
+            "system-loss-overflow", "propagation-loss-overflow", "nan-marker-field"])
     def test_fresh_interpreter(self, tmp_path, argv, code, named):
         paths = {"missing": str(tmp_path / "missing" / "x"),
                  "nan_csv": _non_finite_dataset(tmp_path)}
-        src = Path(rfsense.dataset.__file__).resolve().parents[1]
-        child = subprocess.run(
-            [sys.executable, "-m", "rfsense", *(a.format(**paths) for a in argv)],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
+        child = _fresh_cli([a.format(**paths) for a in argv])
+        self._check(child, code, named)
+
+    @pytest.mark.parametrize("command", ["dataset-derive", "dataset-ranges", "dataset-plotdata"])
+    def test_fresh_interpreter_invalid_eta0(self, command):
+        child = _fresh_cli([command], RFSENSE_ETA0_OHMS="abc")
+        self._check(child, 2, "domain-error: RFSENSE_ETA0_OHMS must be a number, got 'abc'")
+
+    @staticmethod
+    def _check(child, code, named):
         assert "Traceback" not in child.stderr
         assert child.returncode == code, child.stderr
         if named is None:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import DomainError, SchemaError
+from rfsense.quantities import CODATA
 from rfsense.dataset import (
     REQUIRED_COLUMNS,
     InstrumentRecord,
@@ -207,6 +208,20 @@ class TestDerive:
         )
         with pytest.raises(DomainError, match="broken-instrument"):
             derive_record(record)
+
+    def test_invalid_eta0_env_is_one_error_not_a_diagnostic_per_row(self, monkeypatch):
+        records = load_bundled_dataset().records
+        derived, _ = derive_records(records)
+        ranges = synthesize_all(derived)
+        monkeypatch.setenv("RFSENSE_ETA0_OHMS", "abc")
+        message = "RFSENSE_ETA0_OHMS must be a number, got 'abc'"
+        with pytest.raises(DomainError, match=message):
+            derive_records(records)
+        with pytest.raises(DomainError, match=message):
+            synthesize_all(derived)
+        # An explicit impedance never reads the environment.
+        assert derive_records(records, eta_0=CODATA.eta_0) == (derived, ())
+        assert synthesize_all(derived, eta_0=CODATA.eta_0) == ranges
 
     def test_sum_consistency_of_bundled_rows(self):
         # Every row with both T_A and T_Rx listed satisfies T_sys = T_A + T_Rx.

@@ -1,12 +1,19 @@
+import ast
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rfsense
+from rfsense.cli import OPERATION_MAP
 
 SRC = Path(rfsense.__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def python(*args):
@@ -50,3 +57,66 @@ def test_python_dash_m_prints_the_golden_help():
         assert child.returncode == 0
         assert child.stdout == top_help
         assert child.stderr == ""
+
+
+def test_import_loads_only_the_errors_and_star_binds_every_name():
+    probe = (
+        "import sys, rfsense\n"
+        "print(sorted(m for m in sys.modules if m.startswith('rfsense')))\n"
+        "from rfsense import *\n"
+        "print(all(globals()[name] is getattr(rfsense, name) for name in rfsense.__all__))\n"
+    )
+    child = python("-c", probe)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["['rfsense', 'rfsense.errors']", "True"]
+
+
+def _readme_argv() -> dict[str, list[str]]:
+    """Subcommand -> argv of its example in the README's command-line block."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    examples = {}
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["rfsense"]:
+            examples.setdefault(argv[1], argv[1:])
+    return examples
+
+
+def _module_imports(module: str) -> set[str]:
+    """rfsense modules that ``module`` imports at its top level, transitively."""
+    found, pending = set(), [module]
+    while pending:
+        tree = ast.parse((SRC / "rfsense" / f"{pending.pop()}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                for name in set(names) - found:
+                    found.add(name)
+                    pending.append(name)
+    return found
+
+
+def test_readme_shows_every_subcommand():
+    assert set(_readme_argv()) == set(OPERATION_MAP)
+
+
+@pytest.mark.parametrize("command", sorted(OPERATION_MAP))
+def test_a_cold_call_loads_only_the_modules_of_its_subcommand(command):
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from rfsense.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('rfsense'))]))\n"
+    )
+    child = python("-c", probe, *_readme_argv()[command])
+    assert child.returncode == 0, child.stderr
+    code, loaded = json.loads(child.stdout)
+    assert code == 0, child.stderr
+    entry = {operation.partition(".")[0] for operation in OPERATION_MAP[command]}
+    allowed = entry | {"cli", "errors", "quantities"}
+    for module in entry:
+        allowed |= _module_imports(module)
+    loaded = {name.partition(".")[2] for name in loaded} - {""}
+    assert entry <= loaded <= allowed
