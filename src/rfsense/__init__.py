@@ -3,7 +3,7 @@ atomic field sensors: radiometry, radar, link budgets, noise-equivalent
 field conversions, cavity field enhancement, and the instrument-range
 dataset pipeline."""
 
-from .errors import DomainError, SchemaError, SingularFitError, UnitMismatchError
+from .errors import DomainError, SchemaError, SingularFitError
 
 __version__ = "0.1.0"
 
@@ -11,7 +11,6 @@ __all__ = [
     "DomainError",
     "SchemaError",
     "SingularFitError",
-    "UnitMismatchError",
     "cli",
     "dataset",
     "fieldmetrics",

@@ -23,8 +23,9 @@ import json as _json_module
 import math
 import re
 import sys
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DomainError, SchemaError
 from .quantities import db_to_linear, frequency_to_wavelength, linear_to_db, power_from_field
@@ -276,8 +277,12 @@ def marker_flag(text: str) -> tuple[str, float, float]:
         e_field = float(field_raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse field {field_raw!r}") from exc
+    if bandwidth <= 0.0:
+        raise argparse.ArgumentTypeError(f"bandwidth {bw_raw!r} must be > 0")
     if not math.isfinite(e_field):
         raise argparse.ArgumentTypeError(f"field {field_raw!r} must be finite")
+    if e_field <= 0.0:
+        raise argparse.ArgumentTypeError(f"field {field_raw!r} must be > 0")
     return name.strip(), bandwidth, e_field
 
 
@@ -388,6 +393,14 @@ def render_report(payload: dict, fmt: str, table: list[dict] | None = None,
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (payload, table, columns).
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order.
+
+    Not ``dataclasses.asdict``, which deep-copies every value.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
 
 def _cmd_nedt(args) -> tuple[dict, None, None]:
     from . import radiometry as rm
@@ -590,23 +603,13 @@ def _cmd_budget(args) -> tuple[dict, None, None]:
             frequency_hz=args.frequency,
         )
     report = lb.evaluate_link(budget)
-    payload = {
-        "eirp_dbw": report.eirp_dbw,
-        "total_loss_db": report.total_loss_db,
-        "system_temperature_k": report.system_temperature_k,
-        "g_over_t_db_per_k": report.g_over_t_db_per_k,
-        "c_over_n0_dbhz": report.c_over_n0_dbhz,
-        "eb_over_n0_db": report.eb_over_n0_db,
-        "margins_db": dict(report.margins_db),
-        "closes": {name: margin >= 0.0 for name, margin in report.margins_db},
-    }
-    if report.fsl_check is not None:
-        payload["fsl_check"] = {
-            "ledger_db": report.fsl_check.ledger_db,
-            "recomputed_db": report.fsl_check.recomputed_db,
-            "difference_db": report.fsl_check.difference_db,
-            "flagged": report.fsl_check.flagged,
-        }
+    payload = _fields(report)
+    # The CSV and text reports keep key order: fsl_check comes after closes.
+    fsl_check = payload.pop("fsl_check")
+    payload["margins_db"] = dict(report.margins_db)
+    payload["closes"] = {name: margin >= 0.0 for name, margin in report.margins_db}
+    if fsl_check is not None:
+        payload["fsl_check"] = _fields(fsl_check)
     return payload, None, None
 
 
@@ -808,18 +811,13 @@ def _load_dataset(path: str | None) -> ds.ParseResult:
     return ds.parse_instruments(text)
 
 
-def _diag_payload(diagnostics) -> list[dict]:
-    return [
-        {"row": d.row, "instrument": d.instrument, "message": d.message}
-        for d in diagnostics
-    ]
-
-
 _RECORD_COLUMNS = [
     "instrument", "mission", "category", "coherence", "f0_hz", "bandwidth_hz",
     "a_e_m2", "t_a_k", "t_rx_k", "t_sys_k", "rho2", "e_free_v_m_sqrthz",
     "e_free_reported", "aperture_method", "t_sys_method", "t_a_flag",
 ]
+# Report column -> InstrumentRecord attribute, where the two names differ.
+_RECORD_ATTRIBUTES = {"e_free_v_m_sqrthz": "e_free_vm_sqrthz"}
 
 
 def _cmd_dataset_derive(args) -> tuple[dict, list[dict], list[str]]:
@@ -828,44 +826,16 @@ def _cmd_dataset_derive(args) -> tuple[dict, list[dict], list[str]]:
     parsed = _load_dataset(args.input)
     derived, derive_diags = ds.derive_records(parsed.records)
     mismatch_diags = ds.consistency_diagnostics(derived, rel_tol=args.mismatch_tolerance)
-    table = [
-        {
-            "instrument": r.instrument,
-            "mission": r.mission,
-            "category": r.category,
-            "coherence": r.coherence,
-            "f0_hz": r.f0_hz,
-            "bandwidth_hz": r.bandwidth_hz,
-            "a_e_m2": r.a_e_m2,
-            "t_a_k": r.t_a_k,
-            "t_rx_k": r.t_rx_k,
-            "t_sys_k": r.t_sys_k,
-            "rho2": r.rho2,
-            "e_free_v_m_sqrthz": r.e_free_vm_sqrthz,
-            "e_free_reported": r.e_free_reported,
-            "aperture_method": r.aperture_method,
-            "t_sys_method": r.t_sys_method,
-            "t_a_flag": r.t_a_flag,
-        }
-        for r in derived
-    ]
+    get = attrgetter(*[_RECORD_ATTRIBUTES.get(c, c) for c in _RECORD_COLUMNS])
+    table = [dict(zip(_RECORD_COLUMNS, get(r))) for r in derived]
     payload = {
         "records": table,
         "record_count": len(table),
-        "diagnostics": (
-            _diag_payload(parsed.diagnostics)
-            + _diag_payload(derive_diags)
-            + _diag_payload(mismatch_diags)
-        ),
+        "diagnostics": [
+            _fields(d) for d in (*parsed.diagnostics, *derive_diags, *mismatch_diags)
+        ],
     }
     return payload, table, _RECORD_COLUMNS
-
-
-_RANGE_COLUMNS = [
-    "category", "f0_min_hz", "f0_max_hz", "a_e_min_m2", "a_e_max_m2",
-    "t_sys_min_k", "t_sys_max_k", "bandwidth_min_hz", "bandwidth_max_hz",
-    "e_free_min", "e_free_max", "members",
-]
 
 
 def _cmd_dataset_ranges(args) -> tuple[dict, list[dict], list[str]]:
@@ -875,29 +845,13 @@ def _cmd_dataset_ranges(args) -> tuple[dict, list[dict], list[str]]:
     derived, derive_diags = ds.derive_records(parsed.records)
     sig_figs = None if args.no_rounding else args.sig_figs
     ranges = ds.synthesize_all(derived, sig_figs=sig_figs)
-    table = [
-        {
-            "category": r.category,
-            "f0_min_hz": r.f0_min_hz,
-            "f0_max_hz": r.f0_max_hz,
-            "a_e_min_m2": r.a_e_min_m2,
-            "a_e_max_m2": r.a_e_max_m2,
-            "t_sys_min_k": r.t_sys_min_k,
-            "t_sys_max_k": r.t_sys_max_k,
-            "bandwidth_min_hz": r.bandwidth_min_hz,
-            "bandwidth_max_hz": r.bandwidth_max_hz,
-            "e_free_min": r.e_free_min,
-            "e_free_max": r.e_free_max,
-            "members": r.members,
-        }
-        for r in ranges
-    ]
+    table = [_fields(r) for r in ranges]
     payload = {
         "ranges": table,
         "category_count": len(table),
-        "diagnostics": _diag_payload(parsed.diagnostics) + _diag_payload(derive_diags),
+        "diagnostics": [_fields(d) for d in (*parsed.diagnostics, *derive_diags)],
     }
-    return payload, table, _RANGE_COLUMNS
+    return payload, table, [f.name for f in fields(ds.CategoryRange)]
 
 
 def _cmd_dataset_plotdata(args) -> tuple[dict, None, None]:
@@ -919,9 +873,7 @@ def _cmd_dataset_plotdata(args) -> tuple[dict, None, None]:
     return document, None, None
 
 
-def _positive(flag: str, value) -> None:
-    if value is None:
-        raise DomainError(f"{flag} is required")
+def _positive(flag: str, value: float) -> None:
     if value <= 0.0:
         raise DomainError(f"{flag} must be positive, got {value:g}")
 

@@ -249,33 +249,30 @@ def parse_instruments(document: str) -> ParseResult:
 
 
 def _parse_row(row: dict) -> InstrumentRecord:
-    def bad(message: str) -> DomainError:
-        return DomainError(message)
-
     coherence = _tag(row.get("coherence"))
     if coherence not in COHERENCE_TAGS:
-        raise bad(f"coherence must be one of {COHERENCE_TAGS}, got {coherence!r}")
+        raise DomainError(f"coherence must be one of {COHERENCE_TAGS}, got {coherence!r}")
     bandwidth_method = _tag(row.get("bandwidth_method"))
     if bandwidth_method not in BANDWIDTH_METHODS:
-        raise bad(f"bandwidth_method must be one of {BANDWIDTH_METHODS}, got {bandwidth_method!r}")
+        raise DomainError(f"bandwidth_method must be one of {BANDWIDTH_METHODS}, got {bandwidth_method!r}")
     aperture_method = _tag(row.get("aperture_method"))
     if aperture_method not in APERTURE_METHODS:
-        raise bad(f"aperture_method must be one of {APERTURE_METHODS}, got {aperture_method!r}")
+        raise DomainError(f"aperture_method must be one of {APERTURE_METHODS}, got {aperture_method!r}")
     t_sys_method = _tag(row.get("t_sys_method"))
     if t_sys_method not in T_SYS_METHODS:
-        raise bad(f"t_sys_method must be one of {T_SYS_METHODS}, got {t_sys_method!r}")
+        raise DomainError(f"t_sys_method must be one of {T_SYS_METHODS}, got {t_sys_method!r}")
 
     f0_ghz = _parse_cell(row, "f0_ghz")
     if f0_ghz is None or f0_ghz <= 0.0:
-        raise bad("f0_ghz must be present and > 0")
+        raise DomainError("f0_ghz must be present and > 0")
     bandwidth_hz = _parse_cell(row, "bandwidth_hz")
     if bandwidth_hz is None or bandwidth_hz <= 0.0:
-        raise bad("bandwidth_hz must be present and > 0")
+        raise DomainError("bandwidth_hz must be present and > 0")
     rho2 = _parse_cell(row, "rho2")
     if rho2 is None:
         rho2 = default_polarisation_coupling(coherence)
     if not 0.0 < rho2 <= 1.0:
-        raise bad("rho2 must be in (0, 1]")
+        raise DomainError("rho2 must be in (0, 1]")
 
     a_e = _parse_cell(row, "a_e_m2")
     a_phys = _parse_cell(row, "a_phys_m2")
@@ -283,18 +280,18 @@ def _parse_row(row: dict) -> InstrumentRecord:
     gain_dbi = _parse_cell(row, "gain_dbi")
     if a_e is None:
         if aperture_method == "direct":
-            raise bad("aperture_method 'direct' needs a_e_m2")
+            raise DomainError("aperture_method 'direct' needs a_e_m2")
         if aperture_method == "phys" and a_phys is None:
-            raise bad("aperture_method 'phys' needs a_phys_m2 (or a pre-derived a_e_m2)")
+            raise DomainError("aperture_method 'phys' needs a_phys_m2 (or a pre-derived a_e_m2)")
         if aperture_method == "gain" and gain_dbi is None:
-            raise bad("aperture_method 'gain' needs gain_dbi (or a pre-derived a_e_m2)")
+            raise DomainError("aperture_method 'gain' needs gain_dbi (or a pre-derived a_e_m2)")
 
     t_a = _parse_cell(row, "t_a_k")
     t_a_flag = _tag(row.get("t_a_flag"))
     if t_a is not None and t_a_flag is None:
         t_a_flag = "measured"
     if t_a_flag is not None and t_a_flag not in T_A_FLAGS:
-        raise bad(f"t_a_flag must be one of {T_A_FLAGS}, got {t_a_flag!r}")
+        raise DomainError(f"t_a_flag must be one of {T_A_FLAGS}, got {t_a_flag!r}")
 
     t_rx = _parse_cell(row, "t_rx_k")
     nf_db = _parse_cell(row, "nf_db")
@@ -302,20 +299,20 @@ def _parse_row(row: dict) -> InstrumentRecord:
     if t_rx_method is None and (t_rx is not None or nf_db is not None):
         t_rx_method = "NF" if (t_rx is None and nf_db is not None) else "direct"
     if t_rx_method is not None and t_rx_method not in T_RX_METHODS:
-        raise bad(f"t_rx_method must be one of {T_RX_METHODS}, got {t_rx_method!r}")
+        raise DomainError(f"t_rx_method must be one of {T_RX_METHODS}, got {t_rx_method!r}")
     if t_rx_method == "NF" and t_rx is None and nf_db is None:
-        raise bad("t_rx_method 'NF' needs nf_db (or a pre-derived t_rx_k)")
+        raise DomainError("t_rx_method 'NF' needs nf_db (or a pre-derived t_rx_k)")
 
     t_sys = _parse_cell(row, "t_sys_k")
     nedt_k = _parse_cell(row, "nedt_k")
     tau_s = _parse_cell(row, "tau_s")
     if t_sys is None:
         if t_sys_method == "NEDT" and (nedt_k is None or tau_s is None):
-            raise bad("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
+            raise DomainError("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
         if t_sys_method == "sum":
             t_rx_resolvable = t_rx is not None or nf_db is not None
             if t_a is None or not t_rx_resolvable:
-                raise bad("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
+                raise DomainError("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
 
     return InstrumentRecord(
         instrument=(row.get("instrument") or "").strip(),
@@ -359,15 +356,7 @@ def serialize_instruments(records: Iterable[InstrumentRecord]) -> str:
             return repr(value)
         return str(value)
 
-    for r in records:
-        writer.writerow([
-            r.instrument, r.mission, r.category, r.coherence, cell(r.f0_ghz),
-            cell(r.bandwidth_hz), r.bandwidth_method, r.aperture_method,
-            cell(r.a_e_m2), cell(r.a_phys_m2), cell(r.eta_ap), cell(r.gain_dbi),
-            cell(r.t_a_k), cell(r.t_a_flag), cell(r.t_rx_k), cell(r.t_rx_method),
-            cell(r.nf_db), cell(r.t_sys_k), cell(r.t_sys_method), cell(r.nedt_k),
-            cell(r.tau_s), cell(r.rho2), r.reference, cell(r.e_free_reported),
-        ])
+    writer.writerows([cell(getattr(r, c)) for c in columns] for r in records)
     return out.getvalue()
 
 

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An input violates a physical precondition (sign, range, finiteness)."""
 
 
-class UnitMismatchError(DomainError):
-    """Arithmetic attempted across incompatible units or dB references."""
-
-
 class SingularFitError(DomainError):
     """A regression problem is degenerate (e.g. all calibration loads equal)."""
 

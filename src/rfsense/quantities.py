@@ -1,26 +1,23 @@
-"""Unit-safe scalar quantities, physical constants, and dB/linear arithmetic.
+"""Physical constants, the configured free-space impedance, and dB/linear helpers.
 
-All engine modules work in strict SI (Hz, m, K, W, V/m); decibel values appear
-only at input/output boundaries.  Every dB value in this package is a power
-ratio (factor ``10*log10``); field amplitudes are never expressed in dB inside
-the engine.
+All engine modules work in strict SI floats (Hz, m, K, W, V/m); unit checking
+lives in the CLI's suffixed flags, and decibel values appear only at
+input/output boundaries.  Every dB value in this package is a power ratio
+(factor ``10*log10``); field amplitudes are never expressed in dB inside the
+engine.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from dataclasses import dataclass
 
-from .errors import DomainError, UnitMismatchError
+from .errors import DomainError
 
 __all__ = [
     "Constants",
     "CODATA",
-    "DbReference",
-    "PhysicalQuantity",
-    "Unit",
     "db_to_linear",
     "default_eta0",
     "frequency_to_wavelength",
@@ -70,114 +67,6 @@ def default_eta0() -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{ETA0_ENV_VAR} must be a positive finite impedance")
     return value
-
-
-class Unit(enum.Enum):
-    """The scalar units this toolkit needs (not a general unit system)."""
-
-    WATT = "W"
-    KELVIN = "K"
-    HERTZ = "Hz"
-    SECOND = "s"
-    METRE = "m"
-    SQUARE_METRE = "m^2"
-    VOLT_PER_METRE = "V/m"
-    FIELD_SPECTRAL_DENSITY = "V/m/Hz^(1/2)"
-    FLUX_DENSITY = "W/m^2/Hz"
-    DIMENSIONLESS = "1"
-
-
-class DbReference(enum.Enum):
-    """Declared reference of a decibel value."""
-
-    DBW = "dBW"
-    DBM = "dBm"
-    DBI = "dBi"
-    DBHZ = "dBHz"
-    DB_PER_K = "dB/K"
-    DB = "dB"  # plain power ratio
-
-
-# Linear-scale sign constraints, by unit.  (min, strict) pairs.
-_LINEAR_BOUNDS = {
-    Unit.WATT: (0.0, False),
-    Unit.KELVIN: (0.0, False),
-    Unit.HERTZ: (0.0, True),
-    Unit.SECOND: (0.0, True),
-    Unit.SQUARE_METRE: (0.0, True),
-    Unit.VOLT_PER_METRE: (0.0, False),
-    Unit.FIELD_SPECTRAL_DENSITY: (0.0, False),
-    Unit.FLUX_DENSITY: (0.0, False),
-}
-
-
-@dataclass(frozen=True)
-class PhysicalQuantity:
-    """A scalar with SI unit semantics and dB/linear duality.
-
-    A quantity is either linear (``db_reference is None``) or a decibel value
-    with a declared reference.  Converting linear -> dB -> linear reproduces
-    the value to better than 1e-12 relative; arithmetic across mismatched dB
-    references raises :class:`UnitMismatchError` instead of silently coercing.
-    """
-
-    value: float
-    unit: Unit
-    db_reference: DbReference | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"quantity value must be finite, got {self.value!r}")
-        if self.db_reference is None:
-            bound = _LINEAR_BOUNDS.get(self.unit)
-            if bound is not None:
-                minimum, strict = bound
-                if self.value < minimum or (strict and self.value == minimum):
-                    op = ">" if strict else ">="
-                    raise DomainError(
-                        f"{self.unit.value} value must be {op} {minimum:g}, "
-                        f"got {self.value:g}"
-                    )
-
-    @property
-    def is_decibel(self) -> bool:
-        return self.db_reference is not None
-
-    def to_linear(self) -> "PhysicalQuantity":
-        if self.db_reference is None:
-            return self
-        return PhysicalQuantity(db_to_linear(self.value), self.unit)
-
-    def to_db(self, reference: DbReference = DbReference.DB) -> "PhysicalQuantity":
-        if self.db_reference is not None:
-            if self.db_reference is not reference:
-                raise UnitMismatchError(
-                    f"cannot reinterpret {self.db_reference.value} as {reference.value}"
-                )
-            return self
-        if self.value <= 0.0:
-            raise DomainError("only positive linear values have a dB representation")
-        return PhysicalQuantity(linear_to_db(self.value), self.unit, reference)
-
-    def __add__(self, other: "PhysicalQuantity") -> "PhysicalQuantity":
-        self._check_compatible(other, "add")
-        return PhysicalQuantity(self.value + other.value, self.unit, self.db_reference)
-
-    def __sub__(self, other: "PhysicalQuantity") -> "PhysicalQuantity":
-        self._check_compatible(other, "subtract")
-        return PhysicalQuantity(self.value - other.value, self.unit, self.db_reference)
-
-    def _check_compatible(self, other: "PhysicalQuantity", verb: str) -> None:
-        if not isinstance(other, PhysicalQuantity):
-            raise UnitMismatchError(f"cannot {verb} {type(other).__name__} to a quantity")
-        if self.unit is not other.unit:
-            raise UnitMismatchError(
-                f"cannot {verb} {other.unit.value} to {self.unit.value}"
-            )
-        if self.db_reference is not other.db_reference:
-            mine = self.db_reference.value if self.db_reference else "linear"
-            theirs = other.db_reference.value if other.db_reference else "linear"
-            raise UnitMismatchError(f"cannot {verb} {theirs} to {mine}")
 
 
 def db_to_linear(x: float) -> float:

@@ -36,6 +36,11 @@ ENHANCE_ARGS = [
     "--rf-efficiency", "0.8", "--mode-volume", "1e-5", "--tsys", "20",
     "--diameter", "34m", "--rho2", "1", "--sensor-nef", "1e-7",
 ]
+DERIVE_ARGS = ["dataset-derive"]
+DERIVE_CSV_ARGS = ["dataset-derive", "--format", "csv"]
+PLOTDATA_ARGS = [
+    "dataset-plotdata", "--thermal-line", "2.4e-8", "--marker", "probe:5mhz:1e-8",
+]
 
 
 @pytest.fixture(autouse=True)
@@ -76,8 +81,12 @@ class TestGoldenFiles:
             (BUDGET_ARGS, "budget.json"),
             (RANGES_ARGS, "dataset_ranges.csv"),
             (ENHANCE_ARGS, "enhance.json"),
+            (DERIVE_ARGS, "dataset_derive.json"),
+            (DERIVE_CSV_ARGS, "dataset_derive.csv"),
+            (PLOTDATA_ARGS, "dataset_plotdata.json"),
         ],
-        ids=["budget", "dataset-ranges", "enhance"],
+        ids=["budget", "dataset-ranges", "enhance", "dataset-derive",
+             "dataset-derive-csv", "dataset-plotdata"],
     )
     def test_byte_identical_across_runs_and_matches_golden(self, capsys, argv, golden):
         code1, out1, _ = run(capsys, argv)
@@ -584,10 +593,15 @@ class TestErrorContract:
          "rfsense radar: error: argument --propagation-loss:"),
         (["dataset-plotdata", "--marker", "probe:1e7hz:nan"], 2,
          "rfsense dataset-plotdata: error: argument --marker:"),
+        (["dataset-plotdata", "--marker=p:-1e7hz:1e-8"], 2,
+         "rfsense dataset-plotdata: error: argument --marker:"),
+        (["dataset-plotdata", "--marker", "p:1e7hz:0"], 2,
+         "rfsense dataset-plotdata: error: argument --marker:"),
     ], ids=["db-overflow", "noise-figure-overflow", "unwritable-output", "unknown-flag",
             "nan-csv-derive", "nan-csv-ranges", "antenna-temp-overflow", "diameter-overflow",
             "range-overflow-after-scaling", "bandwidth-overflow-after-scaling",
-            "system-loss-overflow", "propagation-loss-overflow", "nan-marker-field"])
+            "system-loss-overflow", "propagation-loss-overflow", "nan-marker-field",
+            "negative-marker-bandwidth", "zero-marker-field"])
     def test_fresh_interpreter(self, tmp_path, argv, code, named):
         paths = {"missing": str(tmp_path / "missing" / "x"),
                  "nan_csv": _non_finite_dataset(tmp_path)}

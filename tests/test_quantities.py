@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfsense.errors import DomainError, UnitMismatchError
+from rfsense.errors import DomainError
 from rfsense.quantities import (
     CODATA,
-    DbReference,
-    PhysicalQuantity,
-    Unit,
     db_to_linear,
     default_eta0,
     frequency_to_wavelength,
@@ -108,52 +105,6 @@ class TestPowerFromField:
         base = power_from_field(e, a)
         assert power_from_field(s * e, a) == pytest.approx(s**2 * base, rel=1e-9)
         assert power_from_field(e, s * a) == pytest.approx(s * base, rel=1e-9)
-
-
-class TestPhysicalQuantity:
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(DomainError):
-            PhysicalQuantity(-1.0, Unit.KELVIN)
-
-    def test_zero_bandwidth_rejected(self):
-        with pytest.raises(DomainError):
-            PhysicalQuantity(0.0, Unit.HERTZ)
-
-    def test_zero_area_rejected(self):
-        with pytest.raises(DomainError):
-            PhysicalQuantity(0.0, Unit.SQUARE_METRE)
-
-    def test_zero_power_allowed(self):
-        assert PhysicalQuantity(0.0, Unit.WATT).value == 0.0
-
-    @settings(max_examples=250)
-    @given(st.floats(min_value=1e-20, max_value=1e20))
-    def test_db_round_trip(self, watts):
-        q = PhysicalQuantity(watts, Unit.WATT)
-        back = q.to_db(DbReference.DBW).to_linear()
-        assert back.value == pytest.approx(watts, rel=1e-12)
-
-    def test_mismatched_db_references_rejected(self):
-        p_dbw = PhysicalQuantity(20.0, Unit.WATT, DbReference.DBW)
-        p_dbm = PhysicalQuantity(50.0, Unit.WATT, DbReference.DBM)
-        with pytest.raises(UnitMismatchError):
-            _ = p_dbw + p_dbm
-
-    def test_mismatched_units_rejected(self):
-        watts = PhysicalQuantity(1.0, Unit.WATT)
-        kelvin = PhysicalQuantity(1.0, Unit.KELVIN)
-        with pytest.raises(UnitMismatchError):
-            _ = watts + kelvin
-
-    def test_same_reference_arithmetic(self):
-        a = PhysicalQuantity(20.0, Unit.WATT, DbReference.DBW)
-        b = PhysicalQuantity(3.0, Unit.WATT, DbReference.DBW)
-        assert (a - b).value == 17.0
-        assert (a + b).value == 23.0
-
-    def test_db_of_non_positive_rejected(self):
-        with pytest.raises(DomainError):
-            PhysicalQuantity(0.0, Unit.WATT).to_db(DbReference.DBW)
 
 
 class TestConstantsConfig:
