@@ -190,6 +190,15 @@ class TestExitCodesAndValidation:
         assert err.startswith("domain-error:")
         assert "--bandwidth" in err
 
+    @pytest.mark.parametrize("marker,cause", [
+        ("p:0hz:1e-8", "bandwidth '0hz' must be > 0"),
+        ("p:1e7hz:-1e-8", "field '-1e-8' must be > 0"),
+    ], ids=["zero-bandwidth", "negative-field"])
+    def test_non_positive_marker_is_one_usage_line(self, capsys, marker, cause):
+        code, out, err = run(capsys, ["dataset-plotdata", f"--marker={marker}"])
+        assert (code, out) == (2, "")
+        assert err == f"rfsense dataset-plotdata: error: argument --marker: {cause}\n"
+
     def test_missing_unit_suffix_rejected(self, capsys):
         code, _, err = run(capsys, [
             "nedt", "--antenna-temp", "250", "--receiver-temp", "600",

@@ -116,6 +116,29 @@ class TestParse:
         result = parse_instruments(HEADER + "\n" + row + "\n")
         assert len(result.diagnostics) == 1
 
+    @pytest.mark.parametrize(
+        "column,text,message",
+        [
+            ("coherence", "laser",
+             "coherence must be one of ('coherent', 'incoherent'), got 'laser'"),
+            ("bandwidth_method", "guess",
+             "bandwidth_method must be one of ('RF', 'noise', 'chirp'), got 'guess'"),
+            ("f0_ghz", "0", "f0_ghz must be present and > 0"),
+            ("bandwidth_hz", "-1", "bandwidth_hz must be present and > 0"),
+            ("rho2", "1.5", "rho2 must be in (0, 1]"),
+            ("a_e_m2", "", "aperture_method 'direct' needs a_e_m2"),
+        ],
+    )
+    def test_rejected_row_diagnostic_message(self, column, text, message):
+        good = "ok,m,cat,coherent,1.0,1e6,RF,direct,1.0,,,,,,,,,100,sum,,,0.5,r"
+        cells = dict(zip(REQUIRED_COLUMNS, good.split(",")))
+        cells[column] = text
+        row = ",".join(cells[c] for c in REQUIRED_COLUMNS)
+        result = parse_instruments(HEADER + "\n" + row + "\n")
+        assert result.records == ()
+        [diagnostic] = result.diagnostics
+        assert (diagnostic.row, diagnostic.instrument, diagnostic.message) == (2, "ok", message)
+
     def test_round_trip_parse_serialize_parse(self):
         first = load_bundled_dataset().records
         again = parse_instruments(serialize_instruments(first)).records
