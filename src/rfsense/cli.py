@@ -24,6 +24,7 @@ import math
 import re
 import sys
 from dataclasses import fields
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 
@@ -302,35 +303,39 @@ def format_number(x: float) -> str:
     return f"{x:.6g}"
 
 
+@lru_cache(maxsize=256)
+def _key_order(keys: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
+    """(position, quoted key) of each key, in sorted order; stable for equal keys."""
+    return tuple((i, _quote(k)) for i, k in sorted(enumerate(keys), key=itemgetter(1)))
+
+
 def _render_json_value(value, indent: int) -> str:
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, str):
+        return _quote(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, str):
-        return _quote(value)
+    if not isinstance(value, (dict, list, tuple)):
+        raise DomainError(f"cannot serialize {type(value).__name__}")
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    pad = "  " * indent
+    inner = pad + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        pad = "  " * indent
-        inner = pad + "  "
-        items = sorted([(str(k), v) for k, v in value.items()], key=itemgetter(0))
-        body = f",\n{inner}".join(
-            [f"{_quote(k)}: {_render_json_value(v, indent + 1)}" for k, v in items]
-        )
+        # Ordered by str(k), all the output uses, so keys 1, True and 1.0 stay apart.
+        values = list(value.values())
+        body = f",\n{inner}".join([
+            f"{key}: {_render_json_value(values[i], indent + 1)}"
+            for i, key in _key_order(tuple(map(str, value)))
+        ])
         return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        pad = "  " * indent
-        inner = pad + "  "
-        body = f",\n{inner}".join([_render_json_value(v, indent + 1) for v in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    raise DomainError(f"cannot serialize {type(value).__name__}")
+    body = f",\n{inner}".join([_render_json_value(v, indent + 1) for v in value])
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def render_json(payload: dict) -> str:

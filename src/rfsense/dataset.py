@@ -16,6 +16,12 @@ coherence tag (1 coherent, 1/2 incoherent).  An optional trailing
 ``e_free_reported`` column carries the field value quoted by the dataset's
 source for cross-checking; mismatches between it and the recomputed value
 are surfaced as diagnostics, never silently corrected.
+
+Parsing: column names and cells are stripped of surrounding whitespace, and
+blank lines are skipped.  A diagnostic's ``row`` counts non-blank records
+with the header as row 1, so a quoted cell that spans lines is one row.  A
+short row reads its missing cells as empty; cells beyond the header are
+ignored.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from importlib import resources
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 # The pipeline uses none of these three.  They load here because the
@@ -70,6 +77,7 @@ REQUIRED_COLUMNS = (
     "rho2", "reference",
 )
 OPTIONAL_COLUMNS = ("e_free_reported",)
+COLUMNS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
 
 COHERENCE_TAGS = ("coherent", "incoherent")
 BANDWIDTH_METHODS = ("RF", "noise", "chirp")
@@ -201,19 +209,13 @@ def round_to_sig_figs(value: float, figures: int = 2) -> float:
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def _parse_cell(row: dict, column: str) -> float | None:
-    text = (row.get(column) or "").strip()
+def _parse_cell(column: str, text: str) -> float | None:
     if not text:
         return None
     value = float(text)  # ValueError propagates to the row handler
     if not math.isfinite(value):
         raise DomainError(f"{column} must be finite, got {text!r}")
     return value
-
-
-def _tag(text: str | None) -> str | None:
-    text = (text or "").strip()
-    return text or None
 
 
 def parse_instruments(document: str) -> ParseResult:
@@ -223,61 +225,74 @@ def parse_instruments(document: str) -> ParseResult:
     silently dropped; a missing required column raises :class:`SchemaError`
     naming the column.
     """
-    reader = csv.DictReader(io.StringIO(document))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(document))
+    header = next(reader, None)
+    if header is None:
         raise SchemaError("document has no header row")
-    header = [name.strip() for name in reader.fieldnames]
-    missing = [name for name in REQUIRED_COLUMNS if name not in header]
+    names = [name.strip() for name in header]
+    missing = [name for name in REQUIRED_COLUMNS if name not in names]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-    unknown = [
-        name for name in header
-        if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
-    ]
+    unknown = [name for name in names if name not in COLUMNS]
     if unknown:
         raise SchemaError(f"unknown column(s): {', '.join(unknown)}")
 
+    # Each row is read as exactly ``width`` cells plus one empty cell, which
+    # stands in for an absent optional column.
+    width = len(names)
+    position = {name: index for index, name in enumerate(names)}
+    cells = itemgetter(*[position.get(name, width) for name in COLUMNS])
+    padding = [""] * width
     records: list[InstrumentRecord] = []
     diagnostics: list[Diagnostic] = []
-    for row_number, row in enumerate(reader, start=2):
-        name = (row.get("instrument") or "").strip()
+    for row_number, row in enumerate(filter(None, reader), start=2):
+        if len(row) != width:
+            row = (row + padding)[:width]
+        row.append("")
+        values = [cell.strip() for cell in cells(row)]
         try:
-            records.append(_parse_row(row))
+            records.append(_parse_row(*values))
         except (DomainError, ValueError) as exc:
-            diagnostics.append(Diagnostic(row_number, name or "<unnamed>", str(exc)))
+            diagnostics.append(Diagnostic(row_number, values[0] or "<unnamed>", str(exc)))
     return ParseResult(tuple(records), tuple(diagnostics))
 
 
-def _parse_row(row: dict) -> InstrumentRecord:
-    coherence = _tag(row.get("coherence"))
+def _parse_row(
+    instrument, mission, category, coherence, f0_ghz, bandwidth_hz, bandwidth_method,
+    aperture_method, a_e_m2, a_phys_m2, eta_ap, gain_dbi, t_a_k, t_a_flag, t_rx_k,
+    t_rx_method, nf_db, t_sys_k, t_sys_method, nedt_k, tau_s, rho2, reference,
+    e_free_reported,
+) -> InstrumentRecord:
+    """One record from the stripped cells of a row, in :data:`COLUMNS` order."""
+    coherence = coherence or None
     if coherence not in COHERENCE_TAGS:
         raise DomainError(f"coherence must be one of {COHERENCE_TAGS}, got {coherence!r}")
-    bandwidth_method = _tag(row.get("bandwidth_method"))
+    bandwidth_method = bandwidth_method or None
     if bandwidth_method not in BANDWIDTH_METHODS:
         raise DomainError(f"bandwidth_method must be one of {BANDWIDTH_METHODS}, got {bandwidth_method!r}")
-    aperture_method = _tag(row.get("aperture_method"))
+    aperture_method = aperture_method or None
     if aperture_method not in APERTURE_METHODS:
         raise DomainError(f"aperture_method must be one of {APERTURE_METHODS}, got {aperture_method!r}")
-    t_sys_method = _tag(row.get("t_sys_method"))
+    t_sys_method = t_sys_method or None
     if t_sys_method not in T_SYS_METHODS:
         raise DomainError(f"t_sys_method must be one of {T_SYS_METHODS}, got {t_sys_method!r}")
 
-    f0_ghz = _parse_cell(row, "f0_ghz")
+    f0_ghz = _parse_cell("f0_ghz", f0_ghz)
     if f0_ghz is None or f0_ghz <= 0.0:
         raise DomainError("f0_ghz must be present and > 0")
-    bandwidth_hz = _parse_cell(row, "bandwidth_hz")
+    bandwidth_hz = _parse_cell("bandwidth_hz", bandwidth_hz)
     if bandwidth_hz is None or bandwidth_hz <= 0.0:
         raise DomainError("bandwidth_hz must be present and > 0")
-    rho2 = _parse_cell(row, "rho2")
+    rho2 = _parse_cell("rho2", rho2)
     if rho2 is None:
         rho2 = default_polarisation_coupling(coherence)
     if not 0.0 < rho2 <= 1.0:
         raise DomainError("rho2 must be in (0, 1]")
 
-    a_e = _parse_cell(row, "a_e_m2")
-    a_phys = _parse_cell(row, "a_phys_m2")
-    eta_ap = _parse_cell(row, "eta_ap")
-    gain_dbi = _parse_cell(row, "gain_dbi")
+    a_e = _parse_cell("a_e_m2", a_e_m2)
+    a_phys = _parse_cell("a_phys_m2", a_phys_m2)
+    eta_ap = _parse_cell("eta_ap", eta_ap)
+    gain_dbi = _parse_cell("gain_dbi", gain_dbi)
     if a_e is None:
         if aperture_method == "direct":
             raise DomainError("aperture_method 'direct' needs a_e_m2")
@@ -286,16 +301,16 @@ def _parse_row(row: dict) -> InstrumentRecord:
         if aperture_method == "gain" and gain_dbi is None:
             raise DomainError("aperture_method 'gain' needs gain_dbi (or a pre-derived a_e_m2)")
 
-    t_a = _parse_cell(row, "t_a_k")
-    t_a_flag = _tag(row.get("t_a_flag"))
+    t_a = _parse_cell("t_a_k", t_a_k)
+    t_a_flag = t_a_flag or None
     if t_a is not None and t_a_flag is None:
         t_a_flag = "measured"
     if t_a_flag is not None and t_a_flag not in T_A_FLAGS:
         raise DomainError(f"t_a_flag must be one of {T_A_FLAGS}, got {t_a_flag!r}")
 
-    t_rx = _parse_cell(row, "t_rx_k")
-    nf_db = _parse_cell(row, "nf_db")
-    t_rx_method = _tag(row.get("t_rx_method"))
+    t_rx = _parse_cell("t_rx_k", t_rx_k)
+    nf_db = _parse_cell("nf_db", nf_db)
+    t_rx_method = t_rx_method or None
     if t_rx_method is None and (t_rx is not None or nf_db is not None):
         t_rx_method = "NF" if (t_rx is None and nf_db is not None) else "direct"
     if t_rx_method is not None and t_rx_method not in T_RX_METHODS:
@@ -303,9 +318,9 @@ def _parse_row(row: dict) -> InstrumentRecord:
     if t_rx_method == "NF" and t_rx is None and nf_db is None:
         raise DomainError("t_rx_method 'NF' needs nf_db (or a pre-derived t_rx_k)")
 
-    t_sys = _parse_cell(row, "t_sys_k")
-    nedt_k = _parse_cell(row, "nedt_k")
-    tau_s = _parse_cell(row, "tau_s")
+    t_sys = _parse_cell("t_sys_k", t_sys_k)
+    nedt_k = _parse_cell("nedt_k", nedt_k)
+    tau_s = _parse_cell("tau_s", tau_s)
     if t_sys is None:
         if t_sys_method == "NEDT" and (nedt_k is None or tau_s is None):
             raise DomainError("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
@@ -314,49 +329,25 @@ def _parse_row(row: dict) -> InstrumentRecord:
             if t_a is None or not t_rx_resolvable:
                 raise DomainError("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
 
+    e_free_reported = _parse_cell("e_free_reported", e_free_reported)
+    if e_free_reported is not None and e_free_reported <= 0.0:
+        raise DomainError("e_free_reported must be > 0")
+
     return InstrumentRecord(
-        instrument=(row.get("instrument") or "").strip(),
-        mission=(row.get("mission") or "").strip(),
-        category=(row.get("category") or "").strip(),
-        coherence=coherence,
-        f0_ghz=f0_ghz,
-        bandwidth_hz=bandwidth_hz,
-        bandwidth_method=bandwidth_method,
-        aperture_method=aperture_method,
-        a_e_m2=a_e,
-        a_phys_m2=a_phys,
-        eta_ap=eta_ap,
-        gain_dbi=gain_dbi,
-        t_a_k=t_a,
-        t_a_flag=t_a_flag,
-        t_rx_k=t_rx,
-        t_rx_method=t_rx_method,
-        nf_db=nf_db,
-        t_sys_k=t_sys,
-        t_sys_method=t_sys_method,
-        nedt_k=nedt_k,
-        tau_s=tau_s,
-        rho2=rho2,
-        reference=(row.get("reference") or "").strip(),
-        e_free_reported=_parse_cell(row, "e_free_reported"),
+        instrument, mission, category, coherence, f0_ghz, bandwidth_hz, bandwidth_method,
+        aperture_method, a_e, a_phys, eta_ap, gain_dbi, t_a, t_a_flag, t_rx, t_rx_method,
+        nf_db, t_sys, t_sys_method, nedt_k, tau_s, rho2, reference, e_free_reported,
     )
 
 
 def serialize_instruments(records: Iterable[InstrumentRecord]) -> str:
     """Serialize records back to the dataset CSV schema (RFC-4180)."""
     out = io.StringIO()
-    columns = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
     writer = csv.writer(out)
-    writer.writerow(columns)
-
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    writer.writerows([cell(getattr(r, c)) for c in columns] for r in records)
+    writer.writerow(COLUMNS)
+    # str(float) is its shortest round-tripping repr; None is an empty cell.
+    cells = attrgetter(*COLUMNS)
+    writer.writerows(["" if v is None else str(v) for v in cells(r)] for r in records)
     return out.getvalue()
 
 
@@ -404,12 +395,12 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
     except DomainError as exc:
         raise DomainError(f"{record.instrument}: {exc}") from exc
 
-    return replace(
-        record,
-        a_e_m2=a_e,
-        t_rx_k=t_rx,
-        t_sys_k=t_sys,
-        e_free_vm_sqrthz=e_free,
+    r = record
+    return InstrumentRecord(
+        r.instrument, r.mission, r.category, r.coherence, r.f0_ghz, r.bandwidth_hz,
+        r.bandwidth_method, r.aperture_method, a_e, r.a_phys_m2, r.eta_ap, r.gain_dbi,
+        r.t_a_k, r.t_a_flag, t_rx, r.t_rx_method, r.nf_db, t_sys, r.t_sys_method,
+        r.nedt_k, r.tau_s, r.rho2, r.reference, r.e_free_reported, e_free,
     )
 
 

@@ -317,7 +317,9 @@ def _trees(leaves):
     return st.recursive(leaves, lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(_TEXT, st.integers()), children, max_size=4),
+        st.dictionaries(
+            st.one_of(_TEXT, st.integers(), st.booleans(), st.floats()), children, max_size=4
+        ),
     ), max_leaves=25)
 
 
@@ -325,6 +327,8 @@ class TestRenderJson:
     @settings(max_examples=150, deadline=None)
     @given(_trees(_SCALARS))
     @example({"1": None, 1: "a", "k": [{0: 1.5, "0": True}, (), {}]})
+    # Equal, equal-hash keys whose str() differs: a key-order memo must not mix them up.
+    @example([{1: 0}, {True: 0}, {1.0: 0}, {1: 0, "b": 0}, {True: 0, "b": 0}])
     def test_matches_the_recursive_renderer(self, payload):
         assert render_json(payload) == _old_render_json_value(payload, 0) + "\n"
 
@@ -549,6 +553,16 @@ def _non_finite_dataset(tmp_path) -> str:
     return str(path)
 
 
+def _zero_reported_field_dataset(tmp_path) -> str:
+    """The bundled table with ``e_free_reported=0`` in row 3."""
+    lines = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8").splitlines()
+    assert lines[2].endswith(",1.4e-11")
+    lines[2] = lines[2].removesuffix("1.4e-11") + "0"
+    path = tmp_path / "zero-reported-field.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 RADAR_ARGS = ["radar", "--tx-power", "1e3w", "--tx-gain", "1e3lin", "--rx-gain", "1e3lin",
               "--wavelength", "0.03m", "--sigma", "1m2"]
 
@@ -606,14 +620,17 @@ class TestErrorContract:
          "rfsense dataset-plotdata: error: argument --marker:"),
         (["dataset-plotdata", "--marker", "p:1e7hz:0"], 2,
          "rfsense dataset-plotdata: error: argument --marker:"),
+        (["dataset-derive", "--input", "{zero_field_csv}"], 0,
+         "row 3 (ESA DSA-3 35 m): e_free_reported must be > 0"),
     ], ids=["db-overflow", "noise-figure-overflow", "unwritable-output", "unknown-flag",
             "nan-csv-derive", "nan-csv-ranges", "antenna-temp-overflow", "diameter-overflow",
             "range-overflow-after-scaling", "bandwidth-overflow-after-scaling",
             "system-loss-overflow", "propagation-loss-overflow", "nan-marker-field",
-            "negative-marker-bandwidth", "zero-marker-field"])
+            "negative-marker-bandwidth", "zero-marker-field", "zero-reported-field"])
     def test_fresh_interpreter(self, tmp_path, argv, code, named):
         paths = {"missing": str(tmp_path / "missing" / "x"),
-                 "nan_csv": _non_finite_dataset(tmp_path)}
+                 "nan_csv": _non_finite_dataset(tmp_path),
+                 "zero_field_csv": _zero_reported_field_dataset(tmp_path)}
         child = _fresh_cli([a.format(**paths) for a in argv])
         self._check(child, code, named)
 
@@ -626,8 +643,12 @@ class TestErrorContract:
     def _check(child, code, named):
         assert "Traceback" not in child.stderr
         assert child.returncode == code, child.stderr
-        if named is None:
+        if code == 0:
             assert child.stderr == ""
+            if named is not None:  # a row diagnostic of the report
+                diagnostics = json.loads(child.stdout)["diagnostics"]
+                assert named in [f"row {d['row']} ({d['instrument']}): {d['message']}"
+                                 for d in diagnostics]
         else:
             assert child.stdout == ""
             assert child.stderr.startswith(named) and child.stderr.count("\n") == 1

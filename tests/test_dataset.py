@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from dataclasses import replace
 
 import pytest
@@ -7,10 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import DomainError, SchemaError
+from rfsense.fieldmetrics import default_polarisation_coupling
 from rfsense.quantities import CODATA
 from rfsense.dataset import (
+    APERTURE_METHODS,
+    BANDWIDTH_METHODS,
+    COHERENCE_TAGS,
+    COLUMNS,
+    OPTIONAL_COLUMNS,
     REQUIRED_COLUMNS,
+    T_A_FLAGS,
+    T_RX_METHODS,
+    T_SYS_METHODS,
+    Diagnostic,
     InstrumentRecord,
+    ParseResult,
     bundled_dataset_path,
     consistency_diagnostics,
     derive_record,
@@ -127,14 +139,16 @@ class TestParse:
             ("bandwidth_hz", "-1", "bandwidth_hz must be present and > 0"),
             ("rho2", "1.5", "rho2 must be in (0, 1]"),
             ("a_e_m2", "", "aperture_method 'direct' needs a_e_m2"),
+            ("e_free_reported", "0", "e_free_reported must be > 0"),
+            ("e_free_reported", "-1e-9", "e_free_reported must be > 0"),
         ],
     )
     def test_rejected_row_diagnostic_message(self, column, text, message):
-        good = "ok,m,cat,coherent,1.0,1e6,RF,direct,1.0,,,,,,,,,100,sum,,,0.5,r"
-        cells = dict(zip(REQUIRED_COLUMNS, good.split(",")))
+        good = "ok,m,cat,coherent,1.0,1e6,RF,direct,1.0,,,,,,,,,100,sum,,,0.5,r,"
+        cells = dict(zip(COLUMNS, good.split(",")))
         cells[column] = text
-        row = ",".join(cells[c] for c in REQUIRED_COLUMNS)
-        result = parse_instruments(HEADER + "\n" + row + "\n")
+        row = ",".join(cells[c] for c in COLUMNS)
+        result = parse_instruments(",".join(COLUMNS) + "\n" + row + "\n")
         assert result.records == ()
         [diagnostic] = result.diagnostics
         assert (diagnostic.row, diagnostic.instrument, diagnostic.message) == (2, "ok", message)
@@ -163,6 +177,14 @@ class TestParse:
         assert (diagnostic.row, diagnostic.instrument) == (6, rows[4]["instrument"])
         assert diagnostic.message == f"{column} must be finite, got {text!r}"
 
+    def test_padded_header_names_parse_like_plain_ones(self):
+        header, _, body = bundled_dataset_path().read_text(encoding="utf-8").partition("\n")
+        padded = ",".join(f" {name}\t" for name in header.split(","))
+        result = parse_instruments(padded + "\n" + body)
+        assert result.diagnostics == ()
+        assert result.records == load_bundled_dataset().records
+        assert len(result.records) == 21
+
     def test_empty_rho2_defaults_from_coherence(self):
         rows = (
             "coh,m,cat,coherent,1.0,1e6,RF,direct,1.0,,,,,,,,,100,sum,,,,r\n"
@@ -170,6 +192,217 @@ class TestParse:
         )
         result = parse_instruments(HEADER + "\n" + rows)
         assert [r.rho2 for r in result.records] == [1.0, 0.5]
+
+
+def _ref_parse_cell(row: dict, column: str) -> float | None:
+    text = (row.get(column) or "").strip()
+    if not text:
+        return None
+    value = float(text)  # ValueError propagates to the row handler
+    if not math.isfinite(value):
+        raise DomainError(f"{column} must be finite, got {text!r}")
+    return value
+
+
+def _ref_tag(text: str | None) -> str | None:
+    text = (text or "").strip()
+    return text or None
+
+
+def _dictreader_parse_instruments(document: str) -> ParseResult:
+    """The ``csv.DictReader`` parser ``parse_instruments`` replaced: the reference."""
+    reader = csv.DictReader(io.StringIO(document))
+    if reader.fieldnames is None:
+        raise SchemaError("document has no header row")
+    header = [name.strip() for name in reader.fieldnames]
+    missing = [name for name in REQUIRED_COLUMNS if name not in header]
+    if missing:
+        raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+    unknown = [
+        name for name in header
+        if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
+    ]
+    if unknown:
+        raise SchemaError(f"unknown column(s): {', '.join(unknown)}")
+
+    records: list[InstrumentRecord] = []
+    diagnostics: list[Diagnostic] = []
+    for row_number, row in enumerate(reader, start=2):
+        name = (row.get("instrument") or "").strip()
+        try:
+            records.append(_ref_parse_row(row))
+        except (DomainError, ValueError) as exc:
+            diagnostics.append(Diagnostic(row_number, name or "<unnamed>", str(exc)))
+    return ParseResult(tuple(records), tuple(diagnostics))
+
+
+def _ref_parse_row(row: dict) -> InstrumentRecord:
+    coherence = _ref_tag(row.get("coherence"))
+    if coherence not in COHERENCE_TAGS:
+        raise DomainError(f"coherence must be one of {COHERENCE_TAGS}, got {coherence!r}")
+    bandwidth_method = _ref_tag(row.get("bandwidth_method"))
+    if bandwidth_method not in BANDWIDTH_METHODS:
+        raise DomainError(f"bandwidth_method must be one of {BANDWIDTH_METHODS}, got {bandwidth_method!r}")
+    aperture_method = _ref_tag(row.get("aperture_method"))
+    if aperture_method not in APERTURE_METHODS:
+        raise DomainError(f"aperture_method must be one of {APERTURE_METHODS}, got {aperture_method!r}")
+    t_sys_method = _ref_tag(row.get("t_sys_method"))
+    if t_sys_method not in T_SYS_METHODS:
+        raise DomainError(f"t_sys_method must be one of {T_SYS_METHODS}, got {t_sys_method!r}")
+
+    f0_ghz = _ref_parse_cell(row, "f0_ghz")
+    if f0_ghz is None or f0_ghz <= 0.0:
+        raise DomainError("f0_ghz must be present and > 0")
+    bandwidth_hz = _ref_parse_cell(row, "bandwidth_hz")
+    if bandwidth_hz is None or bandwidth_hz <= 0.0:
+        raise DomainError("bandwidth_hz must be present and > 0")
+    rho2 = _ref_parse_cell(row, "rho2")
+    if rho2 is None:
+        rho2 = default_polarisation_coupling(coherence)
+    if not 0.0 < rho2 <= 1.0:
+        raise DomainError("rho2 must be in (0, 1]")
+
+    a_e = _ref_parse_cell(row, "a_e_m2")
+    a_phys = _ref_parse_cell(row, "a_phys_m2")
+    eta_ap = _ref_parse_cell(row, "eta_ap")
+    gain_dbi = _ref_parse_cell(row, "gain_dbi")
+    if a_e is None:
+        if aperture_method == "direct":
+            raise DomainError("aperture_method 'direct' needs a_e_m2")
+        if aperture_method == "phys" and a_phys is None:
+            raise DomainError("aperture_method 'phys' needs a_phys_m2 (or a pre-derived a_e_m2)")
+        if aperture_method == "gain" and gain_dbi is None:
+            raise DomainError("aperture_method 'gain' needs gain_dbi (or a pre-derived a_e_m2)")
+
+    t_a = _ref_parse_cell(row, "t_a_k")
+    t_a_flag = _ref_tag(row.get("t_a_flag"))
+    if t_a is not None and t_a_flag is None:
+        t_a_flag = "measured"
+    if t_a_flag is not None and t_a_flag not in T_A_FLAGS:
+        raise DomainError(f"t_a_flag must be one of {T_A_FLAGS}, got {t_a_flag!r}")
+
+    t_rx = _ref_parse_cell(row, "t_rx_k")
+    nf_db = _ref_parse_cell(row, "nf_db")
+    t_rx_method = _ref_tag(row.get("t_rx_method"))
+    if t_rx_method is None and (t_rx is not None or nf_db is not None):
+        t_rx_method = "NF" if (t_rx is None and nf_db is not None) else "direct"
+    if t_rx_method is not None and t_rx_method not in T_RX_METHODS:
+        raise DomainError(f"t_rx_method must be one of {T_RX_METHODS}, got {t_rx_method!r}")
+    if t_rx_method == "NF" and t_rx is None and nf_db is None:
+        raise DomainError("t_rx_method 'NF' needs nf_db (or a pre-derived t_rx_k)")
+
+    t_sys = _ref_parse_cell(row, "t_sys_k")
+    nedt_k = _ref_parse_cell(row, "nedt_k")
+    tau_s = _ref_parse_cell(row, "tau_s")
+    if t_sys is None:
+        if t_sys_method == "NEDT" and (nedt_k is None or tau_s is None):
+            raise DomainError("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
+        if t_sys_method == "sum":
+            t_rx_resolvable = t_rx is not None or nf_db is not None
+            if t_a is None or not t_rx_resolvable:
+                raise DomainError("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
+
+    return InstrumentRecord(
+        instrument=(row.get("instrument") or "").strip(),
+        mission=(row.get("mission") or "").strip(),
+        category=(row.get("category") or "").strip(),
+        coherence=coherence,
+        f0_ghz=f0_ghz,
+        bandwidth_hz=bandwidth_hz,
+        bandwidth_method=bandwidth_method,
+        aperture_method=aperture_method,
+        a_e_m2=a_e,
+        a_phys_m2=a_phys,
+        eta_ap=eta_ap,
+        gain_dbi=gain_dbi,
+        t_a_k=t_a,
+        t_a_flag=t_a_flag,
+        t_rx_k=t_rx,
+        t_rx_method=t_rx_method,
+        nf_db=nf_db,
+        t_sys_k=t_sys,
+        t_sys_method=t_sys_method,
+        nedt_k=nedt_k,
+        tau_s=tau_s,
+        rho2=rho2,
+        reference=(row.get("reference") or "").strip(),
+        e_free_reported=_ref_parse_cell(row, "e_free_reported"),
+    )
+
+# Cells of a row that parses; each generated row overrides a few of them.
+_GOOD_CELLS = dict(zip(COLUMNS, (
+    "ok,m,cat,coherent,1.0,1e6,RF,direct,1.0,,,,5,,18,,,23,sum,,,0.5,r,6.7e-12".split(",")
+)))
+_NUMBERS = ["1.0", " 2.5 ", "1e6", "100", "0.5", "", "0", "-1", "abc", "nan", "inf", "1e400"]
+_CELL_VALUES = {
+    **{c: ["DSN 70 m", " padded\t", "a,b", "line\nbreak", 'say "hi"', ""]
+       for c in ("instrument", "mission", "category", "reference")},
+    "coherence": ["coherent", " incoherent ", "", "laser"],
+    "bandwidth_method": ["RF", "noise", " chirp", "", "guess"],
+    "aperture_method": ["direct", "phys", "gain ", "", "magic"],
+    "t_a_flag": ["measured", "assumed", "coh-eq", "", "weird"],
+    "t_rx_method": ["direct", " NF", "", "odd"],
+    "t_sys_method": ["sum", "NEDT", "", "bogus"],
+    "rho2": ["", "1", "0.5", "1.5", "nan"],
+    # No value <= 0: the DictReader parser accepted those (see the message test).
+    "e_free_reported": ["", "6.7e-12", " 1e-9 ", "abc", "inf", "NaN"],
+}
+# Text columns drawn more often, so quoted commas and line breaks show up.
+_OVERRIDE = st.sampled_from(COLUMNS + ("instrument", "mission", "reference") * 4).flatmap(
+    lambda c: st.tuples(st.just(c), st.sampled_from(_CELL_VALUES.get(c, _NUMBERS)))
+)
+_ROW = st.one_of(
+    st.none(),  # a blank line
+    st.tuples(st.lists(_OVERRIDE, max_size=3), st.integers(-3, 2)),  # length change
+)
+_DOCUMENT = st.tuples(
+    st.booleans(),  # the optional column is present
+    st.permutations(COLUMNS),  # column order
+    st.booleans(),  # padded header names
+    st.sampled_from([False, False, False, True]),  # a leading blank line
+    st.lists(_ROW, max_size=12),
+)
+
+
+def _documents(spec) -> tuple[str, str]:
+    """(document, the same with unpadded header names) from a ``_DOCUMENT`` draw."""
+    optional, order, padded, leading_blank, rows = spec
+    columns = [c for c in order if optional or c in REQUIRED_COLUMNS]
+    body = io.StringIO()
+    writer = csv.writer(body)
+    for row in rows:
+        if row is None:
+            body.write("\n")
+            continue
+        overrides, change = row
+        cells = {**_GOOD_CELLS, **dict(overrides)}
+        line = [cells[c] for c in columns]
+        writer.writerow(line[:change] if change < 0 else line + ["extra"] * change)
+    lead = "\n" if leading_blank else ""
+    plain = ",".join(columns)
+    header = ",".join(f" {c} " for c in columns) if padded else plain
+    return (lead + header + "\r\n" + body.getvalue(),
+            lead + plain + "\r\n" + body.getvalue())
+
+
+def _parse_or_error(parse, document):
+    try:
+        return parse(document)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+class TestParserMatchesDictReader:
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENT)
+    def test_same_records_and_diagnostics(self, spec):
+        document, plain = _documents(spec)
+        expected = _parse_or_error(_dictreader_parse_instruments, plain)
+        # Padded header names are the one intended difference: they now parse
+        # like plain ones, where the DictReader parser missed every cell.
+        assert _parse_or_error(parse_instruments, document) == expected
+        missed = _parse_or_error(_dictreader_parse_instruments, document)
+        assert document == plain or isinstance(missed, str) or missed.records == ()
 
 
 class TestDerive:
