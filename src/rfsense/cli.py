@@ -23,7 +23,6 @@ import json as _json_module
 import math
 import re
 import sys
-from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
@@ -320,7 +319,8 @@ def _render_json_value(value, indent: int) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if not isinstance(value, (dict, list, tuple)):
+    # Exact types: a record is a tuple subclass and must not render as a list.
+    if type(value) not in (dict, list, tuple):
         raise DomainError(f"cannot serialize {type(value).__name__}")
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
@@ -347,11 +347,11 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
     rows: list[tuple[str, object]] = []
     for key, value in payload.items():
         path = f"{prefix}{key}"
-        if isinstance(value, dict):
+        if type(value) is dict:
             rows.extend(_flatten(value, path + "."))
-        elif isinstance(value, (list, tuple)):
+        elif type(value) in (list, tuple):
             for i, item in enumerate(value):
-                if isinstance(item, dict):
+                if type(item) is dict:
                     rows.extend(_flatten(item, f"{path}[{i}]."))
                 else:
                     rows.append((f"{path}[{i}]", item))
@@ -398,14 +398,6 @@ def render_report(payload: dict, fmt: str, table: list[dict] | None = None,
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (payload, table, columns).
-
-def _fields(obj) -> dict:
-    """A dataclass instance's fields by name, in declaration order.
-
-    Not ``dataclasses.asdict``, which deep-copies every value.
-    """
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
 
 def _cmd_nedt(args) -> tuple[dict, None, None]:
     from . import radiometry as rm
@@ -608,13 +600,13 @@ def _cmd_budget(args) -> tuple[dict, None, None]:
             frequency_hz=args.frequency,
         )
     report = lb.evaluate_link(budget)
-    payload = _fields(report)
+    payload = report._asdict()
     # The CSV and text reports keep key order: fsl_check comes after closes.
     fsl_check = payload.pop("fsl_check")
     payload["margins_db"] = dict(report.margins_db)
     payload["closes"] = {name: margin >= 0.0 for name, margin in report.margins_db}
     if fsl_check is not None:
-        payload["fsl_check"] = _fields(fsl_check)
+        payload["fsl_check"] = fsl_check._asdict()
     return payload, None, None
 
 
@@ -837,7 +829,7 @@ def _cmd_dataset_derive(args) -> tuple[dict, list[dict], list[str]]:
         "records": table,
         "record_count": len(table),
         "diagnostics": [
-            _fields(d) for d in (*parsed.diagnostics, *derive_diags, *mismatch_diags)
+            d._asdict() for d in (*parsed.diagnostics, *derive_diags, *mismatch_diags)
         ],
     }
     return payload, table, _RECORD_COLUMNS
@@ -850,13 +842,13 @@ def _cmd_dataset_ranges(args) -> tuple[dict, list[dict], list[str]]:
     derived, derive_diags = ds.derive_records(parsed.records)
     sig_figs = None if args.no_rounding else args.sig_figs
     ranges = ds.synthesize_all(derived, sig_figs=sig_figs)
-    table = [_fields(r) for r in ranges]
+    table = [r._asdict() for r in ranges]
     payload = {
         "ranges": table,
         "category_count": len(table),
-        "diagnostics": [_fields(d) for d in (*parsed.diagnostics, *derive_diags)],
+        "diagnostics": [d._asdict() for d in (*parsed.diagnostics, *derive_diags)],
     }
-    return payload, table, [f.name for f in fields(ds.CategoryRange)]
+    return payload, table, list(ds.CategoryRange._fields)
 
 
 def _cmd_dataset_plotdata(args) -> tuple[dict, None, None]:

@@ -29,11 +29,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import os
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from decimal import ROUND_HALF_UP, Decimal
-from importlib import resources
 from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence
 
 # The pipeline uses none of these three.  They load here because the
 # benchmark's tracer (bench/tracing.py, Recorder.install) wraps all six engine
@@ -48,7 +48,7 @@ from .fieldmetrics import (
     nef_from_aperture,
     trx_from_noise_figure,
 )
-from .quantities import default_eta0
+from .quantities import checked_make, default_eta0
 from .radiometry import tsys_from_nedt
 
 __all__ = [
@@ -97,39 +97,17 @@ CONVERTER_MARKER_NEF = 4e-7
 CONVERTER_MARKER_BANDWIDTH_HZ = 1e7
 
 
-@dataclass(frozen=True)
-class InstrumentRecord:
+class InstrumentRecord(namedtuple(
+    "InstrumentRecord", COLUMNS + ("e_free_vm_sqrthz",), defaults=(None, None),
+)):
     """One instrument row, raw values plus method/provenance tags.
 
-    ``e_free_vm_sqrthz`` is filled by :func:`derive_record`;
+    The fields are the :data:`COLUMNS` cells, parsed, then
+    ``e_free_vm_sqrthz``, which :func:`derive_record` fills;
     ``e_free_reported`` is the source-quoted value kept for cross-checks.
     """
 
-    instrument: str
-    mission: str
-    category: str
-    coherence: str
-    f0_ghz: float
-    bandwidth_hz: float
-    bandwidth_method: str
-    aperture_method: str
-    a_e_m2: float | None
-    a_phys_m2: float | None
-    eta_ap: float | None
-    gain_dbi: float | None
-    t_a_k: float | None
-    t_a_flag: str | None
-    t_rx_k: float | None
-    t_rx_method: str | None
-    nf_db: float | None
-    t_sys_k: float | None
-    t_sys_method: str
-    nedt_k: float | None
-    tau_s: float | None
-    rho2: float
-    reference: str
-    e_free_reported: float | None = None
-    e_free_vm_sqrthz: float | None = None
+    __slots__ = ()
 
     @property
     def f0_hz(self) -> float:
@@ -144,26 +122,24 @@ class InstrumentRecord:
         )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(namedtuple("Diagnostic", "row instrument message")):
     """A named, row-attributed problem found while processing the dataset."""
 
-    row: int
-    instrument: str
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"row {self.row} ({self.instrument}): {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
-    records: tuple[InstrumentRecord, ...]
-    diagnostics: tuple[Diagnostic, ...]
+class ParseResult(namedtuple("ParseResult", "records diagnostics")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CategoryRange:
+class CategoryRange(namedtuple(
+    "CategoryRange",
+    "category f0_min_hz f0_max_hz a_e_min_m2 a_e_max_m2 t_sys_min_k t_sys_max_k"
+    " bandwidth_min_hz bandwidth_max_hz e_free_min e_free_max members",
+)):
     """Synthesised parameter bounds for one receiver category.
 
     Frequency bounds are the raw extrema (no margin); temperature, aperture
@@ -172,20 +148,11 @@ class CategoryRange:
     physical coupling between parameters is preserved.
     """
 
-    category: str
-    f0_min_hz: float
-    f0_max_hz: float
-    a_e_min_m2: float
-    a_e_max_m2: float
-    t_sys_min_k: float
-    t_sys_max_k: float
-    bandwidth_min_hz: float
-    bandwidth_max_hz: float
-    e_free_min: float
-    e_free_max: float
-    members: int
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         pairs = (
             (self.f0_min_hz, self.f0_max_hz),
             (self.a_e_min_m2, self.a_e_max_m2),
@@ -196,6 +163,7 @@ class CategoryRange:
         for low, high in pairs:
             if low > high:
                 raise DomainError(f"range bounds out of order: {low:g} > {high:g}")
+        return self
 
 
 def round_to_sig_figs(value: float, figures: int = 2) -> float:
@@ -442,6 +410,9 @@ def consistency_diagnostics(
             continue
         reported = record.e_free_reported
         computed = record.e_free_vm_sqrthz
+        if not reported > 0.0:
+            diagnostics.append(Diagnostic(index, record.instrument, "e_free_reported must be > 0"))
+            continue
         relative = abs(computed - reported) / reported
         if relative > rel_tol:
             diagnostics.append(Diagnostic(
@@ -572,10 +543,12 @@ def emit_plot_data(
         }
         for r in ranges
     ]
-    marker_rows = [
-        {"name": name, "bandwidth": bandwidth_hz, "e_field": e_field}
-        for name, bandwidth_hz, e_field in markers
-    ]
+    marker_rows = []
+    for name, bandwidth_hz, e_field in markers:
+        for label, value in (("bandwidth", bandwidth_hz), ("field", e_field)):
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"marker {name!r} {label} must be finite and > 0, got {value!r}")
+        marker_rows.append({"name": name, "bandwidth": bandwidth_hz, "e_field": e_field})
     if include_converter_marker:
         if converter_bandwidth_hz <= 0.0 or converter_nef <= 0.0:
             raise DomainError("converter marker coordinates must be > 0")
@@ -594,11 +567,20 @@ def emit_plot_data(
     return document
 
 
+# The table ships next to this module.  Reading it by path, not through
+# importlib.resources, keeps that package (and the typing module it imports)
+# off the cold path of every dataset call.
+_BUNDLED_CSV = os.path.join(os.path.dirname(__file__), "data", "instruments.csv")
+
+
 def bundled_dataset_path():
-    """Path-like handle to the dataset CSV shipped with the package."""
-    return resources.files("rfsense").joinpath("data/instruments.csv")
+    """Path of the dataset CSV shipped with the package, a ``pathlib.Path``."""
+    from pathlib import Path
+
+    return Path(_BUNDLED_CSV)
 
 
 def load_bundled_dataset() -> ParseResult:
     """Parse the bundled instrument dataset."""
-    return parse_instruments(bundled_dataset_path().read_text(encoding="utf-8"))
+    with open(_BUNDLED_CSV, encoding="utf-8") as handle:
+        return parse_instruments(handle.read())

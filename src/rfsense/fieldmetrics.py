@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
-from .quantities import CODATA, default_eta0, frequency_to_wavelength
+from .quantities import CODATA, checked_make, default_eta0, frequency_to_wavelength
 
 __all__ = [
     "CavityCoupling",
@@ -61,8 +61,11 @@ def default_polarisation_coupling(coherence: str) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ReceiverReference:
+class ReceiverReference(namedtuple(
+    "ReceiverReference",
+    "system_temperature_k effective_aperture_m2 gain frequency_hz rho2",
+    defaults=(None, None, None, 1.0),
+)):
     """A classical receiver reference: T_sys plus an aperture description.
 
     The aperture may be given directly (``effective_aperture_m2``) or as a
@@ -72,13 +75,11 @@ class ReceiverReference:
     signal, 1/2 for unpolarised emission on a single linear channel.
     """
 
-    system_temperature_k: float
-    effective_aperture_m2: float | None = None
-    gain: float | None = None
-    frequency_hz: float | None = None
-    rho2: float = 1.0
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.system_temperature_k <= 0.0:
             raise DomainError("system temperature must be > 0 K")
         if not 0.0 < self.rho2 <= 1.0:
@@ -101,6 +102,7 @@ class ReceiverReference:
                     f"A_e={self.effective_aperture_m2:g} m^2 vs "
                     f"G*lambda^2/(4*pi)={implied:g} m^2"
                 )
+        return self
 
     def aperture_m2(self) -> float:
         if self.effective_aperture_m2 is not None:
@@ -108,8 +110,11 @@ class ReceiverReference:
         return aperture_from_gain(self.gain, self.frequency_hz)
 
 
-@dataclass(frozen=True)
-class CavityCoupling:
+class CavityCoupling(namedtuple(
+    "CavityCoupling",
+    "frequency_hz q_loaded rf_efficiency mode_volume_m3 q_external q_internal",
+    defaults=(None, None),
+)):
     """A single-mode cavity coupling an incident field to the sensing volume.
 
     ``q_loaded`` is canonical; external/internal quality factors are kept
@@ -119,14 +124,11 @@ class CavityCoupling:
     probed mode.
     """
 
-    frequency_hz: float
-    q_loaded: float
-    rf_efficiency: float
-    mode_volume_m3: float
-    q_external: float | None = None
-    q_internal: float | None = None
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.frequency_hz <= 0.0:
             raise DomainError("centre frequency must be > 0 Hz")
         if self.q_loaded <= 0.0:
@@ -146,6 +148,7 @@ class CavityCoupling:
                     f"1/Q_L = 1/Q_e + 1/Q_i violated: Q_L={self.q_loaded:g} "
                     f"but combination gives {combined:g}"
                 )
+        return self
 
     @classmethod
     def from_quality_factors(

@@ -8,10 +8,10 @@ chain in dB makes the closure identities exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
-from .quantities import CODATA, frequency_to_wavelength
+from .quantities import CODATA, checked_make, frequency_to_wavelength
 
 __all__ = [
     "BOLTZMANN_DB",
@@ -128,8 +128,13 @@ def eb_over_n0(c_over_n0_dbhz: float, data_rate_bps: float) -> float:
     return c_over_n0_dbhz - 10.0 * math.log10(data_rate_bps)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(namedtuple(
+    "LinkBudget",
+    "transmit_power_dbw transmit_gain_dbi transmit_feeder_loss_db losses_db receive_gain_dbi"
+    " antenna_temperature_k receiver_temperature_k feeder_loss_linear data_rate_bps"
+    " required_eb_n0_db path_length_m frequency_hz",
+    defaults=(DEFAULT_EBN0_THRESHOLDS_DB, None, None),
+)):
     """Inputs of a one-way communication link.
 
     ``losses_db`` is an ordered ledger of named dB losses.  The free-space
@@ -139,20 +144,11 @@ class LinkBudget:
     and flags any disagreement instead of replacing it.
     """
 
-    transmit_power_dbw: float
-    transmit_gain_dbi: float
-    transmit_feeder_loss_db: float
-    losses_db: tuple[tuple[str, float], ...]
-    receive_gain_dbi: float
-    antenna_temperature_k: float
-    receiver_temperature_k: float
-    feeder_loss_linear: float
-    data_rate_bps: float
-    required_eb_n0_db: tuple[tuple[str, float], ...] = DEFAULT_EBN0_THRESHOLDS_DB
-    path_length_m: float | None = None
-    frequency_hz: float | None = None
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in (
             ("transmit power", self.transmit_power_dbw),
             ("transmit gain", self.transmit_gain_dbi),
@@ -171,30 +167,24 @@ class LinkBudget:
             raise DomainError("data rate must be > 0 bit/s")
         if self.antenna_temperature_k < 0.0 or self.receiver_temperature_k < 0.0:
             raise DomainError("temperatures must be >= 0 K")
+        return self
 
 
-@dataclass(frozen=True)
-class FslCheck:
+class FslCheck(namedtuple("FslCheck", "ledger_db recomputed_db difference_db flagged")):
     """Ledger vs. recomputed free-space loss diagnostic."""
 
-    ledger_db: float
-    recomputed_db: float
-    difference_db: float
-    flagged: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(namedtuple(
+    "LinkReport",
+    "eirp_dbw total_loss_db system_temperature_k g_over_t_db_per_k c_over_n0_dbhz"
+    " eb_over_n0_db margins_db fsl_check",
+    defaults=(None,),
+)):
     """Derived link figures; every field is recomputable from the budget alone."""
 
-    eirp_dbw: float
-    total_loss_db: float
-    system_temperature_k: float
-    g_over_t_db_per_k: float
-    c_over_n0_dbhz: float
-    eb_over_n0_db: float
-    margins_db: tuple[tuple[str, float], ...]
-    fsl_check: FslCheck | None = None
+    __slots__ = ()
 
     def closes(self, modulation: str) -> bool:
         """True when the stated modulation has non-negative margin."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -31,8 +31,25 @@ __all__ = [
 ETA0_ENV_VAR = "RFSENSE_ETA0_OHMS"
 
 
-@dataclass(frozen=True)
-class Constants:
+# Every record type is a namedtuple subclass with ``__slots__ = ()``.  One
+# that validates its fields in ``__new__`` sets ``_make = checked_make``:
+# ``_replace`` builds through ``_make``, which is ``tuple.__new__`` and would
+# skip the checks.
+checked_make = classmethod(lambda cls, values: cls(*values))
+
+
+class Constants(namedtuple(
+    "Constants",
+    "boltzmann planck light_speed eta_0 vacuum_permittivity reference_temperature",
+    defaults=(
+        1.380649e-23,       # J/K
+        6.62607015e-34,     # J*s
+        299792458.0,        # m/s
+        376.730313668,      # ohm
+        8.8541878128e-12,   # F/m
+        290.0,              # K
+    ),
+)):
     """Physical constants used throughout the toolkit (SI units).
 
     ``eta_0`` is the single source of truth for the free-space wave impedance:
@@ -40,12 +57,7 @@ class Constants:
     value, never from an ad-hoc literal.
     """
 
-    boltzmann: float = 1.380649e-23          # J/K
-    planck: float = 6.62607015e-34           # J*s
-    light_speed: float = 299792458.0         # m/s
-    eta_0: float = 376.730313668             # ohm
-    vacuum_permittivity: float = 8.8541878128e-12  # F/m
-    reference_temperature: float = 290.0     # K
+    __slots__ = ()
 
     @property
     def reduced_planck(self) -> float:

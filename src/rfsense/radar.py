@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
-from .quantities import CODATA
+from .quantities import CODATA, checked_make
 
 __all__ = [
     "PointTarget",
@@ -26,40 +26,47 @@ __all__ = [
 FOUR_PI_CUBED = (4.0 * math.pi) ** 3
 
 
-@dataclass(frozen=True)
-class PointTarget:
+class PointTarget(namedtuple("PointTarget", "cross_section_m2")):
     """Point-target analysis mode: a bare radar cross section sigma in m^2."""
 
-    cross_section_m2: float
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cross_section_m2 < 0.0:
             raise DomainError("radar cross section must be >= 0 m^2")
+        return self
 
 
-@dataclass(frozen=True)
-class ResolutionCell:
+class ResolutionCell(namedtuple("ResolutionCell", "sigma0 cell_area_m2")):
     """Imaging mode: normalised cross section sigma0 over a resolution cell.
 
     The effective cross section is sigma = sigma0 * cell_area.
     """
 
-    sigma0: float
-    cell_area_m2: float
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sigma0 < 0.0:
             raise DomainError("sigma0 must be >= 0")
         if self.cell_area_m2 <= 0.0:
             raise DomainError("resolution cell area must be > 0 m^2")
+        return self
 
     @property
     def cross_section_m2(self) -> float:
         return self.sigma0 * self.cell_area_m2
 
 
-@dataclass(frozen=True)
-class RadarScenario:
+class RadarScenario(namedtuple(
+    "RadarScenario",
+    "transmit_power_w transmit_gain receive_gain wavelength_m target range_m system_loss"
+    " propagation_loss processing_gain system_temperature_k bandwidth_hz",
+    defaults=(1.0, 1.0, 1.0, None, None),
+)):
     """One radar link.
 
     The target is a tagged alternative, not two nullable fields: pass either a
@@ -69,19 +76,11 @@ class RadarScenario:
     reporting.
     """
 
-    transmit_power_w: float
-    transmit_gain: float
-    receive_gain: float
-    wavelength_m: float
-    target: PointTarget | ResolutionCell
-    range_m: float
-    system_loss: float = 1.0
-    propagation_loss: float = 1.0
-    processing_gain: float = 1.0
-    system_temperature_k: float | None = None
-    bandwidth_hz: float | None = None
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in (
             ("transmit power", self.transmit_power_w),
             ("transmit gain", self.transmit_gain),
@@ -99,6 +98,7 @@ class RadarScenario:
             raise DomainError("system temperature must be >= 0 K")
         if self.bandwidth_hz is not None and self.bandwidth_hz <= 0.0:
             raise DomainError("bandwidth must be > 0 Hz")
+        return self
 
     @property
     def system_loss_db(self) -> float:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from operator import mul
-from typing import Sequence
 
 from .errors import DomainError, SingularFitError
-from .quantities import CODATA
+from .quantities import CODATA, checked_make
 
 __all__ = [
     "CalibrationPoint",
@@ -21,8 +21,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReceiverNoiseModel:
+class ReceiverNoiseModel(namedtuple(
+    "ReceiverNoiseModel",
+    "antenna_temperature_k receiver_temperature_k bandwidth_hz integration_time_s"
+    " gain_stability",
+    defaults=(0.0,),
+)):
     """Noise description of a total-power radiometer channel.
 
     Attributes:
@@ -34,13 +38,11 @@ class ReceiverNoiseModel:
             integration time (dimensionless), >= 0.
     """
 
-    antenna_temperature_k: float
-    receiver_temperature_k: float
-    bandwidth_hz: float
-    integration_time_s: float
-    gain_stability: float = 0.0
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.antenna_temperature_k < 0.0:
             raise DomainError("antenna temperature must be >= 0 K")
         if self.receiver_temperature_k < 0.0:
@@ -51,6 +53,7 @@ class ReceiverNoiseModel:
             raise DomainError("integration time must be > 0 s")
         if self.gain_stability < 0.0:
             raise DomainError("gain stability must be >= 0")
+        return self
 
     @property
     def system_temperature_k(self) -> float:
@@ -58,14 +61,18 @@ class ReceiverNoiseModel:
         return self.antenna_temperature_k + self.receiver_temperature_k
 
 
-@dataclass(frozen=True)
-class CalibrationPoint:
+class CalibrationPoint(namedtuple(
+    "CalibrationPoint", "antenna_temperature_k output_power_w",
+)):
     """One reference-load measurement: known T_A and measured output power."""
 
-    antenna_temperature_k: float
-    output_power_w: float
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    # A fit builds thousands of points, so this skips the generic namedtuple
+    # constructor that the other validated records reach through super().
+    def __new__(cls, antenna_temperature_k, output_power_w):
+        self = tuple.__new__(cls, (antenna_temperature_k, output_power_w))
         for name in ("antenna_temperature_k", "output_power_w"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -74,15 +81,15 @@ class CalibrationPoint:
             raise DomainError("load temperature must be >= 0 K")
         if self.output_power_w < 0.0:
             raise DomainError("measured power must be >= 0 W")
+        return self
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(namedtuple(
+    "CalibrationResult", "gain receiver_temperature_k warnings", defaults=((),),
+)):
     """Gain and receiver temperature recovered from a hot/cold calibration."""
 
-    gain: float
-    receiver_temperature_k: float
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def nedt(model: ReceiverNoiseModel) -> float:

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fieldmetrics
 from .errors import DomainError
-from .quantities import CODATA
+from .quantities import CODATA, checked_make
 
 __all__ = [
     "ATOMIC_DIPOLE_UNIT",
@@ -35,8 +35,11 @@ def dipole_moment(multiple_of_e_a0: float) -> float:
     return multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT
 
 
-@dataclass(frozen=True)
-class RydbergSensorBudget:
+class RydbergSensorBudget(namedtuple(
+    "RydbergSensorBudget",
+    "dipole_moment_cm atom_count coherence_time_s probe_power_w probe_frequency_hz",
+    defaults=(None, None),
+)):
     """Parameters that set an atomic sensor's intrinsic noise floors.
 
     Attributes:
@@ -48,13 +51,11 @@ class RydbergSensorBudget:
         probe_frequency_hz: probe laser frequency (optional).
     """
 
-    dipole_moment_cm: float
-    atom_count: float
-    coherence_time_s: float
-    probe_power_w: float | None = None
-    probe_frequency_hz: float | None = None
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dipole_moment_cm <= 0.0:
             raise DomainError("dipole moment must be > 0 C*m")
         if self.atom_count <= 0.0:
@@ -65,6 +66,7 @@ class RydbergSensorBudget:
             raise DomainError("probe power must be >= 0 W")
         if self.probe_frequency_hz is not None and self.probe_frequency_hz <= 0.0:
             raise DomainError("probe frequency must be > 0 Hz")
+        return self
 
 
 def qpn_nef(

@@ -17,7 +17,9 @@ import rfsense.quantities
 import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
-from rfsense.cli import OPERATION_MAP, build_parser, format_number, main, render_json
+from rfsense.cli import (
+    OPERATION_MAP, build_parser, format_number, main, render_json, render_report,
+)
 from rfsense.errors import DomainError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -341,6 +343,18 @@ class TestRenderJson:
         with pytest.raises(DomainError) as actual:
             render_json(payload)
         assert str(actual.value) == str(expected.value)
+
+    @pytest.mark.parametrize("record", [
+        rfsense.dataset.Diagnostic(3, "probe", "bad cell"),
+        rfsense.linkbudget.FslCheck(206.5, 207.0, 0.5, False),
+    ])
+    def test_a_record_is_not_rendered_as_a_container(self, record):
+        with pytest.raises(DomainError) as caught:
+            render_json({"x": [record]})
+        assert str(caught.value) == f"cannot serialize {type(record).__name__}"
+        # The text and CSV reports print a stray record as one cell, never item by item.
+        assert render_report({"x": record}, "text") == f"x = {record}\n"
+        assert render_report({"x": [record]}, "text") == f"x[0] = {record}\n"
 
 
 class TestSubcommands:

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -509,6 +508,14 @@ class TestConsistencyDiagnostics:
         loose = consistency_diagnostics(derived, rel_tol=1.0)
         assert [d.instrument for d in loose] == []
 
+    @pytest.mark.parametrize("quoted", [0.0, -1.0, math.nan])
+    def test_a_non_positive_quoted_field_is_a_row_diagnostic(self, quoted):
+        derived, _ = derive_records(load_bundled_dataset().records)
+        records = [derived[0], derived[1]._replace(e_free_reported=quoted)]
+        assert consistency_diagnostics(records) == (
+            Diagnostic(2, derived[1].instrument, "e_free_reported must be > 0"),
+        )
+
 
 class TestSynthesize:
     def test_deep_space_row_matches_published_table(self):
@@ -590,11 +597,11 @@ class TestSynthesize:
     def test_synthesize_all_equals_per_category_synthesis(self, rows, sig_figs):
         records = []
         for index, category, mutation in rows:
-            record = replace(self.COHERENT_ROWS[index], category=category)
+            record = self.COHERENT_ROWS[index]._replace(category=category)
             if mutation == "rho2":
-                record = replace(record, rho2=0.5)
+                record = record._replace(rho2=0.5)
             elif mutation == "underived":
-                record = replace(record, e_free_vm_sqrthz=None)
+                record = record._replace(e_free_vm_sqrthz=None)
             records.append(record)
 
         def outcome(build):
@@ -715,6 +722,18 @@ class TestPlotData:
             include_converter_marker=False,
         )
         assert [m["name"] for m in document["markers"]] == ["a", "b"]
+
+    @pytest.mark.parametrize("marker, message", [
+        (("p", -1e7, math.nan), "marker 'p' bandwidth must be finite and > 0, got -10000000.0"),
+        (("p", 0.0, 1e-9), "marker 'p' bandwidth must be finite and > 0, got 0.0"),
+        (("p", math.inf, 1e-9), "marker 'p' bandwidth must be finite and > 0, got inf"),
+        (("q", 1e7, math.nan), "marker 'q' field must be finite and > 0, got nan"),
+        (("q", 1e7, -4e-7), "marker 'q' field must be finite and > 0, got -4e-07"),
+    ])
+    def test_a_marker_off_the_plot_is_rejected_by_name(self, marker, message):
+        with pytest.raises(DomainError) as caught:
+            emit_plot_data([], markers=[("ok", 1e6, 1e-9), marker])
+        assert str(caught.value) == message
 
     def test_thermal_reference_line_is_configurable(self):
         document = emit_plot_data([], thermal_reference_field=2.4e-8)

@@ -101,6 +101,21 @@ def test_readme_shows_every_subcommand():
     assert set(_readme_argv()) == set(OPERATION_MAP)
 
 
+# Standard-library modules no cold call may load: records are namedtuples,
+# and each of these costs milliseconds to import.
+_HEAVY_MODULES = "('dataclasses', 'inspect', 'typing')"
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # -S: a site .pth may preload typing, which would hide a regression.
+    child = python(
+        "-S", "-c",
+        f"import sys, rfsense.cli; print([m for m in {_HEAVY_MODULES} if m in sys.modules])",
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("command", sorted(OPERATION_MAP))
 def test_a_cold_call_loads_only_the_modules_of_its_subcommand(command):
     probe = (
@@ -108,12 +123,14 @@ def test_a_cold_call_loads_only_the_modules_of_its_subcommand(command):
         "from rfsense.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('rfsense'))]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('rfsense')),\n"
+        f"                  [m for m in {_HEAVY_MODULES} if m in sys.modules]]))\n"
     )
-    child = python("-c", probe, *_readme_argv()[command])
+    child = python("-S", "-c", probe, *_readme_argv()[command])
     assert child.returncode == 0, child.stderr
-    code, loaded = json.loads(child.stdout)
+    code, loaded, heavy = json.loads(child.stdout)
     assert code == 0, child.stderr
+    assert heavy == []
     entry = {operation.partition(".")[0] for operation in OPERATION_MAP[command]}
     allowed = entry | {"cli", "errors", "quantities"}
     for module in entry:
