@@ -27,7 +27,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, require
 from .quantities import db_to_linear, frequency_to_wavelength, linear_to_db, power_from_field
 
 __all__ = ["OPERATION_MAP", "build_parser", "format_number", "main", "render_json"]
@@ -228,8 +228,6 @@ def gain_flag(text: str) -> float:
     if suffix == "dbi":
         return _to_linear("gain", text, value)
     if suffix == "lin":
-        if value <= 0.0:
-            raise argparse.ArgumentTypeError("linear gain must be > 0")
         return value
     raise argparse.ArgumentTypeError(
         f"gain {text!r} needs an explicit 'dbi' or 'lin' suffix"
@@ -277,12 +275,6 @@ def marker_flag(text: str) -> tuple[str, float, float]:
         e_field = float(field_raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse field {field_raw!r}") from exc
-    if bandwidth <= 0.0:
-        raise argparse.ArgumentTypeError(f"bandwidth {bw_raw!r} must be > 0")
-    if not math.isfinite(e_field):
-        raise argparse.ArgumentTypeError(f"field {field_raw!r} must be finite")
-    if e_field <= 0.0:
-        raise argparse.ArgumentTypeError(f"field {field_raw!r} must be > 0")
     return name.strip(), bandwidth, e_field
 
 
@@ -402,10 +394,10 @@ def render_report(payload: dict, fmt: str, table: list[dict] | None = None,
 def _cmd_nedt(args) -> tuple[dict, None, None]:
     from . import radiometry as rm
 
+    require("--bandwidth", args.bandwidth)
+    require("--integration-time", args.integration_time)
     if args.nedt is not None:
-        _positive("--nedt", args.nedt)
-        _positive("--bandwidth", args.bandwidth)
-        _positive("--integration-time", args.integration_time)
+        require("--nedt", args.nedt)
         t_sys = rm.tsys_from_nedt(
             args.nedt, args.bandwidth, args.integration_time, args.gain_stability
         )
@@ -414,8 +406,6 @@ def _cmd_nedt(args) -> tuple[dict, None, None]:
     if args.antenna_temp is None or args.receiver_temp is None:
         raise DomainError("--antenna-temp and --receiver-temp are required "
                           "(or use --nedt for the inverse)")
-    _positive("--bandwidth", args.bandwidth)
-    _positive("--integration-time", args.integration_time)
     model = rm.ReceiverNoiseModel(
         antenna_temperature_k=args.antenna_temp,
         receiver_temperature_k=args.receiver_temp,
@@ -437,7 +427,7 @@ def _cmd_nedt(args) -> tuple[dict, None, None]:
 def _cmd_calibrate(args) -> tuple[dict, None, None]:
     from . import radiometry as rm
 
-    _positive("--bandwidth", args.bandwidth)
+    require("--bandwidth", args.bandwidth)
     points = [rm.CalibrationPoint(t, p) for t, p in args.point]
     result = rm.calibrate_hot_cold(points, args.bandwidth)
     payload = {
@@ -638,7 +628,7 @@ def _aperture_from_args(args) -> float:
 def _cmd_nef(args) -> tuple[dict, None, None]:
     from . import fieldmetrics as fm
 
-    _positive("--tsys", args.tsys)
+    require("--tsys", args.tsys)
     aperture = _aperture_from_args(args)
     rho2 = args.rho2
     if rho2 is None:
@@ -720,7 +710,7 @@ def _cmd_enhance(args) -> tuple[dict, None, None]:
             args.rf_efficiency, args.mode_volume,
         )
 
-    _positive("--tsys", args.tsys)
+    require("--tsys", args.tsys)
     aperture = _aperture_from_args(args)
     reference = fm.ReceiverReference(
         system_temperature_k=args.tsys,
@@ -868,11 +858,6 @@ def _cmd_dataset_plotdata(args) -> tuple[dict, None, None]:
         thermal_reference_field=args.thermal_line,
     )
     return document, None, None
-
-
-def _positive(flag: str, value: float) -> None:
-    if value <= 0.0:
-        raise DomainError(f"{flag} must be positive, got {value:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -1164,7 +1149,8 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"schema-error: {exc}", file=sys.stderr)
         return 3
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
+        # Also a division by a product of inputs that underflowed to zero.
         print(f"domain-error: {args.command}: a result overflows the float range",
               file=sys.stderr)
         return 2

@@ -40,7 +40,7 @@ from operator import attrgetter, itemgetter
 # modules once it has imported rfsense.cli and rfsense.dataset, and fails on
 # one that is not loaded.  Drop this import when the tracer imports them itself.
 from . import linkbudget, radar, rydberg  # noqa: F401
-from .errors import DomainError, SchemaError
+from .errors import FLOAT_MAX, DomainError, SchemaError, require
 from .fieldmetrics import (
     DEFAULT_APERTURE_EFFICIENCY,
     aperture_from_gain,
@@ -48,7 +48,7 @@ from .fieldmetrics import (
     nef_from_aperture,
     trx_from_noise_figure,
 )
-from .quantities import checked_make, default_eta0
+from .quantities import checked_make, resolve_eta0
 from .radiometry import tsys_from_nedt
 
 __all__ = [
@@ -168,9 +168,8 @@ class CategoryRange(namedtuple(
 
 def round_to_sig_figs(value: float, figures: int = 2) -> float:
     """Round to ``figures`` significant digits with half-up ties."""
-    if figures < 1:
-        raise DomainError("significant figures must be >= 1")
-    if value == 0.0 or not math.isfinite(value):
+    require("significant figures", figures, "", 1, False)
+    if require("value", value, "", -FLOAT_MAX, False) == 0.0:
         return value
     exponent = math.floor(math.log10(abs(value)))
     quantum = Decimal(1).scaleb(exponent - figures + 1)
@@ -254,8 +253,7 @@ def _parse_row(
     rho2 = _parse_cell("rho2", rho2)
     if rho2 is None:
         rho2 = default_polarisation_coupling(coherence)
-    if not 0.0 < rho2 <= 1.0:
-        raise DomainError("rho2 must be in (0, 1]")
+    require("rho2", rho2, "", 0.0, True, 1.0)
 
     a_e = _parse_cell("a_e_m2", a_e_m2)
     a_phys = _parse_cell("a_phys_m2", a_phys_m2)
@@ -298,8 +296,8 @@ def _parse_row(
                 raise DomainError("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
 
     e_free_reported = _parse_cell("e_free_reported", e_free_reported)
-    if e_free_reported is not None and e_free_reported <= 0.0:
-        raise DomainError("e_free_reported must be > 0")
+    if e_free_reported is not None:
+        require("e_free_reported", e_free_reported)
 
     return InstrumentRecord(
         instrument, mission, category, coherence, f0_ghz, bandwidth_hz, bandwidth_method,
@@ -339,8 +337,6 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
                 a_e = aperture_from_gain(10.0 ** (record.gain_dbi / 10.0), record.f0_hz)
             else:
                 raise DomainError("no aperture value available")
-        if a_e <= 0.0:
-            raise DomainError(f"derived aperture must be > 0 m^2, got {a_e:g}")
 
         t_rx = record.t_rx_k
         if t_rx is None and record.t_rx_method == "NF" and record.nf_db is not None:
@@ -356,9 +352,6 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
                 if record.t_a_k is None or t_rx is None:
                     raise DomainError("cannot form T_sys = T_A + T_Rx: missing term")
                 t_sys = record.t_a_k + t_rx
-        if t_sys <= 0.0:
-            raise DomainError(f"derived system temperature must be > 0 K, got {t_sys:g}")
-
         e_free = nef_from_aperture(t_sys, a_e, record.rho2, eta_0)
     except DomainError as exc:
         raise DomainError(f"{record.instrument}: {exc}") from exc
@@ -381,8 +374,7 @@ def derive_records(
     ``eta_0`` is resolved once, so an invalid ``RFSENSE_ETA0_OHMS`` raises
     one :class:`DomainError` instead of blaming every row.
     """
-    if eta_0 is None:
-        eta_0 = default_eta0()
+    eta_0 = resolve_eta0(eta_0)
     derived: list[InstrumentRecord] = []
     diagnostics: list[Diagnostic] = []
     for index, record in enumerate(records, start=1):
@@ -404,6 +396,7 @@ def consistency_diagnostics(
     reported as dataset diagnostics.  These mark internal inconsistencies of
     the source table, not pipeline failures, and must stay visible.
     """
+    require("rel_tol", rel_tol, "", 0.0, False)
     diagnostics: list[Diagnostic] = []
     for index, record in enumerate(records, start=1):
         if record.e_free_reported is None or record.e_free_vm_sqrthz is None:
@@ -505,8 +498,7 @@ def synthesize_all(
     number of records; each range equals ``synthesize_ranges(records,
     category, sig_figs, eta_0)``, and the first failing category raises.
     """
-    if eta_0 is None:
-        eta_0 = default_eta0()
+    eta_0 = resolve_eta0(eta_0)
     groups: dict[str, list[InstrumentRecord]] = {}
     for record in records:
         groups.setdefault(record.category, []).append(record)
@@ -545,13 +537,12 @@ def emit_plot_data(
     ]
     marker_rows = []
     for name, bandwidth_hz, e_field in markers:
-        for label, value in (("bandwidth", bandwidth_hz), ("field", e_field)):
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"marker {name!r} {label} must be finite and > 0, got {value!r}")
+        require(f"marker {name!r} bandwidth", bandwidth_hz, verbose=True)
+        require(f"marker {name!r} field", e_field, verbose=True)
         marker_rows.append({"name": name, "bandwidth": bandwidth_hz, "e_field": e_field})
     if include_converter_marker:
-        if converter_bandwidth_hz <= 0.0 or converter_nef <= 0.0:
-            raise DomainError("converter marker coordinates must be > 0")
+        require("converter marker bandwidth", converter_bandwidth_hz, verbose=True)
+        require("converter marker NEF", converter_nef, verbose=True)
         marker_rows.append({
             "name": CONVERTER_MARKER_NAME,
             "bandwidth": converter_bandwidth_hz,
@@ -559,8 +550,7 @@ def emit_plot_data(
         })
     document = {"rectangles": rectangles, "markers": marker_rows}
     if thermal_reference_field is not None:
-        if thermal_reference_field <= 0.0:
-            raise DomainError("thermal reference field must be > 0")
+        require("thermal reference field", thermal_reference_field)
         document["reference_lines"] = [
             {"name": "thermal-290K", "e_field": thermal_reference_field}
         ]

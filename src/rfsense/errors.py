@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one input check."""
+
+import sys
+
+# The largest finite float: the default upper bound of ``require``, and
+# ``-FLOAT_MAX`` with ``strict=False`` is "any finite value".
+FLOAT_MAX = sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -11,3 +17,32 @@ class SingularFitError(DomainError):
 
 class SchemaError(ValueError):
     """A structured input document does not conform to its schema."""
+
+
+def require(name, value, unit="", low=0.0, strict=True, high=FLOAT_MAX, verbose=False):
+    """Return ``value`` if it is finite and inside the bound, else raise.
+
+    The bound is ``low < value <= high``, or ``low <= value <= high`` when
+    ``strict`` is false.  ``high`` defaults to the largest float, so no
+    bound admits an infinity, NaN fails every comparison, and
+    ``low=-FLOAT_MAX, strict=False`` admits any finite value.  Hot callers
+    pass the arguments by position.  The :class:`DomainError` names the
+    parameter: ``"<name> must be > 0 Hz"`` for a finite value outside the
+    bound (``unit`` follows the bound), and ``"<name> must be finite and
+    > 0 Hz, got nan"`` for a non-finite value, or for any value when
+    ``verbose`` is set.
+    """
+    if (low < value <= high) if strict else (low <= value <= high):
+        return value
+    if low == -FLOAT_MAX:
+        bound = "" if high == FLOAT_MAX else f"<= {high:g}"
+    elif high == FLOAT_MAX:
+        bound = f"{'>' if strict else '>='} {low:g}"
+    else:
+        bound = f"in {'(' if strict else '['}{low:g}, {high:g}]"
+    if bound and unit:
+        bound = f"{bound} {unit}"
+    if not verbose and value == value and abs(value) != float("inf"):
+        raise DomainError(f"{name} must be {bound}")
+    bound = f"finite and {bound}" if bound else "finite"
+    raise DomainError(f"{name} must be {bound}, got {value!r}")

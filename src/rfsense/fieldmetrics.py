@@ -21,8 +21,8 @@ import math
 import warnings as _warnings
 from collections import namedtuple
 
-from .errors import DomainError
-from .quantities import CODATA, checked_make, default_eta0, frequency_to_wavelength
+from .errors import DomainError, require
+from .quantities import CODATA, checked_make, frequency_to_wavelength, resolve_eta0
 
 __all__ = [
     "CavityCoupling",
@@ -80,20 +80,18 @@ class ReceiverReference(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.system_temperature_k <= 0.0:
-            raise DomainError("system temperature must be > 0 K")
-        if not 0.0 < self.rho2 <= 1.0:
-            raise DomainError("polarisation coupling rho^2 must be in (0, 1]")
+        require("system temperature", self.system_temperature_k, "K")
+        require("polarisation coupling rho^2", self.rho2, "", 0.0, True, 1.0)
         has_aperture = self.effective_aperture_m2 is not None
         has_gain = self.gain is not None and self.frequency_hz is not None
         if not has_aperture and not has_gain:
             raise DomainError("need an effective aperture, or a gain with frequency")
-        if has_aperture and self.effective_aperture_m2 <= 0.0:
-            raise DomainError("effective aperture must be > 0 m^2")
-        if self.gain is not None and self.gain <= 0.0:
-            raise DomainError("gain must be > 0")
-        if self.frequency_hz is not None and self.frequency_hz <= 0.0:
-            raise DomainError("frequency must be > 0 Hz")
+        if has_aperture:
+            require("effective aperture", self.effective_aperture_m2, "m^2")
+        if self.gain is not None:
+            require("gain", self.gain)
+        if self.frequency_hz is not None:
+            require("frequency", self.frequency_hz, "Hz")
         if has_aperture and has_gain:
             implied = aperture_from_gain(self.gain, self.frequency_hz)
             if abs(implied - self.effective_aperture_m2) > 1e-9 * self.effective_aperture_m2:
@@ -129,19 +127,15 @@ class CavityCoupling(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.frequency_hz <= 0.0:
-            raise DomainError("centre frequency must be > 0 Hz")
-        if self.q_loaded <= 0.0:
-            raise DomainError("loaded quality factor must be > 0")
-        if not 0.0 < self.rf_efficiency <= 1.0:
-            raise DomainError("RF transfer efficiency must be in (0, 1]")
-        if self.mode_volume_m3 <= 0.0:
-            raise DomainError("mode volume must be > 0 m^3")
+        require("centre frequency", self.frequency_hz, "Hz")
+        require("loaded quality factor", self.q_loaded)
+        require("RF transfer efficiency", self.rf_efficiency, "", 0.0, True, 1.0)
+        require("mode volume", self.mode_volume_m3, "m^3")
         if (self.q_external is None) != (self.q_internal is None):
             raise DomainError("give both or neither of Q_e and Q_i")
         if self.q_external is not None:
-            if self.q_external <= 0.0 or self.q_internal <= 0.0:
-                raise DomainError("quality factors must be > 0")
+            require("external quality factor", self.q_external)
+            require("internal quality factor", self.q_internal)
             combined = 1.0 / (1.0 / self.q_external + 1.0 / self.q_internal)
             if abs(combined - self.q_loaded) > 1e-9 * self.q_loaded:
                 raise DomainError(
@@ -159,9 +153,9 @@ class CavityCoupling(namedtuple(
         rf_efficiency: float,
         mode_volume_m3: float,
     ) -> "CavityCoupling":
-        if q_external <= 0.0 or q_internal <= 0.0:
-            raise DomainError("quality factors must be > 0")
-        q_loaded = 1.0 / (1.0 / q_external + 1.0 / q_internal)
+        # Checked here as well as in the constructor: Q_L divides by them.
+        q_loaded = 1.0 / (1.0 / require("external quality factor", q_external)
+                          + 1.0 / require("internal quality factor", q_internal))
         return cls(frequency_hz, q_loaded, rf_efficiency, mode_volume_m3,
                    q_external, q_internal)
 
@@ -184,8 +178,7 @@ class CavityCoupling(namedtuple(
         mode_volume_m3: float,
     ) -> "CavityCoupling":
         """Choose Q_L = f_0/B so the linewidth admits the signal bandwidth."""
-        if admitted_bandwidth_hz <= 0.0:
-            raise DomainError("admitted bandwidth must be > 0 Hz")
+        require("admitted bandwidth", admitted_bandwidth_hz, "Hz")
         return cls(frequency_hz, frequency_hz / admitted_bandwidth_hz,
                    rf_efficiency, mode_volume_m3)
 
@@ -206,7 +199,9 @@ def sefd(
     unpolarised signal on one linear polarisation (rho^2 = 1/2) this reduces
     to the common form 2*k_B*T_sys/A_e.
     """
-    _check_field_inputs(system_temperature_k, effective_aperture_m2, rho2)
+    require("system temperature", system_temperature_k, "K", 0.0, False)
+    require("effective aperture", effective_aperture_m2, "m^2")
+    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     if system_temperature_k == 0.0:
         return 0.0
     return CODATA.boltzmann * system_temperature_k / (rho2 * effective_aperture_m2)
@@ -223,11 +218,10 @@ def nef_from_aperture(
     E_free = sqrt(k_B*T_sys*eta_0/(rho^2*A_e)) = sqrt(SEFD*eta_0), in
     V/m/sqrt(Hz).
     """
-    if eta_0 is None:
-        eta_0 = default_eta0()
-    _check_field_inputs(system_temperature_k, effective_aperture_m2, rho2)
-    if system_temperature_k <= 0.0:
-        raise DomainError("system temperature must be > 0 K")
+    eta_0 = resolve_eta0(eta_0)
+    require("system temperature", system_temperature_k, "K")
+    require("effective aperture", effective_aperture_m2, "m^2")
+    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     return math.sqrt(
         CODATA.boltzmann * system_temperature_k * eta_0
         / (rho2 * effective_aperture_m2)
@@ -248,16 +242,11 @@ def nef_from_gain(
     polarisation-matched value.  Algebraically identical to
     ``nef_from_aperture`` with A_e = G*lambda^2/(4*pi).
     """
-    if eta_0 is None:
-        eta_0 = default_eta0()
-    if system_temperature_k <= 0.0:
-        raise DomainError("system temperature must be > 0 K")
-    if gain <= 0.0:
-        raise DomainError("gain must be > 0")
-    if frequency_hz <= 0.0:
-        raise DomainError("frequency must be > 0 Hz")
-    if not 0.0 < rho2 <= 1.0:
-        raise DomainError("polarisation coupling rho^2 must be in (0, 1]")
+    eta_0 = resolve_eta0(eta_0)
+    require("system temperature", system_temperature_k, "K")
+    require("gain", gain)
+    require("frequency", frequency_hz, "Hz")
+    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     c = CODATA.light_speed
     return math.sqrt(
         4.0 * math.pi * frequency_hz**2 * CODATA.boltzmann * system_temperature_k
@@ -278,16 +267,11 @@ def tsys_from_nef(
     The mapping needs the full coupling assumption (G, f, rho^2) because a
     bare NEF does not determine (T_sys, A_e) uniquely.
     """
-    if eta_0 is None:
-        eta_0 = default_eta0()
-    if nef_v_per_m_sqrt_hz <= 0.0:
-        raise DomainError("NEF must be > 0")
-    if gain <= 0.0:
-        raise DomainError("gain must be > 0")
-    if frequency_hz <= 0.0:
-        raise DomainError("frequency must be > 0 Hz")
-    if not 0.0 < rho2 <= 1.0:
-        raise DomainError("polarisation coupling rho^2 must be in (0, 1]")
+    eta_0 = resolve_eta0(eta_0)
+    require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
+    require("gain", gain)
+    require("frequency", frequency_hz, "Hz")
+    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     c = CODATA.light_speed
     return (
         nef_v_per_m_sqrt_hz**2 * c**2 * gain * rho2
@@ -297,8 +281,7 @@ def tsys_from_nef(
 
 def aperture_from_gain(gain: float, frequency_hz: float) -> float:
     """Effective aperture ``A_e = G*lambda^2/(4*pi)`` in m^2."""
-    if gain <= 0.0:
-        raise DomainError("gain must be > 0")
+    require("gain", gain)
     wavelength = frequency_to_wavelength(frequency_hz)
     return gain * wavelength**2 / (4.0 * math.pi)
 
@@ -308,10 +291,8 @@ def aperture_from_diameter(
     aperture_efficiency: float = DEFAULT_APERTURE_EFFICIENCY,
 ) -> float:
     """Effective aperture of a circular dish: ``eta_ap * pi * (D/2)^2``."""
-    if diameter_m <= 0.0:
-        raise DomainError("diameter must be > 0 m")
-    if not 0.0 < aperture_efficiency <= 1.0:
-        raise DomainError("aperture efficiency must be in (0, 1]")
+    require("diameter", diameter_m, "m")
+    require("aperture efficiency", aperture_efficiency, "", 0.0, True, 1.0)
     return aperture_efficiency * math.pi * (diameter_m / 2.0) ** 2
 
 
@@ -321,8 +302,8 @@ def trx_from_noise_figure(
 ) -> float:
     """Receiver noise temperature from a noise figure:
     ``T_Rx = (10^(NF/10) - 1) * T_0``."""
-    if noise_figure_db < 0.0:
-        raise DomainError("noise figure must be >= 0 dB")
+    require("noise figure", noise_figure_db, "dB", 0.0, False)
+    require("reference temperature", reference_temperature_k, "K")
     return (10.0 ** (noise_figure_db / 10.0) - 1.0) * reference_temperature_k
 
 
@@ -337,10 +318,8 @@ def enhancement_factor_cavity(
     the dimensionless ratio of the RMS field in the probed mode volume to the
     incident free-space field at the aperture.
     """
-    if eta_0 is None:
-        eta_0 = default_eta0()
-    if effective_aperture_m2 <= 0.0:
-        raise DomainError("effective aperture must be > 0 m^2")
+    eta_0 = resolve_eta0(eta_0)
+    require("effective aperture", effective_aperture_m2, "m^2")
     omega_0 = 2.0 * math.pi * cavity.frequency_hz
     return (
         math.sqrt(cavity.rf_efficiency)
@@ -364,9 +343,7 @@ def local_field_requirement(
     allowed but flagged with a warning, since the point of the structure is
     to relax the sensor's local requirement.
     """
-    if enhancement <= 0.0:
-        raise DomainError("enhancement factor must be > 0")
-    if enhancement < 1.0:
+    if require("enhancement factor", enhancement) < 1.0:
         _warnings.warn(
             f"enhancement factor {enhancement:g} < 1 attenuates the field",
             stacklevel=2,
@@ -385,15 +362,6 @@ def meets_classical_reference(
     local_field_requirement_value: float,
 ) -> bool:
     """True when the sensor's local NEF meets or beats the local requirement."""
-    if sensor_local_nef <= 0.0 or local_field_requirement_value <= 0.0:
-        raise DomainError("field spectral densities must be > 0")
+    require("sensor local NEF", sensor_local_nef, "V/m/sqrt(Hz)")
+    require("local field requirement value", local_field_requirement_value, "V/m/sqrt(Hz)")
     return sensor_local_nef <= local_field_requirement_value
-
-
-def _check_field_inputs(system_temperature_k, effective_aperture_m2, rho2) -> None:
-    if system_temperature_k < 0.0:
-        raise DomainError("system temperature must be >= 0 K")
-    if effective_aperture_m2 <= 0.0:
-        raise DomainError("effective aperture must be > 0 m^2")
-    if not 0.0 < rho2 <= 1.0:
-        raise DomainError("polarisation coupling rho^2 must be in (0, 1]")

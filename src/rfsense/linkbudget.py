@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError
-from .quantities import CODATA, checked_make, frequency_to_wavelength
+from .errors import FLOAT_MAX, DomainError, require
+from .quantities import CODATA, checked_make
 
 __all__ = [
     "BOLTZMANN_DB",
@@ -46,19 +46,11 @@ DEFAULT_EBN0_THRESHOLDS_DB: tuple[tuple[str, float], ...] = (
 _FSL_NAMES = frozenset({"fsl", "l_fsl", "free_space", "free_space_loss"})
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def eirp(transmit_power_dbw: float, transmit_gain_dbi: float, feeder_loss_db: float) -> float:
     """Effective isotropic radiated power: ``P_T + G_T - L_FTx`` in dBW."""
-    for name, value in (
-        ("transmit power", transmit_power_dbw),
-        ("transmit gain", transmit_gain_dbi),
-        ("feeder loss", feeder_loss_db),
-    ):
-        _require_finite(name, value)
+    require("transmit power", transmit_power_dbw, "dBW", -FLOAT_MAX, False)
+    require("transmit gain", transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
+    require("feeder loss", feeder_loss_db, "dB", -FLOAT_MAX, False)
     return transmit_power_dbw + transmit_gain_dbi - feeder_loss_db
 
 
@@ -75,10 +67,10 @@ def system_noise_temperature(
     noise by its loss.  (The receiver-reference alternative, which divides by
     L_F instead, is deliberately not used.)
     """
-    if antenna_temperature_k < 0.0 or receiver_temperature_k < 0.0:
-        raise DomainError("temperatures must be >= 0 K")
-    if feeder_loss_linear < 1.0:
-        raise DomainError("linear feeder loss must be >= 1")
+    require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
+    require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
+    require("linear feeder loss", feeder_loss_linear, "", 1.0, False)
+    require("reference temperature", reference_temperature_k, "K")
     return (
         antenna_temperature_k
         + (feeder_loss_linear - 1.0) * reference_temperature_k
@@ -88,43 +80,40 @@ def system_noise_temperature(
 
 def figure_of_merit(receive_gain_dbi: float, system_temperature_k: float) -> float:
     """Receiver figure of merit ``G/T = G_R - 10*log10(T_sys)`` in dB/K."""
-    _require_finite("receive gain", receive_gain_dbi)
-    if system_temperature_k <= 0.0:
-        raise DomainError("system temperature must be > 0 K")
+    require("receive gain", receive_gain_dbi, "dBi", -FLOAT_MAX, False)
+    require("system temperature", system_temperature_k, "K")
     return receive_gain_dbi - 10.0 * math.log10(system_temperature_k)
 
 
 def free_space_loss(distance_m: float, frequency_hz: float) -> float:
     """Free-space path loss ``20*log10(4*pi*d/lambda)`` in dB."""
-    if distance_m <= 0.0:
-        raise DomainError("distance must be > 0 m")
-    wavelength = frequency_to_wavelength(frequency_hz)
-    return 20.0 * math.log10(4.0 * math.pi * distance_m / wavelength)
+    require("distance", distance_m, "m")
+    require("frequency", frequency_hz, "Hz")
+    # A sum of logarithms: the product 4*pi*d*f/c underflows to 0 for tiny inputs.
+    return 20.0 * (math.log10(4.0 * math.pi) + math.log10(distance_m)
+                   + math.log10(frequency_hz) - math.log10(CODATA.light_speed))
 
 
 def total_loss(ledger: "list[tuple[str, float]] | tuple[tuple[str, float], ...]") -> float:
     """Arithmetic dB sum of an ordered ledger of named losses."""
     sum_db = 0.0
     for name, value in ledger:
-        _require_finite(f"loss {name!r}", value)
-        if value < 0.0:
-            raise DomainError(f"loss {name!r} must be >= 0 dB, got {value:g}")
-        sum_db += value
+        sum_db += require(f"loss {name!r}", value, "dB", 0.0, False)
     return sum_db
 
 
 def c_over_n0(eirp_dbw: float, loss_db: float, g_over_t_db: float) -> float:
     """Carrier-to-noise spectral density: EIRP - L + G/T + 228.6, in dBHz."""
-    for name, value in (("EIRP", eirp_dbw), ("loss", loss_db), ("G/T", g_over_t_db)):
-        _require_finite(name, value)
+    require("EIRP", eirp_dbw, "dBW", -FLOAT_MAX, False)
+    require("loss", loss_db, "dB", -FLOAT_MAX, False)
+    require("G/T", g_over_t_db, "dB/K", -FLOAT_MAX, False)
     return eirp_dbw - loss_db + g_over_t_db + BOLTZMANN_DB
 
 
 def eb_over_n0(c_over_n0_dbhz: float, data_rate_bps: float) -> float:
     """Energy per bit to noise density: ``C/N0 - 10*log10(R)`` in dB."""
-    _require_finite("C/N0", c_over_n0_dbhz)
-    if data_rate_bps <= 0.0:
-        raise DomainError("data rate must be > 0 bit/s")
+    require("C/N0", c_over_n0_dbhz, "dBHz", -FLOAT_MAX, False)
+    require("data rate", data_rate_bps, "bit/s")
     return c_over_n0_dbhz - 10.0 * math.log10(data_rate_bps)
 
 
@@ -149,24 +138,22 @@ class LinkBudget(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in (
-            ("transmit power", self.transmit_power_dbw),
-            ("transmit gain", self.transmit_gain_dbi),
-            ("transmit feeder loss", self.transmit_feeder_loss_db),
-            ("receive gain", self.receive_gain_dbi),
-        ):
-            _require_finite(name, value)
-        if self.transmit_feeder_loss_db < 0.0:
-            raise DomainError("transmit feeder loss must be >= 0 dB")
+        require("transmit power", self.transmit_power_dbw, "dBW", -FLOAT_MAX, False)
+        require("transmit gain", self.transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
+        require("transmit feeder loss", self.transmit_feeder_loss_db, "dB", 0.0, False)
         for name, value in self.losses_db:
-            if value < 0.0:
-                raise DomainError(f"loss {name!r} must be >= 0 dB")
-        if self.feeder_loss_linear < 1.0:
-            raise DomainError("linear feeder loss must be >= 1")
-        if self.data_rate_bps <= 0.0:
-            raise DomainError("data rate must be > 0 bit/s")
-        if self.antenna_temperature_k < 0.0 or self.receiver_temperature_k < 0.0:
-            raise DomainError("temperatures must be >= 0 K")
+            require(f"loss {name!r}", value, "dB", 0.0, False)
+        require("receive gain", self.receive_gain_dbi, "dBi", -FLOAT_MAX, False)
+        require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
+        require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
+        require("linear feeder loss", self.feeder_loss_linear, "", 1.0, False)
+        require("data rate", self.data_rate_bps, "bit/s")
+        for name, value in self.required_eb_n0_db:
+            require(f"Eb/N0 threshold {name!r}", value, "dB", -FLOAT_MAX, False)
+        if self.path_length_m is not None:
+            require("path length", self.path_length_m, "m")
+        if self.frequency_hz is not None:
+            require("frequency", self.frequency_hz, "Hz")
         return self
 
 
@@ -208,6 +195,7 @@ def evaluate_link(
     recomputed from (distance, frequency) differ by more than
     ``fsl_flag_threshold_db``.
     """
+    require("FSL flag threshold", fsl_flag_threshold_db, "dB", 0.0, False)
     eirp_dbw = eirp(
         budget.transmit_power_dbw,
         budget.transmit_gain_dbi,

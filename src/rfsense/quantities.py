@@ -13,7 +13,7 @@ import math
 import os
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import FLOAT_MAX, DomainError, require
 
 __all__ = [
     "Constants",
@@ -76,29 +76,29 @@ def default_eta0() -> float:
         value = float(raw)
     except ValueError as exc:
         raise DomainError(f"{ETA0_ENV_VAR} must be a number, got {raw!r}") from exc
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{ETA0_ENV_VAR} must be a positive finite impedance")
-    return value
+    return require(ETA0_ENV_VAR, value, "ohm")
+
+
+def resolve_eta0(eta_0: float | None) -> float:
+    """A caller's free-space impedance in ohms, or the configured default."""
+    return default_eta0() if eta_0 is None else require("eta_0", eta_0, "ohm")
 
 
 def db_to_linear(x: float) -> float:
     """Convert a power-dB value to a linear ratio, ``10**(x/10)``."""
-    if not math.isfinite(x):
-        raise DomainError(f"dB value must be finite, got {x!r}")
+    require("dB value", x, "dB", -FLOAT_MAX, False)
     return 10.0 ** (x / 10.0)
 
 
 def linear_to_db(ratio: float) -> float:
     """Convert a positive linear power ratio to dB, ``10*log10(ratio)``."""
-    if not math.isfinite(ratio) or ratio <= 0.0:
-        raise DomainError(f"linear ratio must be finite and > 0, got {ratio!r}")
+    require("linear ratio", ratio, verbose=True)
     return 10.0 * math.log10(ratio)
 
 
 def frequency_to_wavelength(frequency_hz: float, constants: Constants = CODATA) -> float:
     """Wavelength in metres of a wave at ``frequency_hz``."""
-    if not math.isfinite(frequency_hz) or frequency_hz <= 0.0:
-        raise DomainError(f"frequency must be > 0 Hz, got {frequency_hz!r}")
+    require("frequency", frequency_hz, "Hz")
     return constants.light_speed / frequency_hz
 
 
@@ -116,10 +116,7 @@ def power_from_field(
     for such sensors prefer the field-referred metrics in
     :mod:`rfsense.fieldmetrics`.
     """
-    if eta_0 is None:
-        eta_0 = default_eta0()
-    if not math.isfinite(aperture_m2) or aperture_m2 <= 0.0:
-        raise DomainError(f"aperture must be > 0 m^2, got {aperture_m2!r}")
-    if not math.isfinite(field_v_per_m) or field_v_per_m < 0.0:
-        raise DomainError(f"field amplitude must be >= 0 V/m, got {field_v_per_m!r}")
+    eta_0 = resolve_eta0(eta_0)
+    require("aperture", aperture_m2, "m^2")
+    require("field amplitude", field_v_per_m, "V/m", 0.0, False)
     return aperture_m2 * field_v_per_m**2 / (2.0 * eta_0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .quantities import CODATA, checked_make
 
 __all__ = [
@@ -34,8 +34,7 @@ class PointTarget(namedtuple("PointTarget", "cross_section_m2")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.cross_section_m2 < 0.0:
-            raise DomainError("radar cross section must be >= 0 m^2")
+        require("radar cross section", self.cross_section_m2, "m^2", 0.0, False)
         return self
 
 
@@ -50,10 +49,8 @@ class ResolutionCell(namedtuple("ResolutionCell", "sigma0 cell_area_m2")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.sigma0 < 0.0:
-            raise DomainError("sigma0 must be >= 0")
-        if self.cell_area_m2 <= 0.0:
-            raise DomainError("resolution cell area must be > 0 m^2")
+        require("sigma0", self.sigma0, "", 0.0, False)
+        require("resolution cell area", self.cell_area_m2, "m^2")
         return self
 
     @property
@@ -81,23 +78,18 @@ class RadarScenario(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in (
-            ("transmit power", self.transmit_power_w),
-            ("transmit gain", self.transmit_gain),
-            ("receive gain", self.receive_gain),
-            ("wavelength", self.wavelength_m),
-            ("range", self.range_m),
-        ):
-            if value <= 0.0:
-                raise DomainError(f"{name} must be > 0")
-        if self.system_loss < 1.0 or self.propagation_loss < 1.0:
-            raise DomainError("linear losses must be >= 1")
-        if self.processing_gain < 1.0:
-            raise DomainError("processing gain must be >= 1")
-        if self.system_temperature_k is not None and self.system_temperature_k < 0.0:
-            raise DomainError("system temperature must be >= 0 K")
-        if self.bandwidth_hz is not None and self.bandwidth_hz <= 0.0:
-            raise DomainError("bandwidth must be > 0 Hz")
+        require("transmit power", self.transmit_power_w, "W")
+        require("transmit gain", self.transmit_gain)
+        require("receive gain", self.receive_gain)
+        require("wavelength", self.wavelength_m, "m")
+        require("range", self.range_m, "m")
+        require("linear losses", self.system_loss, "", 1.0, False)
+        require("linear losses", self.propagation_loss, "", 1.0, False)
+        require("processing gain", self.processing_gain, "", 1.0, False)
+        if self.system_temperature_k is not None:
+            require("system temperature", self.system_temperature_k, "K", 0.0, False)
+        if self.bandwidth_hz is not None:
+            require("bandwidth", self.bandwidth_hz, "Hz")
         return self
 
     @property
@@ -144,26 +136,22 @@ def processed_received_power(s: RadarScenario) -> float:
 
 def processing_gain_from_pulse(bandwidth_hz: float, pulse_width_s: float) -> float:
     """Pulse-compression gain as the time-bandwidth product B*tau_p."""
-    if bandwidth_hz <= 0.0 or pulse_width_s <= 0.0:
-        raise DomainError("bandwidth and pulse width must be > 0")
+    require("bandwidth", bandwidth_hz, "Hz")
+    require("pulse width", pulse_width_s, "s")
     return bandwidth_hz * pulse_width_s
 
 
 def noise_power(system_temperature_k: float, bandwidth_hz: float) -> float:
     """Receiver noise power ``P_n = k_B * T_sys * B`` in W."""
-    if system_temperature_k < 0.0:
-        raise DomainError("system temperature must be >= 0 K")
-    if bandwidth_hz <= 0.0:
-        raise DomainError("bandwidth must be > 0 Hz")
+    require("system temperature", system_temperature_k, "K", 0.0, False)
+    require("bandwidth", bandwidth_hz, "Hz")
     return CODATA.boltzmann * system_temperature_k * bandwidth_hz
 
 
 def snr(received_power_w: float, noise_power_w: float) -> float:
     """Signal-to-noise ratio P_r / P_n (linear)."""
-    if noise_power_w <= 0.0:
-        raise DomainError("noise power must be > 0 W")
-    if received_power_w < 0.0:
-        raise DomainError("received power must be >= 0 W")
+    require("noise power", noise_power_w, "W")
+    require("received power", received_power_w, "W", 0.0, False)
     return received_power_w / noise_power_w
 
 
@@ -174,10 +162,8 @@ def nesz(sigma0: float, snr_linear: float) -> float:
     at that sigma0.  Under the linear radar model this coincides with solving
     for the sigma0 that yields unit SNR (see :func:`nesz_at_unit_snr`).
     """
-    if snr_linear <= 0.0:
-        raise DomainError("SNR must be > 0")
-    if sigma0 < 0.0:
-        raise DomainError("sigma0 must be >= 0")
+    require("linear SNR", snr_linear)
+    require("sigma0", sigma0, "", 0.0, False)
     return sigma0 / snr_linear
 
 
@@ -200,8 +186,7 @@ def nesz_at_unit_snr(s: RadarScenario) -> float:
 
 def range_resolution(bandwidth_hz: float) -> float:
     """Slant-range resolution ``delta_R = c / (2B)`` in m."""
-    if bandwidth_hz <= 0.0:
-        raise DomainError("bandwidth must be > 0 Hz")
+    require("bandwidth", bandwidth_hz, "Hz")
     return CODATA.light_speed / (2.0 * bandwidth_hz)
 
 
@@ -210,6 +195,6 @@ def max_range_ratio(system_temperature_1_k: float, system_temperature_2_k: float
 
     R_max scales as T_sys^(-1/4), so the ratio is (T1/T2)^(1/4).
     """
-    if system_temperature_1_k <= 0.0 or system_temperature_2_k <= 0.0:
-        raise DomainError("temperatures must be > 0 K")
+    require("system temperature 1", system_temperature_1_k, "K")
+    require("system temperature 2", system_temperature_2_k, "K")
     return (system_temperature_1_k / system_temperature_2_k) ** 0.25

@@ -7,7 +7,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from operator import mul
 
-from .errors import DomainError, SingularFitError
+from .errors import SingularFitError, require
 from .quantities import CODATA, checked_make
 
 __all__ = [
@@ -43,16 +43,11 @@ class ReceiverNoiseModel(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.antenna_temperature_k < 0.0:
-            raise DomainError("antenna temperature must be >= 0 K")
-        if self.receiver_temperature_k < 0.0:
-            raise DomainError("receiver temperature must be >= 0 K")
-        if self.bandwidth_hz <= 0.0:
-            raise DomainError("bandwidth must be > 0 Hz")
-        if self.integration_time_s <= 0.0:
-            raise DomainError("integration time must be > 0 s")
-        if self.gain_stability < 0.0:
-            raise DomainError("gain stability must be >= 0")
+        require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
+        require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
+        require("bandwidth", self.bandwidth_hz, "Hz")
+        require("integration time", self.integration_time_s, "s")
+        require("gain stability", self.gain_stability, "", 0.0, False)
         return self
 
     @property
@@ -72,16 +67,11 @@ class CalibrationPoint(namedtuple(
     # A fit builds thousands of points, so this skips the generic namedtuple
     # constructor that the other validated records reach through super().
     def __new__(cls, antenna_temperature_k, output_power_w):
-        self = tuple.__new__(cls, (antenna_temperature_k, output_power_w))
-        for name in ("antenna_temperature_k", "output_power_w"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"calibration point {name} must be finite, got {value!r}")
-        if self.antenna_temperature_k < 0.0:
-            raise DomainError("load temperature must be >= 0 K")
-        if self.output_power_w < 0.0:
-            raise DomainError("measured power must be >= 0 W")
-        return self
+        return tuple.__new__(cls, (
+            require("calibration point antenna_temperature_k", antenna_temperature_k,
+                    "K", 0.0, False),
+            require("calibration point output_power_w", output_power_w, "W", 0.0, False),
+        ))
 
 
 class CalibrationResult(namedtuple(
@@ -112,12 +102,10 @@ def radiometer_output_power(
     bandwidth_hz: float,
 ) -> float:
     """Detected output power ``P_out = G * k_B * (T_A + T_Rx) * B_w`` in W."""
-    if gain <= 0.0:
-        raise DomainError("gain must be > 0")
-    if bandwidth_hz <= 0.0:
-        raise DomainError("bandwidth must be > 0 Hz")
-    if antenna_temperature_k < 0.0 or receiver_temperature_k < 0.0:
-        raise DomainError("temperatures must be >= 0 K")
+    require("gain", gain)
+    require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
+    require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
+    require("bandwidth", bandwidth_hz, "Hz")
     t_sys = antenna_temperature_k + receiver_temperature_k
     return gain * CODATA.boltzmann * t_sys * bandwidth_hz
 
@@ -148,8 +136,7 @@ def calibrate_hot_cold(
             floating-point range.
         DomainError: non-positive or non-finite bandwidth.
     """
-    if not 0.0 < bandwidth_hz < math.inf:
-        raise DomainError("bandwidth must be finite and > 0 Hz")
+    require("bandwidth", bandwidth_hz, "Hz")
     if len(points) < 2:
         raise SingularFitError("calibration needs at least two points")
     temperatures = [p.antenna_temperature_k for p in points]
@@ -202,12 +189,10 @@ def tsys_from_nedt(
     term defaults to zero, the convention used when inferring T_sys from
     published radiometer sensitivities.
     """
-    if nedt_k <= 0.0:
-        raise DomainError("NEDT must be > 0 K")
-    if bandwidth_hz <= 0.0 or integration_time_s <= 0.0:
-        raise DomainError("bandwidth and integration time must be > 0")
-    if gain_stability < 0.0:
-        raise DomainError("gain stability must be >= 0")
+    require("NEDT", nedt_k, "K")
+    require("bandwidth", bandwidth_hz, "Hz")
+    require("integration time", integration_time_s, "s")
+    require("gain stability", gain_stability, "", 0.0, False)
     return nedt_k / math.sqrt(
         1.0 / (bandwidth_hz * integration_time_s) + gain_stability**2
     )

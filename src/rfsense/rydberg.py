@@ -8,7 +8,7 @@ import warnings as _warnings
 from collections import namedtuple
 
 from . import fieldmetrics
-from .errors import DomainError
+from .errors import FLOAT_MAX, DomainError, require
 from .quantities import CODATA, checked_make
 
 __all__ = [
@@ -30,8 +30,7 @@ ATOMIC_DIPOLE_UNIT = 1.602176634e-19 * 5.29177210903e-11
 
 def dipole_moment(multiple_of_e_a0: float) -> float:
     """Dipole moment in C*m from a multiple of e*a_0."""
-    if multiple_of_e_a0 <= 0.0:
-        raise DomainError("dipole moment must be > 0")
+    require("dipole moment multiple of e*a_0", multiple_of_e_a0)
     return multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT
 
 
@@ -56,16 +55,13 @@ class RydbergSensorBudget(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.dipole_moment_cm <= 0.0:
-            raise DomainError("dipole moment must be > 0 C*m")
-        if self.atom_count <= 0.0:
-            raise DomainError("atom count must be > 0")
-        if self.coherence_time_s <= 0.0:
-            raise DomainError("coherence time must be > 0 s")
-        if self.probe_power_w is not None and self.probe_power_w < 0.0:
-            raise DomainError("probe power must be >= 0 W")
-        if self.probe_frequency_hz is not None and self.probe_frequency_hz <= 0.0:
-            raise DomainError("probe frequency must be > 0 Hz")
+        require("dipole moment", self.dipole_moment_cm, "C*m")
+        require("atom count", self.atom_count)
+        require("coherence time", self.coherence_time_s, "s")
+        if self.probe_power_w is not None:
+            require("probe power", self.probe_power_w, "W", 0.0, False)
+        if self.probe_frequency_hz is not None:
+            require("probe frequency", self.probe_frequency_hz, "Hz")
         return self
 
 
@@ -82,11 +78,12 @@ def qpn_nef(
     coherence time; passing a shorter ``integration_time_s`` triggers a
     warning because the expression then underestimates the floor.
     """
-    if dipole_moment_cm <= 0.0:
-        raise DomainError("dipole moment must be > 0 C*m")
-    if atom_count <= 0.0 or coherence_time_s <= 0.0:
-        raise DomainError("atom count and coherence time must be > 0")
-    if integration_time_s is not None and integration_time_s < coherence_time_s:
+    require("dipole moment", dipole_moment_cm, "C*m")
+    require("atom count", atom_count)
+    require("coherence time", coherence_time_s, "s")
+    if integration_time_s is not None and (
+        require("integration time", integration_time_s, "s") < coherence_time_s
+    ):
         _warnings.warn(
             "integration time is below the coherence time; the projection-noise "
             "expression assumes integration over at least one coherence time",
@@ -100,10 +97,8 @@ def photon_shot_noise_nep(probe_power_w: float, probe_frequency_hz: float) -> fl
 
     P_SN = sqrt(P_probe * h * nu_p) for detected average probe power P_probe.
     """
-    if probe_power_w < 0.0:
-        raise DomainError("probe power must be >= 0 W")
-    if probe_frequency_hz <= 0.0:
-        raise DomainError("probe frequency must be > 0 Hz")
+    require("probe power", probe_power_w, "W", 0.0, False)
+    require("probe frequency", probe_frequency_hz, "Hz")
     return math.sqrt(probe_power_w * CODATA.planck * probe_frequency_hz)
 
 
@@ -119,12 +114,9 @@ def rabi_from_field(
     external standard.  ``alignment_cosine`` scales the scalar product for a
     field not aligned with the dipole.
     """
-    if dipole_moment_cm <= 0.0:
-        raise DomainError("dipole moment must be > 0 C*m")
-    if field_v_per_m < 0.0:
-        raise DomainError("field amplitude must be >= 0 V/m")
-    if not -1.0 <= alignment_cosine <= 1.0:
-        raise DomainError("alignment cosine must be in [-1, 1]")
+    require("dipole moment", dipole_moment_cm, "C*m")
+    require("field amplitude", field_v_per_m, "V/m", 0.0, False)
+    require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
     return dipole_moment_cm * field_v_per_m * alignment_cosine / CODATA.reduced_planck
 
 
@@ -135,12 +127,10 @@ def field_from_rabi(
 ) -> float:
     """Field amplitude from a measured Rabi frequency; inverse of
     :func:`rabi_from_field`."""
-    if dipole_moment_cm <= 0.0:
-        raise DomainError("dipole moment must be > 0 C*m")
-    if rabi_rad_per_s < 0.0:
-        raise DomainError("Rabi frequency must be >= 0 rad/s")
-    if alignment_cosine == 0.0 or not -1.0 <= alignment_cosine <= 1.0:
-        raise DomainError("alignment cosine must be in [-1, 1] and non-zero")
+    require("dipole moment", dipole_moment_cm, "C*m")
+    require("Rabi frequency", rabi_rad_per_s, "rad/s", 0.0, False)
+    if require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0) == 0.0:
+        raise DomainError("alignment cosine must be non-zero")
     return rabi_rad_per_s * CODATA.reduced_planck / (dipole_moment_cm * alignment_cosine)
 
 
@@ -156,8 +146,10 @@ def ac_stark_shift(
     two-level far-detuned convention, supplied as a convention rather than a
     measured constant, and callers should override it for their own system.
     """
-    if detuning_rad_per_s == 0.0:
+    require("Rabi frequency", rabi_rad_per_s, "rad/s", -FLOAT_MAX, False)
+    if require("detuning", detuning_rad_per_s, "rad/s", -FLOAT_MAX, False) == 0.0:
         raise DomainError("detuning must be non-zero (resonant case has no Stark shift)")
+    require("Stark proportionality constant", proportionality, "", -FLOAT_MAX, False)
     return proportionality * abs(rabi_rad_per_s) ** 2 / detuning_rad_per_s
 
 

@@ -193,13 +193,14 @@ class TestExitCodesAndValidation:
         assert "--bandwidth" in err
 
     @pytest.mark.parametrize("marker,cause", [
-        ("p:0hz:1e-8", "bandwidth '0hz' must be > 0"),
-        ("p:1e7hz:-1e-8", "field '-1e-8' must be > 0"),
+        ("p:0hz:1e-8", "marker 'p' bandwidth must be finite and > 0, got 0.0"),
+        ("p:1e7hz:-1e-8", "marker 'p' field must be finite and > 0, got -1e-08"),
     ], ids=["zero-bandwidth", "negative-field"])
-    def test_non_positive_marker_is_one_usage_line(self, capsys, marker, cause):
+    def test_non_positive_marker_is_one_domain_error_line(self, capsys, marker, cause):
+        # The library's marker check is the only one; the flag parser checks the shape.
         code, out, err = run(capsys, ["dataset-plotdata", f"--marker={marker}"])
         assert (code, out) == (2, "")
-        assert err == f"rfsense dataset-plotdata: error: argument --marker: {cause}\n"
+        assert err == f"domain-error: {cause}\n"
 
     def test_missing_unit_suffix_rejected(self, capsys):
         code, _, err = run(capsys, [
@@ -629,11 +630,11 @@ class TestErrorContract:
         (RADAR_ARGS + ["--range", "100km", "--propagation-loss", "4000db"], 2,
          "rfsense radar: error: argument --propagation-loss:"),
         (["dataset-plotdata", "--marker", "probe:1e7hz:nan"], 2,
-         "rfsense dataset-plotdata: error: argument --marker:"),
+         "domain-error: marker 'probe' field must be finite and > 0, got nan\n"),
         (["dataset-plotdata", "--marker=p:-1e7hz:1e-8"], 2,
-         "rfsense dataset-plotdata: error: argument --marker:"),
+         "domain-error: marker 'p' bandwidth must be finite and > 0, got -10000000.0\n"),
         (["dataset-plotdata", "--marker", "p:1e7hz:0"], 2,
-         "rfsense dataset-plotdata: error: argument --marker:"),
+         "domain-error: marker 'p' field must be finite and > 0, got 0.0\n"),
         (["dataset-derive", "--input", "{zero_field_csv}"], 0,
          "row 3 (ESA DSA-3 35 m): e_free_reported must be > 0"),
     ], ids=["db-overflow", "noise-figure-overflow", "unwritable-output", "unknown-flag",

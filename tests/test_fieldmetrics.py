@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,16 @@ class TestNefFromAperture:
         assert math.sqrt(sefd(t_sys, a_e, rho2) * CODATA.eta_0) == pytest.approx(
             nef_from_aperture(t_sys, a_e, rho2), rel=1e-12
         )
+
+
+    @pytest.mark.parametrize("args, named", [
+        ((math.nan, 2660.0, 1.0), "system temperature"),
+        ((23.0, math.inf, 1.0), "effective aperture"),
+        ((23.0, 2660.0, 1.0, math.nan), "eta_0"),
+    ], ids=["nan-tsys", "inf-aperture", "nan-eta0"])
+    def test_non_finite_input_is_named(self, args, named):
+        with pytest.raises(DomainError, match=re.escape(named)):
+            nef_from_aperture(*args)
 
 
 class TestNefFromGain:

@@ -122,6 +122,11 @@ class TestFreeSpaceLoss:
         with pytest.raises(DomainError):
             free_space_loss(3.6e7, 0.0)
 
+    @pytest.mark.parametrize("d, f", [(3.6e7, 1e-311), (1e-320, 1e-320), (1e308, 1e308)])
+    def test_extreme_inputs_give_a_finite_loss(self, d, f):
+        # 4*pi*d/lambda underflows to 0 or overflows for these; its logarithm does not.
+        assert math.isfinite(free_space_loss(d, f))
+
     @settings(max_examples=200)
     @given(
         st.floats(min_value=1.0, max_value=1e9),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,14 @@ class TestNoiseAndSnr:
         assert snr(p_r, noise_power(290.0, 1e6)) == pytest.approx(
             SNR_COMPOSED, rel=1e-9
         )
+
+    @pytest.mark.parametrize("args, named", [
+        ((math.nan, 1e6), "system temperature"),
+        ((290.0, math.inf), "bandwidth"),
+    ], ids=["nan-tsys", "inf-bandwidth"])
+    def test_non_finite_noise_input_is_named(self, args, named):
+        with pytest.raises(DomainError, match=named):
+            noise_power(*args)
 
     def test_non_positive_noise_rejected(self):
         with pytest.raises(DomainError):

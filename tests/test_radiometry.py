@@ -289,7 +289,8 @@ class TestTsysFromNedt:
         assert tsys_from_nedt(1.0, 1e6, 1.0) == pytest.approx(1000.0, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "args", [(0.0, 1e9, 1.0), (1.0, 0.0, 1.0), (1.0, 1e9, 0.0)]
+        "args", [(0.0, 1e9, 1.0), (1.0, 0.0, 1.0), (1.0, 1e9, 0.0),
+                 (1.0, 1e9, math.inf), (math.nan, 1e9, 1.0), (1.0, 1e9, 1.0, math.nan)]
     )
     def test_non_positive_rejected(self, args):
         with pytest.raises(DomainError):

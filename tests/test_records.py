@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rfsense.dataset import CategoryRange
@@ -15,7 +17,7 @@ VALIDATED = [
     (ReceiverNoiseModel(250.0, 600.0, 1e9, 15e-3), {"bandwidth_hz": -1},
      "bandwidth must be > 0 Hz"),
     (CalibrationPoint(77.0, 1e-11), {"output_power_w": -1.0},
-     "measured power must be >= 0 W"),
+     "calibration point output_power_w must be >= 0 W"),
     (RydbergSensorBudget(1e-27, 1e6, 1e-5), {"atom_count": 0.0},
      "atom count must be > 0"),
     (PointTarget(1.0), {"cross_section_m2": -1.0},
@@ -32,10 +34,30 @@ VALIDATED = [
     (CategoryRange("c", 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1),
      {"f0_min_hz": 3.0}, "range bounds out of order: 3 > 2"),
 ]
+# Non-finite fields, which sign checks such as ``x <= 0.0`` used to let through.
+NON_FINITE = [
+    (ReceiverNoiseModel(250.0, 600.0, 1e9, 15e-3), {"bandwidth_hz": math.nan},
+     "bandwidth must be finite and > 0 Hz, got nan"),
+    (ReceiverNoiseModel(250.0, 600.0, 1e9, 15e-3), {"bandwidth_hz": math.inf},
+     "bandwidth must be finite and > 0 Hz, got inf"),
+    (ReceiverReference(20.0, 10.0), {"system_temperature_k": math.nan},
+     "system temperature must be finite and > 0 K, got nan"),
+    (RydbergSensorBudget(1e-27, 1e6, 1e-5), {"atom_count": math.inf},
+     "atom count must be finite and > 0, got inf"),
+    (PointTarget(1.0), {"cross_section_m2": math.nan},
+     "radar cross section must be finite and >= 0 m^2, got nan"),
+    (RadarScenario(1.0, 10.0, 10.0, 0.03, PointTarget(1.0), 1e3), {"range_m": math.inf},
+     "range must be finite and > 0 m, got inf"),
+    (CavityCoupling(1e10, 1e4, 0.5, 1e-6), {"mode_volume_m3": math.nan},
+     "mode volume must be finite and > 0 m^3, got nan"),
+    (BUDGET, {"data_rate_bps": math.nan}, "data rate must be finite and > 0 bit/s, got nan"),
+]
 
 
 @pytest.mark.parametrize(
-    "record, change, message", VALIDATED, ids=[type(r).__name__ for r, _, _ in VALIDATED]
+    "record, change, message", VALIDATED + NON_FINITE,
+    ids=[type(r).__name__ for r, _, _ in VALIDATED]
+    + [f"{type(r).__name__}-{name}-{value}" for r, c, _ in NON_FINITE for name, value in c.items()],
 )
 def test_replace_validates_like_the_constructor(record, change, message):
     with pytest.raises(DomainError) as built:
