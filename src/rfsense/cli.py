@@ -695,7 +695,7 @@ def _cmd_enhance(args) -> tuple[dict, None, None]:
             "or --signal-bandwidth"
         )
     if args.q_loaded is not None:
-        cavity = fm.CavityCoupling.from_loaded_q(
+        cavity = fm.CavityCoupling(
             args.f0, args.q_loaded, args.rf_efficiency, args.mode_volume
         )
     elif args.signal_bandwidth is not None:

@@ -48,7 +48,7 @@ from .fieldmetrics import (
     nef_from_aperture,
     trx_from_noise_figure,
 )
-from .quantities import checked_make, resolve_eta0
+from .quantities import ValidatedRecord, resolve_eta0
 from .radiometry import tsys_from_nedt
 
 __all__ = [
@@ -135,7 +135,7 @@ class ParseResult(namedtuple("ParseResult", "records diagnostics")):
     __slots__ = ()
 
 
-class CategoryRange(namedtuple(
+class CategoryRange(ValidatedRecord, namedtuple(
     "CategoryRange",
     "category f0_min_hz f0_max_hz a_e_min_m2 a_e_max_m2 t_sys_min_k t_sys_max_k"
     " bandwidth_min_hz bandwidth_max_hz e_free_min e_free_max members",
@@ -149,10 +149,8 @@ class CategoryRange(namedtuple(
     """
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         pairs = (
             (self.f0_min_hz, self.f0_max_hz),
             (self.a_e_min_m2, self.a_e_max_m2),
@@ -163,7 +161,6 @@ class CategoryRange(namedtuple(
         for low, high in pairs:
             if low > high:
                 raise DomainError(f"range bounds out of order: {low:g} > {high:g}")
-        return self
 
 
 def round_to_sig_figs(value: float, figures: int = 2) -> float:
@@ -334,7 +331,13 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
                 eta = record.eta_ap if record.eta_ap is not None else DEFAULT_APERTURE_EFFICIENCY
                 a_e = eta * record.a_phys_m2
             elif record.aperture_method == "gain" and record.gain_dbi is not None:
-                a_e = aperture_from_gain(10.0 ** (record.gain_dbi / 10.0), record.f0_hz)
+                try:
+                    gain = 10.0 ** (record.gain_dbi / 10.0)
+                except OverflowError:
+                    raise DomainError(
+                        f"gain_dbi {record.gain_dbi:g} dBi overflows the linear gain"
+                    ) from None
+                a_e = aperture_from_gain(gain, record.f0_hz)
             else:
                 raise DomainError("no aperture value available")
 
@@ -513,15 +516,15 @@ def emit_plot_data(
     markers: Sequence[tuple[str, float, float]] = (),
     include_converter_marker: bool = True,
     converter_bandwidth_hz: float = CONVERTER_MARKER_BANDWIDTH_HZ,
-    converter_nef: float = CONVERTER_MARKER_NEF,
     thermal_reference_field: float | None = None,
 ) -> dict:
     """Build the bandwidth/field plot-data document.
 
     One rectangle per category (bandwidth span by field span, corner values
     passed through bit-exactly), plus named point markers.  The converter
-    marker is included by default at its quoted sensitivity with a
-    caller-supplied bandwidth coordinate.  The 290 K free-space thermal
+    marker is included by default at its quoted sensitivity,
+    ``CONVERTER_MARKER_NEF`` = 4e-7 V/m/sqrt(Hz), with a caller-supplied
+    bandwidth coordinate.  The 290 K free-space thermal
     reference line has no closed form here and is therefore a configurable
     constant: supply ``thermal_reference_field`` to include it.
     """
@@ -542,11 +545,10 @@ def emit_plot_data(
         marker_rows.append({"name": name, "bandwidth": bandwidth_hz, "e_field": e_field})
     if include_converter_marker:
         require("converter marker bandwidth", converter_bandwidth_hz, verbose=True)
-        require("converter marker NEF", converter_nef, verbose=True)
         marker_rows.append({
             "name": CONVERTER_MARKER_NAME,
             "bandwidth": converter_bandwidth_hz,
-            "e_field": converter_nef,
+            "e_field": CONVERTER_MARKER_NEF,
         })
     document = {"rectangles": rectangles, "markers": marker_rows}
     if thermal_reference_field is not None:

@@ -22,7 +22,7 @@ import warnings as _warnings
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .quantities import CODATA, checked_make, frequency_to_wavelength, resolve_eta0
+from .quantities import CODATA, ValidatedRecord, frequency_to_wavelength, resolve_eta0
 
 __all__ = [
     "CavityCoupling",
@@ -61,7 +61,7 @@ def default_polarisation_coupling(coherence: str) -> float:
     )
 
 
-class ReceiverReference(namedtuple(
+class ReceiverReference(ValidatedRecord, namedtuple(
     "ReceiverReference",
     "system_temperature_k effective_aperture_m2 gain frequency_hz rho2",
     defaults=(None, None, None, 1.0),
@@ -76,10 +76,8 @@ class ReceiverReference(namedtuple(
     """
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require("system temperature", self.system_temperature_k, "K")
         require("polarisation coupling rho^2", self.rho2, "", 0.0, True, 1.0)
         has_aperture = self.effective_aperture_m2 is not None
@@ -100,7 +98,6 @@ class ReceiverReference(namedtuple(
                     f"A_e={self.effective_aperture_m2:g} m^2 vs "
                     f"G*lambda^2/(4*pi)={implied:g} m^2"
                 )
-        return self
 
     def aperture_m2(self) -> float:
         if self.effective_aperture_m2 is not None:
@@ -108,7 +105,7 @@ class ReceiverReference(namedtuple(
         return aperture_from_gain(self.gain, self.frequency_hz)
 
 
-class CavityCoupling(namedtuple(
+class CavityCoupling(ValidatedRecord, namedtuple(
     "CavityCoupling",
     "frequency_hz q_loaded rf_efficiency mode_volume_m3 q_external q_internal",
     defaults=(None, None),
@@ -123,10 +120,8 @@ class CavityCoupling(namedtuple(
     """
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require("centre frequency", self.frequency_hz, "Hz")
         require("loaded quality factor", self.q_loaded)
         require("RF transfer efficiency", self.rf_efficiency, "", 0.0, True, 1.0)
@@ -142,7 +137,6 @@ class CavityCoupling(namedtuple(
                     f"1/Q_L = 1/Q_e + 1/Q_i violated: Q_L={self.q_loaded:g} "
                     f"but combination gives {combined:g}"
                 )
-        return self
 
     @classmethod
     def from_quality_factors(
@@ -158,16 +152,6 @@ class CavityCoupling(namedtuple(
                           + 1.0 / require("internal quality factor", q_internal))
         return cls(frequency_hz, q_loaded, rf_efficiency, mode_volume_m3,
                    q_external, q_internal)
-
-    @classmethod
-    def from_loaded_q(
-        cls,
-        frequency_hz: float,
-        q_loaded: float,
-        rf_efficiency: float,
-        mode_volume_m3: float,
-    ) -> "CavityCoupling":
-        return cls(frequency_hz, q_loaded, rf_efficiency, mode_volume_m3)
 
     @classmethod
     def from_bandwidth(
@@ -296,15 +280,12 @@ def aperture_from_diameter(
     return aperture_efficiency * math.pi * (diameter_m / 2.0) ** 2
 
 
-def trx_from_noise_figure(
-    noise_figure_db: float,
-    reference_temperature_k: float = CODATA.reference_temperature,
-) -> float:
+def trx_from_noise_figure(noise_figure_db: float) -> float:
     """Receiver noise temperature from a noise figure:
-    ``T_Rx = (10^(NF/10) - 1) * T_0``."""
+    ``T_Rx = (10^(NF/10) - 1) * T_0``, with T_0 = 290 K
+    (``CODATA.reference_temperature``)."""
     require("noise figure", noise_figure_db, "dB", 0.0, False)
-    require("reference temperature", reference_temperature_k, "K")
-    return (10.0 ** (noise_figure_db / 10.0) - 1.0) * reference_temperature_k
+    return (10.0 ** (noise_figure_db / 10.0) - 1.0) * CODATA.reference_temperature
 
 
 def enhancement_factor_cavity(

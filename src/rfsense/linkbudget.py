@@ -11,11 +11,12 @@ import math
 from collections import namedtuple
 
 from .errors import FLOAT_MAX, DomainError, require
-from .quantities import CODATA, checked_make
+from .quantities import CODATA, ValidatedRecord
 
 __all__ = [
     "BOLTZMANN_DB",
     "DEFAULT_EBN0_THRESHOLDS_DB",
+    "FSL_FLAG_THRESHOLD_DB",
     "FslCheck",
     "LinkBudget",
     "LinkReport",
@@ -45,6 +46,10 @@ DEFAULT_EBN0_THRESHOLDS_DB: tuple[tuple[str, float], ...] = (
 # recomputation diagnostic.
 _FSL_NAMES = frozenset({"fsl", "l_fsl", "free_space", "free_space_loss"})
 
+# Ledger-vs-geometry free-space-loss disagreement, in dB, above which the
+# diagnostic is flagged.
+FSL_FLAG_THRESHOLD_DB = 0.5
+
 
 def eirp(transmit_power_dbw: float, transmit_gain_dbi: float, feeder_loss_db: float) -> float:
     """Effective isotropic radiated power: ``P_T + G_T - L_FTx`` in dBW."""
@@ -58,22 +63,21 @@ def system_noise_temperature(
     antenna_temperature_k: float,
     receiver_temperature_k: float,
     feeder_loss_linear: float,
-    reference_temperature_k: float = CODATA.reference_temperature,
 ) -> float:
     """Receive-chain system noise temperature at the antenna reference plane.
 
     T_sys = T_a + (L_F - 1)*T_0 + L_F*T_R: the feeder at physical temperature
-    T_0 contributes (L_F - 1)*T_0 and also scales the downstream receiver
-    noise by its loss.  (The receiver-reference alternative, which divides by
-    L_F instead, is deliberately not used.)
+    T_0 = 290 K (``CODATA.reference_temperature``) contributes (L_F - 1)*T_0
+    and also scales the downstream receiver noise by its loss.  (The
+    receiver-reference alternative, which divides by L_F instead, is
+    deliberately not used.)
     """
     require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
     require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
     require("linear feeder loss", feeder_loss_linear, "", 1.0, False)
-    require("reference temperature", reference_temperature_k, "K")
     return (
         antenna_temperature_k
-        + (feeder_loss_linear - 1.0) * reference_temperature_k
+        + (feeder_loss_linear - 1.0) * CODATA.reference_temperature
         + feeder_loss_linear * receiver_temperature_k
     )
 
@@ -117,7 +121,7 @@ def eb_over_n0(c_over_n0_dbhz: float, data_rate_bps: float) -> float:
     return c_over_n0_dbhz - 10.0 * math.log10(data_rate_bps)
 
 
-class LinkBudget(namedtuple(
+class LinkBudget(ValidatedRecord, namedtuple(
     "LinkBudget",
     "transmit_power_dbw transmit_gain_dbi transmit_feeder_loss_db losses_db receive_gain_dbi"
     " antenna_temperature_k receiver_temperature_k feeder_loss_linear data_rate_bps"
@@ -134,10 +138,8 @@ class LinkBudget(namedtuple(
     """
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require("transmit power", self.transmit_power_dbw, "dBW", -FLOAT_MAX, False)
         require("transmit gain", self.transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
         require("transmit feeder loss", self.transmit_feeder_loss_db, "dB", 0.0, False)
@@ -154,7 +156,6 @@ class LinkBudget(namedtuple(
             require("path length", self.path_length_m, "m")
         if self.frequency_hz is not None:
             require("frequency", self.frequency_hz, "Hz")
-        return self
 
 
 class FslCheck(namedtuple("FslCheck", "ledger_db recomputed_db difference_db flagged")):
@@ -185,17 +186,13 @@ class LinkReport(namedtuple(
         return dict(self.margins_db)
 
 
-def evaluate_link(
-    budget: LinkBudget,
-    fsl_flag_threshold_db: float = 0.5,
-) -> LinkReport:
+def evaluate_link(budget: LinkBudget) -> LinkReport:
     """Evaluate a budget end to end and check its free-space-loss entry.
 
     The disagreement flag is raised when the ledger FSL and the value
     recomputed from (distance, frequency) differ by more than
-    ``fsl_flag_threshold_db``.
+    ``FSL_FLAG_THRESHOLD_DB``, 0.5 dB.
     """
-    require("FSL flag threshold", fsl_flag_threshold_db, "dB", 0.0, False)
     eirp_dbw = eirp(
         budget.transmit_power_dbw,
         budget.transmit_gain_dbi,
@@ -227,7 +224,7 @@ def evaluate_link(
                 ledger_db=ledger_fsl,
                 recomputed_db=recomputed,
                 difference_db=difference,
-                flagged=abs(difference) > fsl_flag_threshold_db,
+                flagged=abs(difference) > FSL_FLAG_THRESHOLD_DB,
             )
 
     return LinkReport(

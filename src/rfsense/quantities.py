@@ -18,6 +18,7 @@ from .errors import FLOAT_MAX, DomainError, require
 __all__ = [
     "Constants",
     "CODATA",
+    "ValidatedRecord",
     "db_to_linear",
     "default_eta0",
     "frequency_to_wavelength",
@@ -31,11 +32,26 @@ __all__ = [
 ETA0_ENV_VAR = "RFSENSE_ETA0_OHMS"
 
 
-# Every record type is a namedtuple subclass with ``__slots__ = ()``.  One
-# that validates its fields in ``__new__`` sets ``_make = checked_make``:
-# ``_replace`` builds through ``_make``, which is ``tuple.__new__`` and would
-# skip the checks.
-checked_make = classmethod(lambda cls, values: cls(*values))
+class ValidatedRecord(tuple):
+    """Base of a record that checks its fields when built and in ``_replace``.
+
+    Every record type is a namedtuple subclass with ``__slots__ = ()``.  One
+    that validates its fields lists this base before its namedtuple and
+    defines ``_check(self)``, which raises on a bad field.  ``_replace``
+    builds through ``_make``, which for a bare namedtuple is
+    ``tuple.__new__`` and would skip the checks; here it is the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
 
 class Constants(namedtuple(
@@ -96,10 +112,10 @@ def linear_to_db(ratio: float) -> float:
     return 10.0 * math.log10(ratio)
 
 
-def frequency_to_wavelength(frequency_hz: float, constants: Constants = CODATA) -> float:
+def frequency_to_wavelength(frequency_hz: float) -> float:
     """Wavelength in metres of a wave at ``frequency_hz``."""
     require("frequency", frequency_hz, "Hz")
-    return constants.light_speed / frequency_hz
+    return CODATA.light_speed / frequency_hz
 
 
 def power_from_field(

@@ -6,7 +6,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .quantities import CODATA, checked_make
+from .quantities import CODATA, ValidatedRecord
 
 __all__ = [
     "PointTarget",
@@ -26,39 +26,33 @@ __all__ = [
 FOUR_PI_CUBED = (4.0 * math.pi) ** 3
 
 
-class PointTarget(namedtuple("PointTarget", "cross_section_m2")):
+class PointTarget(ValidatedRecord, namedtuple("PointTarget", "cross_section_m2")):
     """Point-target analysis mode: a bare radar cross section sigma in m^2."""
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require("radar cross section", self.cross_section_m2, "m^2", 0.0, False)
-        return self
 
 
-class ResolutionCell(namedtuple("ResolutionCell", "sigma0 cell_area_m2")):
+class ResolutionCell(ValidatedRecord, namedtuple("ResolutionCell", "sigma0 cell_area_m2")):
     """Imaging mode: normalised cross section sigma0 over a resolution cell.
 
     The effective cross section is sigma = sigma0 * cell_area.
     """
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require("sigma0", self.sigma0, "", 0.0, False)
         require("resolution cell area", self.cell_area_m2, "m^2")
-        return self
 
     @property
     def cross_section_m2(self) -> float:
         return self.sigma0 * self.cell_area_m2
 
 
-class RadarScenario(namedtuple(
+class RadarScenario(ValidatedRecord, namedtuple(
     "RadarScenario",
     "transmit_power_w transmit_gain receive_gain wavelength_m target range_m system_loss"
     " propagation_loss processing_gain system_temperature_k bandwidth_hz",
@@ -69,36 +63,24 @@ class RadarScenario(namedtuple(
     The target is a tagged alternative, not two nullable fields: pass either a
     :class:`PointTarget` (point-target analysis) or a :class:`ResolutionCell`
     (imaging).  Losses are stored linear and >= 1, with the convention that a
-    loss always divides received power; use the ``*_loss_db`` accessors for
-    reporting.
+    loss always divides received power.
     """
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require("transmit power", self.transmit_power_w, "W")
         require("transmit gain", self.transmit_gain)
         require("receive gain", self.receive_gain)
         require("wavelength", self.wavelength_m, "m")
         require("range", self.range_m, "m")
-        require("linear losses", self.system_loss, "", 1.0, False)
-        require("linear losses", self.propagation_loss, "", 1.0, False)
+        require("system loss", self.system_loss, "", 1.0, False)
+        require("propagation loss", self.propagation_loss, "", 1.0, False)
         require("processing gain", self.processing_gain, "", 1.0, False)
         if self.system_temperature_k is not None:
             require("system temperature", self.system_temperature_k, "K", 0.0, False)
         if self.bandwidth_hz is not None:
             require("bandwidth", self.bandwidth_hz, "Hz")
-        return self
-
-    @property
-    def system_loss_db(self) -> float:
-        return 10.0 * math.log10(self.system_loss)
-
-    @property
-    def propagation_loss_db(self) -> float:
-        return 10.0 * math.log10(self.propagation_loss)
 
 
 def _one_way_factor(s: RadarScenario) -> float:

@@ -8,7 +8,7 @@ from collections.abc import Sequence
 from operator import mul
 
 from .errors import SingularFitError, require
-from .quantities import CODATA, checked_make
+from .quantities import CODATA, ValidatedRecord
 
 __all__ = [
     "CalibrationPoint",
@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-class ReceiverNoiseModel(namedtuple(
+class ReceiverNoiseModel(ValidatedRecord, namedtuple(
     "ReceiverNoiseModel",
     "antenna_temperature_k receiver_temperature_k bandwidth_hz integration_time_s"
     " gain_stability",
@@ -39,16 +39,13 @@ class ReceiverNoiseModel(namedtuple(
     """
 
     __slots__ = ()
-    _make = checked_make
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
         require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
         require("bandwidth", self.bandwidth_hz, "Hz")
         require("integration time", self.integration_time_s, "s")
         require("gain stability", self.gain_stability, "", 0.0, False)
-        return self
 
     @property
     def system_temperature_k(self) -> float:
@@ -56,16 +53,15 @@ class ReceiverNoiseModel(namedtuple(
         return self.antenna_temperature_k + self.receiver_temperature_k
 
 
-class CalibrationPoint(namedtuple(
+class CalibrationPoint(ValidatedRecord, namedtuple(
     "CalibrationPoint", "antenna_temperature_k output_power_w",
 )):
     """One reference-load measurement: known T_A and measured output power."""
 
     __slots__ = ()
-    _make = checked_make
 
     # A fit builds thousands of points, so this skips the generic namedtuple
-    # constructor that the other validated records reach through super().
+    # constructor and the ``_check`` call that the base's ``__new__`` makes.
     def __new__(cls, antenna_temperature_k, output_power_w):
         return tuple.__new__(cls, (
             require("calibration point antenna_temperature_k", antenna_temperature_k,

@@ -5,15 +5,13 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from collections import namedtuple
 
 from . import fieldmetrics
 from .errors import FLOAT_MAX, DomainError, require
-from .quantities import CODATA, checked_make
+from .quantities import CODATA
 
 __all__ = [
     "ATOMIC_DIPOLE_UNIT",
-    "RydbergSensorBudget",
     "ac_stark_shift",
     "compare_to_classical",
     "dipole_moment",
@@ -32,37 +30,6 @@ def dipole_moment(multiple_of_e_a0: float) -> float:
     """Dipole moment in C*m from a multiple of e*a_0."""
     require("dipole moment multiple of e*a_0", multiple_of_e_a0)
     return multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT
-
-
-class RydbergSensorBudget(namedtuple(
-    "RydbergSensorBudget",
-    "dipole_moment_cm atom_count coherence_time_s probe_power_w probe_frequency_hz",
-    defaults=(None, None),
-)):
-    """Parameters that set an atomic sensor's intrinsic noise floors.
-
-    Attributes:
-        dipole_moment_cm: transition dipole moment (C*m).
-        atom_count: number of atoms contributing to the signal.
-        coherence_time_s: duration over which the quantum state keeps a
-            well-defined phase.
-        probe_power_w: detected average probe power (optional).
-        probe_frequency_hz: probe laser frequency (optional).
-    """
-
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        require("dipole moment", self.dipole_moment_cm, "C*m")
-        require("atom count", self.atom_count)
-        require("coherence time", self.coherence_time_s, "s")
-        if self.probe_power_w is not None:
-            require("probe power", self.probe_power_w, "W", 0.0, False)
-        if self.probe_frequency_hz is not None:
-            require("probe frequency", self.probe_frequency_hz, "Hz")
-        return self
 
 
 def qpn_nef(

@@ -38,6 +38,8 @@ ENHANCE_ARGS = [
     "--rf-efficiency", "0.8", "--mode-volume", "1e-5", "--tsys", "20",
     "--diameter", "34m", "--rho2", "1", "--sensor-nef", "1e-7",
 ]
+# The same cavity as ENHANCE_ARGS given by Q_L = f0/B = 8.4 GHz / 1 MHz.
+ENHANCE_Q_LOADED_ARGS = ENHANCE_ARGS[:3] + ["--q-loaded", "8400"] + ENHANCE_ARGS[5:]
 DERIVE_ARGS = ["dataset-derive"]
 DERIVE_CSV_ARGS = ["dataset-derive", "--format", "csv"]
 PLOTDATA_ARGS = [
@@ -83,11 +85,12 @@ class TestGoldenFiles:
             (BUDGET_ARGS, "budget.json"),
             (RANGES_ARGS, "dataset_ranges.csv"),
             (ENHANCE_ARGS, "enhance.json"),
+            (ENHANCE_Q_LOADED_ARGS, "enhance.json"),
             (DERIVE_ARGS, "dataset_derive.json"),
             (DERIVE_CSV_ARGS, "dataset_derive.csv"),
             (PLOTDATA_ARGS, "dataset_plotdata.json"),
         ],
-        ids=["budget", "dataset-ranges", "enhance", "dataset-derive",
+        ids=["budget", "dataset-ranges", "enhance", "enhance-q-loaded", "dataset-derive",
              "dataset-derive-csv", "dataset-plotdata"],
     )
     def test_byte_identical_across_runs_and_matches_golden(self, capsys, argv, golden):
@@ -578,6 +581,16 @@ def _zero_reported_field_dataset(tmp_path) -> str:
     return str(path)
 
 
+def _huge_gain_dataset(tmp_path) -> str:
+    """The bundled table plus a gain-tagged row whose ``gain_dbi=4000`` overflows."""
+    document = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8")
+    row = ("Huge gain,test,Test,coherent,8.4,1e6,RF,gain,,,,4000,5,measured,18,direct,,"
+           "23,sum,,,1,ref,")
+    path = tmp_path / "huge-gain.csv"
+    path.write_text(document + row + "\n", encoding="utf-8")
+    return str(path)
+
+
 RADAR_ARGS = ["radar", "--tx-power", "1e3w", "--tx-gain", "1e3lin", "--rx-gain", "1e3lin",
               "--wavelength", "0.03m", "--sigma", "1m2"]
 
@@ -607,6 +620,17 @@ class TestErrorContract:
         code, out, err = run(capsys, ["dataset-ranges", "--input", path])
         assert (code, err) == (0, "")
 
+    def test_overflowing_gain_cell_is_one_row_diagnostic(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["dataset-derive", "--input", _huge_gain_dataset(tmp_path)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        bundled = rfsense.dataset.load_bundled_dataset().records
+        assert [r["instrument"] for r in report["records"]] == [r.instrument for r in bundled]
+        assert report["diagnostics"][0] == {
+            "row": len(bundled) + 1, "instrument": "Huge gain",
+            "message": "Huge gain: gain_dbi 4000 dBi overflows the linear gain",
+        }
+
     @pytest.mark.parametrize("argv,code,named", [
         (["convert", "--db-to-linear", "4000"], 2, "domain-error: --db-to-linear"),
         (["convert", "--noise-figure", "4000db"], 2,
@@ -629,6 +653,10 @@ class TestErrorContract:
          "rfsense radar: error: argument --system-loss:"),
         (RADAR_ARGS + ["--range", "100km", "--propagation-loss", "4000db"], 2,
          "rfsense radar: error: argument --propagation-loss:"),
+        (RADAR_ARGS + ["--range", "100km", "--system-loss=-3db"], 2,
+         "domain-error: system loss must be >= 1\n"),
+        (RADAR_ARGS + ["--range", "100km", "--propagation-loss=-3db"], 2,
+         "domain-error: propagation loss must be >= 1\n"),
         (["dataset-plotdata", "--marker", "probe:1e7hz:nan"], 2,
          "domain-error: marker 'probe' field must be finite and > 0, got nan\n"),
         (["dataset-plotdata", "--marker=p:-1e7hz:1e-8"], 2,
@@ -640,7 +668,8 @@ class TestErrorContract:
     ], ids=["db-overflow", "noise-figure-overflow", "unwritable-output", "unknown-flag",
             "nan-csv-derive", "nan-csv-ranges", "antenna-temp-overflow", "diameter-overflow",
             "range-overflow-after-scaling", "bandwidth-overflow-after-scaling",
-            "system-loss-overflow", "propagation-loss-overflow", "nan-marker-field",
+            "system-loss-overflow", "propagation-loss-overflow", "negative-system-loss",
+            "negative-propagation-loss", "nan-marker-field",
             "negative-marker-bandwidth", "zero-marker-field", "zero-reported-field"])
     def test_fresh_interpreter(self, tmp_path, argv, code, named):
         paths = {"missing": str(tmp_path / "missing" / "x"),

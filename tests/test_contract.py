@@ -17,6 +17,7 @@ import contextlib
 import io
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -48,8 +49,6 @@ NAMED_AS = {
     "rho2": "rho^2",
     "multiple_of_e_a0": "multiple of e*a_0",
     "q_loaded": "loaded quality factor",
-    "system_loss": "linear losses",
-    "propagation_loss": "linear losses",
     "g_over_t_db": "G/T",
     "c_over_n0_dbhz": "C/N0",
     "sensor_nef": "NEF",  # compare_to_classical passes it on to tsys_from_nef
@@ -85,10 +84,10 @@ def _radar(operation, target_type):
     return call
 
 
-def _budget(fsl, atm, qpsk, fsl_flag_threshold_db, **fields):
+def _budget(fsl, atm, qpsk, **fields):
     budget = lb.LinkBudget(losses_db=(("fsl", fsl), ("atm", atm)),
                            required_eb_n0_db=(("qpsk", qpsk),), **fields)
-    return lb.evaluate_link(budget, fsl_flag_threshold_db)
+    return lb.evaluate_link(budget)
 
 
 def _cavity(effective_aperture_m2, eta_0, **fields):
@@ -151,7 +150,7 @@ BASELINES = {
     "linkbudget.eirp": (lb.eirp, dict(EIRP, feeder_loss_db=(2.0, "finite"))),
     "linkbudget.system_noise_temperature": (
         lb.system_noise_temperature,
-        dict(TEMPERATURES, feeder_loss_linear=(1.5, ">=1"), reference_temperature_k=(290.0, ">0")),
+        dict(TEMPERATURES, feeder_loss_linear=(1.5, ">=1")),
     ),
     "linkbudget.figure_of_merit": (
         lb.figure_of_merit,
@@ -176,8 +175,7 @@ BASELINES = {
         dict(EIRP, **TEMPERATURES, transmit_feeder_loss_db=(2.0, ">=0"), fsl=(206.5, ">=0"),
              atm=(2.0, ">=0"), receive_gain_dbi=(50.0, "finite"),
              feeder_loss_linear=(1.5, ">=1"), data_rate_bps=(1e8, ">0"), qpsk=(4.0, "finite"),
-             path_length_m=(3.6e7, ">0"), frequency_hz=(20e9, ">0"),
-             fsl_flag_threshold_db=(0.5, ">=0")),
+             path_length_m=(3.6e7, ">0"), frequency_hz=(20e9, ">0")),
     ),
     "fieldmetrics.sefd": (
         fm.sefd,
@@ -202,8 +200,7 @@ BASELINES = {
         lambda: fm.default_polarisation_coupling("incoherent"), {},
     ),
     "fieldmetrics.trx_from_noise_figure": (
-        fm.trx_from_noise_figure,
-        dict(noise_figure_db=(10.0, ">=0"), reference_temperature_k=(290.0, ">0")),
+        fm.trx_from_noise_figure, dict(noise_figure_db=(10.0, ">=0")),
     ),
     "fieldmetrics.enhancement_factor_cavity": (
         _cavity, dict(CAVITY, effective_aperture_m2=(590.0, ">0"), eta_0=(376.73, ">0")),
@@ -271,7 +268,7 @@ BASELINES = {
         lambda probe_bandwidth, probe_field, **k: ds.emit_plot_data(
             ds.synthesize_all(DERIVED), (("probe", probe_bandwidth, probe_field),), True, **k),
         dict(probe_bandwidth=(5e6, ">0"), probe_field=(1e-8, ">0"),
-             converter_bandwidth_hz=(1e7, ">0"), converter_nef=(4e-7, ">0"),
+             converter_bandwidth_hz=(1e7, ">0"),
              thermal_reference_field=(2.4e-8, ">0")),
     ),
 }
@@ -370,14 +367,22 @@ EXTREMES = st.sampled_from(
 )
 
 
+# A sub-unity cavity enhancement still warns through Python's ``warnings``,
+# not in the report (ROADMAP item 3): the one warning a CLI call may raise.
+ATTENUATION = r"enhancement factor \S+ < 1 attenuates the field"
+
+
 def _cli(command, changed):
     """argv, exit code, stdout and stderr of ``command`` with the ``changed`` flag values."""
     argv = [command] + CLI_FIXED.get(command, [])
     for flag, (before, value, after) in CLI_FLAGS[command].items():
         argv.append(f"{flag}={before}{changed.get(flag, value)!r}{after}")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
         code = main(argv)
+    assert all(re.fullmatch(ATTENUATION, str(w.message)) for w in caught), (argv, caught)
     return argv, code, out.getvalue(), err.getvalue()
 
 

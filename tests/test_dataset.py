@@ -425,6 +425,15 @@ class TestDerive:
         derived = derive_record(record)
         assert derived.a_e_m2 == pytest.approx(APERTURE_45DBI_20GHZ, rel=1e-12)
 
+    def test_overflowing_gain_is_that_rows_diagnostic(self):
+        good = make_record(instrument="good")
+        bad = make_record(instrument="huge-gain", aperture_method="gain", a_e_m2=None,
+                          gain_dbi=4000.0)
+        derived, diagnostics = derive_records([good, bad])
+        assert derived == (derive_record(good),)
+        assert diagnostics == (Diagnostic(
+            2, "huge-gain", "huge-gain: gain_dbi 4000 dBi overflows the linear gain"),)
+
     def test_phys_tagged_row_uses_default_efficiency(self):
         record = make_record(aperture_method="phys", a_e_m2=None, a_phys_m2=1000.0)
         assert derive_record(record).a_e_m2 == pytest.approx(650.0, rel=1e-12)

@@ -297,9 +297,9 @@ class TestCavityCoupling:
 
     def test_invalid_efficiency_rejected(self):
         with pytest.raises(DomainError):
-            CavityCoupling.from_loaded_q(8.4e9, 8400.0, 0.0, 1e-5)
+            CavityCoupling(8.4e9, 8400.0, 0.0, 1e-5)
         with pytest.raises(DomainError):
-            CavityCoupling.from_loaded_q(8.4e9, 8400.0, 1.2, 1e-5)
+            CavityCoupling(8.4e9, 8400.0, 1.2, 1e-5)
 
 
 class TestEnhancementChain:
@@ -315,7 +315,7 @@ class TestEnhancementChain:
 
     def test_doubled_q_scales_sqrt2(self):
         base = enhancement_factor_cavity(x_band_cavity(), X_BAND_APERTURE)
-        doubled = CavityCoupling.from_loaded_q(8.4e9, 2.0 * 8400.0, 0.8, 1e-5)
+        doubled = CavityCoupling(8.4e9, 2.0 * 8400.0, 0.8, 1e-5)
         assert enhancement_factor_cavity(doubled, X_BAND_APERTURE) == pytest.approx(
             math.sqrt(2.0) * base, rel=1e-12
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rfsense.errors import DomainError
 from rfsense.linkbudget import (
     DEFAULT_EBN0_THRESHOLDS_DB,
+    FSL_FLAG_THRESHOLD_DB,
     LinkBudget,
     c_over_n0,
     eb_over_n0,
@@ -232,6 +233,16 @@ class TestEvaluateLink:
         report = evaluate_link(budget)
         assert report.fsl_check is not None
         assert not report.fsl_check.flagged
+
+    @pytest.mark.parametrize("offset_db, flagged", [(0.4, False), (-0.6, True)])
+    def test_fsl_flag_threshold_is_half_a_db(self, offset_db, flagged):
+        budget = ka_band_budget(
+            losses_db=(("fsl", FSL_GEO_20GHZ + offset_db), ("atm", 2.0)),
+            path_length_m=3.6e7,
+            frequency_hz=20e9,
+        )
+        assert FSL_FLAG_THRESHOLD_DB == 0.5
+        assert evaluate_link(budget).fsl_check.flagged is flagged
 
     def test_no_fsl_check_without_geometry(self):
         assert evaluate_link(ka_band_budget()).fsl_check is None

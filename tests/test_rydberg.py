@@ -9,7 +9,6 @@ from rfsense.fieldmetrics import nef_from_gain
 from rfsense.quantities import CODATA
 from rfsense.rydberg import (
     ATOMIC_DIPOLE_UNIT,
-    RydbergSensorBudget,
     ac_stark_shift,
     compare_to_classical,
     dipole_moment,
@@ -84,12 +83,6 @@ class TestQpn:
     def test_non_finite_input_is_named(self, args, named):
         with pytest.raises(DomainError, match=named):
             qpn_nef(*args)
-
-    def test_budget_validation(self):
-        with pytest.raises(DomainError):
-            RydbergSensorBudget(0.0, 1e6, 1e-5)
-        budget = RydbergSensorBudget(dipole_moment(1000.0), 1e6, 1e-5)
-        assert budget.atom_count == 1e6
 
 
 class TestPhotonShotNoise:
