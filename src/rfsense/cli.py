@@ -23,6 +23,7 @@ import json as _json_module
 import math
 import re
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
@@ -283,15 +284,18 @@ def marker_flag(text: str) -> tuple[str, float, float]:
 
 def format_number(x: float) -> str:
     """Fixed formatting: 6 significant digits; scientific outside [1e-3, 1e6)."""
+    if 1e-3 <= abs(x) < 1e6 and x is not True:  # the common case; NaN fails, True is a bool
+        return f"{x:.6g}"
     if isinstance(x, bool):
         return "true" if x else "false"
     if x != x or math.isinf(x):
         raise DomainError("cannot format a non-finite number")
-    if x == 0:
-        return "0"
-    if abs(x) < 1e-3 or abs(x) >= 1e6:
-        return f"{x:.5e}"
-    return f"{x:.6g}"
+    return "0" if x == 0 else f"{x:.5e}"
+
+
+# Rows of scalar cells, each a tuple in ``columns`` order: renders like a list of
+# one dict per row, and is the CSV report of a handler that returns it.
+ReportTable = namedtuple("ReportTable", "columns rows")
 
 
 @lru_cache(maxsize=256)
@@ -311,6 +315,8 @@ def _render_json_value(value, indent: int) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
+    if type(value) is ReportTable:
+        return _render_table(value, indent)
     # Exact types: a record is a tuple subclass and must not render as a list.
     if type(value) not in (dict, list, tuple):
         raise DomainError(f"cannot serialize {type(value).__name__}")
@@ -330,21 +336,41 @@ def _render_json_value(value, indent: int) -> str:
     return f"[\n{inner}{body}\n{pad}]"
 
 
+def _render_table(table: ReportTable, indent: int) -> str:
+    """The table as a list of objects: every row fills one template in sorted key order."""
+    if not table.rows:
+        return "[]"
+    pad = "  " * indent
+    inner, field = pad + "  ", pad + "    "
+    order = _key_order(tuple(map(str, table.columns)))
+    template = "{" + ",".join(f"\n{field}{key.replace('%', '%%')}: %s" for _, key in order)
+    template += f"\n{inner}}}" if order else "}"
+    body = f",\n{inner}".join([
+        template % tuple([_render_json_value(row[i], indent + 2) for i, _ in order])
+        for row in table.rows
+    ])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def render_json(payload: dict) -> str:
     """Deterministic JSON: sorted keys, fixed numeric formatting."""
     return _render_json_value(payload, 0) + "\n"
 
 
-def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
+def _flatten(items, prefix: str = "") -> list[tuple[str, object]]:
+    """(path, value) of every leaf below the (key, value) pairs ``items``."""
     rows: list[tuple[str, object]] = []
-    for key, value in payload.items():
+    for key, value in items:
         path = f"{prefix}{key}"
         if type(value) is dict:
-            rows.extend(_flatten(value, path + "."))
+            rows.extend(_flatten(value.items(), path + "."))
+        elif type(value) is ReportTable:
+            for i, row in enumerate(value.rows):
+                rows.extend(_flatten(zip(value.columns, row), f"{path}[{i}]."))
         elif type(value) in (list, tuple):
             for i, item in enumerate(value):
                 if type(item) is dict:
-                    rows.extend(_flatten(item, f"{path}[{i}]."))
+                    rows.extend(_flatten(item.items(), f"{path}[{i}]."))
                 else:
                     rows.append((f"{path}[{i}]", item))
         else:
@@ -362,7 +388,7 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _render_csv_rows(rows: list[list[str]]) -> str:
+def _render_csv_rows(rows: list) -> str:
     def quote(cell: str) -> str:
         if any(ch in cell for ch in ",\"\r\n"):
             return '"' + cell.replace('"', '""') + '"'
@@ -371,27 +397,22 @@ def _render_csv_rows(rows: list[list[str]]) -> str:
     return "".join(",".join(quote(c) for c in row) + "\r\n" for row in rows)
 
 
-def render_report(payload: dict, fmt: str, table: list[dict] | None = None,
-                  columns: list[str] | None = None) -> str:
+def render_report(payload: dict, fmt: str, table: ReportTable | None = None) -> str:
     if fmt == "json":
         return render_json(payload)
     if fmt == "csv":
-        if table is not None and columns is not None:
-            rows = [columns] + [[_cell_text(r.get(c)) for c in columns] for r in table]
-        else:
-            rows = [["key", "value"]] + [
-                [key, _cell_text(value)] for key, value in _flatten(payload)
-            ]
-        return _render_csv_rows(rows)
+        if table is None:
+            table = ReportTable(("key", "value"), _flatten(payload.items()))
+        return _render_csv_rows([table.columns, *[map(_cell_text, row) for row in table.rows]])
     if fmt == "text":
-        return "".join(f"{k} = {_cell_text(v)}\n" for k, v in _flatten(payload))
+        return "".join(f"{k} = {_cell_text(v)}\n" for k, v in _flatten(payload.items()))
     raise SchemaError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (payload, table, columns).
+# Subcommand handlers.  Each returns (payload, the CSV report's table or None).
 
-def _cmd_nedt(args) -> tuple[dict, None, None]:
+def _cmd_nedt(args) -> tuple[dict, None]:
     from . import radiometry as rm
 
     require("--bandwidth", args.bandwidth)
@@ -401,7 +422,7 @@ def _cmd_nedt(args) -> tuple[dict, None, None]:
         t_sys = rm.tsys_from_nedt(
             args.nedt, args.bandwidth, args.integration_time, args.gain_stability
         )
-        return {"system_temperature_k": t_sys, "nedt_k": args.nedt}, None, None
+        return {"system_temperature_k": t_sys, "nedt_k": args.nedt}, None
 
     if args.antenna_temp is None or args.receiver_temp is None:
         raise DomainError("--antenna-temp and --receiver-temp are required "
@@ -421,10 +442,10 @@ def _cmd_nedt(args) -> tuple[dict, None, None]:
         payload["output_power_w"] = rm.radiometer_output_power(
             args.gain, args.antenna_temp, args.receiver_temp, args.bandwidth
         )
-    return payload, None, None
+    return payload, None
 
 
-def _cmd_calibrate(args) -> tuple[dict, None, None]:
+def _cmd_calibrate(args) -> tuple[dict, None]:
     from . import radiometry as rm
 
     require("--bandwidth", args.bandwidth)
@@ -437,10 +458,10 @@ def _cmd_calibrate(args) -> tuple[dict, None, None]:
         "points_used": len(points),
         "warnings": list(result.warnings),
     }
-    return payload, None, None
+    return payload, None
 
 
-def _cmd_radar(args) -> tuple[dict, None, None]:
+def _cmd_radar(args) -> tuple[dict, None]:
     from . import radar as rd
 
     if args.wavelength is not None:
@@ -506,7 +527,7 @@ def _cmd_radar(args) -> tuple[dict, None, None]:
         if args.tsys is None:
             raise DomainError("--compare-tsys needs --tsys")
         payload["max_range_ratio"] = rd.max_range_ratio(args.tsys, args.compare_tsys)
-    return payload, None, None
+    return payload, None
 
 
 def _budget_from_json(path: str) -> lb.LinkBudget:
@@ -555,7 +576,7 @@ def _budget_from_json(path: str) -> lb.LinkBudget:
     return budget
 
 
-def _cmd_budget(args) -> tuple[dict, None, None]:
+def _cmd_budget(args) -> tuple[dict, None]:
     from . import linkbudget as lb
 
     if args.input is not None:
@@ -597,7 +618,7 @@ def _cmd_budget(args) -> tuple[dict, None, None]:
     payload["closes"] = {name: margin >= 0.0 for name, margin in report.margins_db}
     if fsl_check is not None:
         payload["fsl_check"] = fsl_check._asdict()
-    return payload, None, None
+    return payload, None
 
 
 def _aperture_from_args(args) -> float:
@@ -625,7 +646,7 @@ def _aperture_from_args(args) -> float:
     return fm.aperture_from_gain(args.gain, args.frequency)
 
 
-def _cmd_nef(args) -> tuple[dict, None, None]:
+def _cmd_nef(args) -> tuple[dict, None]:
     from . import fieldmetrics as fm
 
     require("--tsys", args.tsys)
@@ -643,10 +664,10 @@ def _cmd_nef(args) -> tuple[dict, None, None]:
         payload["nef_gain_form_v_m_sqrthz"] = fm.nef_from_gain(
             args.tsys, args.gain, args.frequency, rho2
         )
-    return payload, None, None
+    return payload, None
 
 
-def _cmd_convert(args) -> tuple[dict, None, None]:
+def _cmd_convert(args) -> tuple[dict, None]:
     from . import fieldmetrics as fm
 
     payload: dict = {}
@@ -678,10 +699,10 @@ def _cmd_convert(args) -> tuple[dict, None, None]:
         )
     if not payload:
         raise DomainError("nothing to convert: give at least one input flag")
-    return payload, None, None
+    return payload, None
 
 
-def _cmd_enhance(args) -> tuple[dict, None, None]:
+def _cmd_enhance(args) -> tuple[dict, None]:
     from . import fieldmetrics as fm
 
     q_ways = [
@@ -731,10 +752,10 @@ def _cmd_enhance(args) -> tuple[dict, None, None]:
     if args.sensor_nef is not None:
         payload["sensor_nef_v_m_sqrthz"] = args.sensor_nef
         payload["meets_reference"] = fm.meets_classical_reference(args.sensor_nef, e_local)
-    return payload, None, None
+    return payload, None
 
 
-def _cmd_rydberg(args) -> tuple[dict, None, None]:
+def _cmd_rydberg(args) -> tuple[dict, None]:
     from . import rydberg as ry
 
     payload: dict = {}
@@ -782,7 +803,7 @@ def _cmd_rydberg(args) -> tuple[dict, None, None]:
         )
     if not payload:
         raise DomainError("nothing to compute: give at least one input group")
-    return payload, None, None
+    return payload, None
 
 
 def _load_dataset(path: str | None) -> ds.ParseResult:
@@ -798,50 +819,48 @@ def _load_dataset(path: str | None) -> ds.ParseResult:
     return ds.parse_instruments(text)
 
 
-_RECORD_COLUMNS = [
+_RECORD_COLUMNS = (
     "instrument", "mission", "category", "coherence", "f0_hz", "bandwidth_hz",
     "a_e_m2", "t_a_k", "t_rx_k", "t_sys_k", "rho2", "e_free_v_m_sqrthz",
     "e_free_reported", "aperture_method", "t_sys_method", "t_a_flag",
-]
-# Report column -> InstrumentRecord attribute, where the two names differ.
-_RECORD_ATTRIBUTES = {"e_free_v_m_sqrthz": "e_free_vm_sqrthz"}
+)
+# One report row from an InstrumentRecord; column e_free_v_m_sqrthz is field e_free_vm_sqrthz.
+_record_row = attrgetter(*[c.replace("_v_m_", "_vm_") for c in _RECORD_COLUMNS])
 
 
-def _cmd_dataset_derive(args) -> tuple[dict, list[dict], list[str]]:
+def _cmd_dataset_derive(args) -> tuple[dict, ReportTable]:
     from . import dataset as ds
 
     parsed = _load_dataset(args.input)
     derived, derive_diags = ds.derive_records(parsed.records)
     mismatch_diags = ds.consistency_diagnostics(derived, rel_tol=args.mismatch_tolerance)
-    get = attrgetter(*[_RECORD_ATTRIBUTES.get(c, c) for c in _RECORD_COLUMNS])
-    table = [dict(zip(_RECORD_COLUMNS, get(r))) for r in derived]
+    table = ReportTable(_RECORD_COLUMNS, list(map(_record_row, derived)))
+    diagnostics = (*parsed.diagnostics, *derive_diags, *mismatch_diags)
     payload = {
         "records": table,
-        "record_count": len(table),
-        "diagnostics": [
-            d._asdict() for d in (*parsed.diagnostics, *derive_diags, *mismatch_diags)
-        ],
+        "record_count": len(derived),
+        "diagnostics": ReportTable(ds.Diagnostic._fields, diagnostics),
     }
-    return payload, table, _RECORD_COLUMNS
+    return payload, table
 
 
-def _cmd_dataset_ranges(args) -> tuple[dict, list[dict], list[str]]:
+def _cmd_dataset_ranges(args) -> tuple[dict, ReportTable]:
     from . import dataset as ds
 
     parsed = _load_dataset(args.input)
     derived, derive_diags = ds.derive_records(parsed.records)
     sig_figs = None if args.no_rounding else args.sig_figs
     ranges = ds.synthesize_all(derived, sig_figs=sig_figs)
-    table = [r._asdict() for r in ranges]
+    table = ReportTable(ds.CategoryRange._fields, ranges)
     payload = {
         "ranges": table,
-        "category_count": len(table),
-        "diagnostics": [d._asdict() for d in (*parsed.diagnostics, *derive_diags)],
+        "category_count": len(ranges),
+        "diagnostics": ReportTable(ds.Diagnostic._fields, (*parsed.diagnostics, *derive_diags)),
     }
-    return payload, table, list(ds.CategoryRange._fields)
+    return payload, table
 
 
-def _cmd_dataset_plotdata(args) -> tuple[dict, None, None]:
+def _cmd_dataset_plotdata(args) -> tuple[dict, None]:
     from . import dataset as ds
 
     parsed = _load_dataset(args.input)
@@ -857,7 +876,7 @@ def _cmd_dataset_plotdata(args) -> tuple[dict, None, None]:
         ),
         thermal_reference_field=args.thermal_line,
     )
-    return document, None, None
+    return document, None
 
 
 # ---------------------------------------------------------------------------
@@ -1141,8 +1160,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        payload, table, columns = args.handler(args)
-        rendered = render_report(payload, args.format, table, columns)
+        payload, table = args.handler(args)
+        rendered = render_report(payload, args.format, table)
     except DomainError as exc:
         print(f"domain-error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,7 @@ import sys
 # The largest finite float: the default upper bound of ``require``, and
 # ``-FLOAT_MAX`` with ``strict=False`` is "any finite value".
 FLOAT_MAX = sys.float_info.max
+FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 class DomainError(ValueError):

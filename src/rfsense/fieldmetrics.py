@@ -285,7 +285,15 @@ def trx_from_noise_figure(noise_figure_db: float) -> float:
     ``T_Rx = (10^(NF/10) - 1) * T_0``, with T_0 = 290 K
     (``CODATA.reference_temperature``)."""
     require("noise figure", noise_figure_db, "dB", 0.0, False)
-    return (10.0 ** (noise_figure_db / 10.0) - 1.0) * CODATA.reference_temperature
+    try:
+        t_rx = (10.0 ** (noise_figure_db / 10.0) - 1.0) * CODATA.reference_temperature
+    except OverflowError:
+        t_rx = math.inf
+    if t_rx == math.inf:
+        raise DomainError(
+            f"noise figure {noise_figure_db:g} dB overflows the receiver temperature"
+        )
+    return t_rx
 
 
 def enhancement_factor_cavity(

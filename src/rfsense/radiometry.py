@@ -7,7 +7,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from operator import mul
 
-from .errors import SingularFitError, require
+from .errors import FLOAT_MAX, FLOAT_MIN, DomainError, SingularFitError, require
 from .quantities import CODATA, ValidatedRecord
 
 __all__ = [
@@ -189,6 +189,11 @@ def tsys_from_nedt(
     require("bandwidth", bandwidth_hz, "Hz")
     require("integration time", integration_time_s, "s")
     require("gain stability", gain_stability, "", 0.0, False)
-    return nedt_k / math.sqrt(
-        1.0 / (bandwidth_hz * integration_time_s) + gain_stability**2
-    )
+    product = bandwidth_hz * integration_time_s
+    # Below the smallest normal float, 1/product overflows (or divides by 0).
+    if not FLOAT_MIN <= product <= FLOAT_MAX:
+        raise DomainError(
+            f"bandwidth x integration time {bandwidth_hz:g} Hz x {integration_time_s:g} s"
+            " is outside the float range"
+        )
+    return nedt_k / math.sqrt(1.0 / product + gain_stability**2)

@@ -18,7 +18,7 @@ import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, build_parser, format_number, main, render_json, render_report,
+    OPERATION_MAP, ReportTable, build_parser, format_number, main, render_json, render_report,
 )
 from rfsense.errors import DomainError
 
@@ -42,6 +42,8 @@ ENHANCE_ARGS = [
 ENHANCE_Q_LOADED_ARGS = ENHANCE_ARGS[:3] + ["--q-loaded", "8400"] + ENHANCE_ARGS[5:]
 DERIVE_ARGS = ["dataset-derive"]
 DERIVE_CSV_ARGS = ["dataset-derive", "--format", "csv"]
+DERIVE_TEXT_ARGS = ["dataset-derive", "--format", "text"]
+RANGES_JSON_ARGS = ["dataset-ranges"]
 PLOTDATA_ARGS = [
     "dataset-plotdata", "--thermal-line", "2.4e-8", "--marker", "probe:5mhz:1e-8",
 ]
@@ -89,9 +91,12 @@ class TestGoldenFiles:
             (DERIVE_ARGS, "dataset_derive.json"),
             (DERIVE_CSV_ARGS, "dataset_derive.csv"),
             (PLOTDATA_ARGS, "dataset_plotdata.json"),
+            (DERIVE_TEXT_ARGS, "dataset_derive.txt"),
+            (RANGES_JSON_ARGS, "dataset_ranges.json"),
         ],
         ids=["budget", "dataset-ranges", "enhance", "enhance-q-loaded", "dataset-derive",
-             "dataset-derive-csv", "dataset-plotdata"],
+             "dataset-derive-csv", "dataset-plotdata", "dataset-derive-text",
+             "dataset-ranges-json"],
     )
     def test_byte_identical_across_runs_and_matches_golden(self, capsys, argv, golden):
         code1, out1, _ = run(capsys, argv)
@@ -319,6 +324,22 @@ _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FINITE, _TEXT)
 _UNRENDERABLE = st.sampled_from([math.nan, math.inf, -math.inf, b"x", frozenset(), 1j])
 
 
+def _old_render_csv_table(columns, rows: list[dict]) -> str:
+    """The CSV report ``render_report`` made of a table given as dicts: the reference."""
+    def text(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format_number(value) if isinstance(value, float) else str(value)
+
+    def quote(cell):
+        return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+
+    lines = [list(columns)] + [[text(row.get(c)) for c in columns] for row in rows]
+    return "".join(",".join(quote(cell) for cell in line) + "\r\n" for line in lines)
+
+
 def _trees(leaves):
     return st.recursive(leaves, lambda children: st.one_of(
         st.lists(children, max_size=4),
@@ -327,6 +348,14 @@ def _trees(leaves):
             st.one_of(_TEXT, st.integers(), st.booleans(), st.floats()), children, max_size=4
         ),
     ), max_leaves=25)
+
+
+# (columns, rows): distinct column names and rows of str, float, None, int and bool cells.
+_TABLES = st.lists(_TEXT, min_size=1, max_size=5, unique=True).flatmap(lambda columns: st.tuples(
+    st.just(tuple(columns)),
+    st.lists(st.tuples(*[st.one_of(_TEXT, _FINITE, st.none(), st.integers(), st.booleans())]
+                       * len(columns)), max_size=6),
+))
 
 
 class TestRenderJson:
@@ -347,6 +376,19 @@ class TestRenderJson:
         with pytest.raises(DomainError) as actual:
             render_json(payload)
         assert str(actual.value) == str(expected.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_TABLES)
+    @example((("b", "a%s", "c"), [("x", 1.5, None), ("y,\"z\"", -0.0, 7)]))
+    @example((("only",), [(None,), (True,)]))
+    def test_a_table_renders_like_its_rows_as_dicts(self, spec):
+        columns, rows = spec
+        table = ReportTable(columns, rows)
+        dicts = [dict(zip(columns, row)) for row in rows]
+        for fmt in ("json", "text"):
+            assert (render_report({"t": table, "n": len(rows)}, fmt, table)
+                    == render_report({"t": dicts, "n": len(rows)}, fmt))
+        assert render_report({"t": table}, "csv", table) == _old_render_csv_table(columns, dicts)
 
     @pytest.mark.parametrize("record", [
         rfsense.dataset.Diagnostic(3, "probe", "bad cell"),
@@ -629,6 +671,32 @@ class TestErrorContract:
         assert report["diagnostics"][0] == {
             "row": len(bundled) + 1, "instrument": "Huge gain",
             "message": "Huge gain: gain_dbi 4000 dBi overflows the linear gain",
+        }
+
+    # The first bundled row, DSN 70 m BWG, with its T_Rx from a noise figure or
+    # its T_sys from an NEDT whose B*tau product underflows.
+    @pytest.mark.parametrize("old,new,message", [
+        (",18,direct,,23,sum,", ",,NF,4000,,sum,",
+         "noise figure 4000 dB overflows the receiver temperature"),
+        (",4.0e8,RF,phys,2660,,,,5,measured,18,direct,,23,sum,,,",
+         ",1e-300,RF,phys,2660,,,,5,measured,18,direct,,,NEDT,1,1e-300,",
+         "bandwidth x integration time 1e-300 Hz x 1e-300 s is outside the float range"),
+    ], ids=["noise-figure", "nedt-bandwidth-time"])
+    def test_an_overflowing_derivation_is_one_row_diagnostic(
+        self, capsys, tmp_path, old, new, message,
+    ):
+        lines = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8").splitlines()
+        assert lines[1].startswith("DSN 70 m BWG,") and lines[1].count(old) == 1
+        lines[1] = lines[1].replace(old, new)
+        path = tmp_path / "overflowing-row.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["dataset-derive", "--input", str(path)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        bundled = rfsense.dataset.load_bundled_dataset().records
+        assert [r["instrument"] for r in report["records"]] == [r.instrument for r in bundled[1:]]
+        assert report["diagnostics"][0] == {
+            "row": 1, "instrument": "DSN 70 m BWG", "message": f"DSN 70 m BWG: {message}",
         }
 
     @pytest.mark.parametrize("argv,code,named", [

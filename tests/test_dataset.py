@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 
@@ -404,6 +405,51 @@ class TestParserMatchesDictReader:
         assert document == plain or isinstance(missed, str) or missed.records == ()
 
 
+# Base rows with a cell the checks need left empty, so a check that runs too
+# early fires instead of the bad cell's error.
+_BASE_ROWS = [_GOOD_CELLS] + [{**_GOOD_CELLS, column: ""} for column in (
+    "a_e_m2", "t_rx_k", "t_sys_k", "rho2",
+)]
+
+
+def test_each_bad_number_beside_each_other_cell_gets_the_reference_diagnostic():
+    """Every numeric cell made bad, in rows that vary one other cell over its
+    listed values: the first diagnostic still comes from the first failing check."""
+    numeric = [c for c in COLUMNS if _CELL_VALUES.get(c, _NUMBERS) is _NUMBERS
+               or c in ("rho2", "e_free_reported")]
+    body = io.StringIO()
+    writer = csv.writer(body)
+    for base in _BASE_ROWS:
+        for bad_column in numeric:
+            for bad in ("abc", "inf"):
+                for column in COLUMNS:
+                    for value in _CELL_VALUES.get(column, _NUMBERS):
+                        cells = {**base, column: value, bad_column: bad}
+                        writer.writerow([cells[c] for c in COLUMNS])
+    document = ",".join(COLUMNS) + "\r\n" + body.getvalue()
+    expected = _dictreader_parse_instruments(document)
+    assert len(expected.diagnostics) > 10_000
+    assert parse_instruments(document) == expected
+
+
+def test_rejected_rows_leave_no_reference_cycle():
+    # A cycle through a rejected row's exception would keep the parser's
+    # frames, and with them the whole document, alive until a full collection.
+    cells = {**_GOOD_CELLS, "t_sys_k": "", "t_sys_method": "NEDT", "nedt_k": "1"}
+    rows = [{**cells, "tau_s": "abc"}, {**cells, "tau_s": "inf"},
+            {**cells, "tau_s": "abc", "coherence": "laser"}, {**cells, "tau_s": "1"}]
+    document = HEADER + ",e_free_reported\n" + "".join(
+        ",".join(row[c] for c in COLUMNS) + "\n" for row in rows)
+    gc.collect()
+    gc.disable()
+    try:
+        result = parse_instruments(document)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [d.row for d in result.diagnostics] == [2, 3, 4] and len(result.records) == 1
+
+
 class TestDerive:
     def test_dsn_row(self):
         records = load_bundled_dataset().records
@@ -433,6 +479,19 @@ class TestDerive:
         assert derived == (derive_record(good),)
         assert diagnostics == (Diagnostic(
             2, "huge-gain", "huge-gain: gain_dbi 4000 dBi overflows the linear gain"),)
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(t_rx_k=None, t_rx_method="NF", nf_db=4000.0, t_sys_k=None),
+         "noise figure 4000 dB overflows the receiver temperature"),
+        (dict(t_sys_k=None, t_sys_method="NEDT", nedt_k=1.0, bandwidth_hz=1e-300, tau_s=1e-300),
+         "bandwidth x integration time 1e-300 Hz x 1e-300 s is outside the float range"),
+    ], ids=["noise-figure", "nedt-bandwidth-time"])
+    def test_an_overflowing_derivation_is_that_rows_diagnostic(self, overrides, message):
+        good = make_record(instrument="good")
+        bad = make_record(instrument="overflow", **overrides)
+        derived, diagnostics = derive_records([bad, good])
+        assert derived == (derive_record(good),)
+        assert diagnostics == (Diagnostic(1, "overflow", f"overflow: {message}"),)
 
     def test_phys_tagged_row_uses_default_efficiency(self):
         record = make_record(aperture_method="phys", a_e_m2=None, a_phys_m2=1000.0)
@@ -559,21 +618,38 @@ class TestSynthesize:
         assert r.f0_min_hz == r.f0_max_hz == pytest.approx(8.4e9)
 
     def test_empty_category_rejected(self):
-        with pytest.raises(DomainError, match="nope"):
+        with pytest.raises(DomainError) as caught:
             synthesize_ranges([derive_record(make_record())], "nope")
+        assert str(caught.value) == "no records in category 'nope'"
 
     def test_underived_records_rejected(self):
-        with pytest.raises(DomainError, match="not fully derived"):
-            synthesize_ranges([make_record(t_sys_k=None, t_sys_method="NEDT")],
-                              "test-category")
+        members = [
+            make_record(instrument="raw-aperture", a_e_m2=None, aperture_method="phys",
+                        a_phys_m2=10.0),
+            derive_record(make_record(instrument="derived")),
+            make_record(instrument="raw-field"),
+            derive_record(make_record(instrument="raw-tsys"))._replace(t_sys_k=None),
+        ]
+        for synthesize in (lambda: synthesize_ranges(members, "test-category"),
+                           lambda: synthesize_all(members)):
+            with pytest.raises(DomainError) as caught:
+                synthesize()
+            assert str(caught.value) == (
+                "records not fully derived in category 'test-category': "
+                "raw-aperture, raw-field, raw-tsys"
+            )
 
     def test_mixed_rho2_rejected_naming_offenders(self):
         a = derive_record(make_record(instrument="one", rho2=1.0))
         b = derive_record(make_record(instrument="two", rho2=0.5,
                                       coherence="incoherent"))
+        c = derive_record(make_record(instrument="three", rho2=1.0))
         with pytest.raises(DomainError) as exc_info:
-            synthesize_ranges([a, b], "test-category")
-        assert "one" in str(exc_info.value) and "two" in str(exc_info.value)
+            synthesize_ranges([a, b, c], "test-category")
+        assert str(exc_info.value) == (
+            "mixed rho2 within category 'test-category': "
+            "one (rho2=1), two (rho2=0.5), three (rho2=1)"
+        )
 
     def test_permutation_invariance(self):
         derived, _ = derive_records(load_bundled_dataset().records)

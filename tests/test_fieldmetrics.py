@@ -242,6 +242,18 @@ class TestNoiseFigure:
         with pytest.raises(DomainError):
             trx_from_noise_figure(-0.1)
 
+    # 4000 dB overflows 10^(NF/10); 3082 dB overflows only the product with T_0.
+    @pytest.mark.parametrize("noise_figure_db", [4000.0, 3082.0])
+    def test_overflow_is_a_named_domain_error(self, noise_figure_db):
+        with pytest.raises(DomainError) as caught:
+            trx_from_noise_figure(noise_figure_db)
+        assert str(caught.value) == (
+            f"noise figure {noise_figure_db:g} dB overflows the receiver temperature"
+        )
+
+    def test_a_large_finite_result_is_returned(self):
+        assert math.isfinite(trx_from_noise_figure(3000.0))
+
 
 class TestReceiverReference:
     def test_aperture_only(self):

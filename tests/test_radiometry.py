@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,21 @@ class TestTsysFromNedt:
     def test_non_positive_rejected(self, args):
         with pytest.raises(DomainError):
             tsys_from_nedt(*args)
+
+    # B*tau underflows to 0, is subnormal (1/(B*tau) overflows), or overflows.
+    @pytest.mark.parametrize("bandwidth,tau", [(1e-300, 1e-300), (1e-160, 1e-160),
+                                               (1e300, 1e300)])
+    def test_bandwidth_time_product_outside_the_float_range(self, bandwidth, tau):
+        with pytest.raises(DomainError) as caught:
+            tsys_from_nedt(1.0, bandwidth, tau)
+        assert str(caught.value) == (
+            f"bandwidth x integration time {bandwidth:g} Hz x {tau:g} s"
+            " is outside the float range"
+        )
+
+    def test_smallest_normal_product_is_accepted(self):
+        t_sys = tsys_from_nedt(1.0, 2.0 * sys.float_info.min, 0.5)
+        assert t_sys == pytest.approx(math.sqrt(sys.float_info.min), rel=1e-12)
 
     def test_variant_with_gain_stability(self):
         # Full inverse including the instability term.
