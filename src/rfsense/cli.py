@@ -34,7 +34,7 @@ from .quantities import db_to_linear, frequency_to_wavelength, linear_to_db, pow
 __all__ = ["OPERATION_MAP", "build_parser", "format_number", "main", "render_json"]
 
 # Subcommand -> engine operations it exposes.  Every public operation is
-# reachable from exactly one subcommand; a coverage test enforces this.
+# listed under exactly one subcommand; a coverage test enforces this.
 OPERATION_MAP: dict[str, tuple[str, ...]] = {
     "nedt": (
         "radiometry.nedt",
@@ -530,7 +530,8 @@ def _cmd_radar(args) -> tuple[dict, None]:
     return payload, None
 
 
-def _budget_from_json(path: str) -> lb.LinkBudget:
+def _budget_fields_from_json(path: str) -> dict:
+    """The ``LinkBudget`` fields of a flat JSON budget document."""
     from . import linkbudget as lb
 
     try:
@@ -548,7 +549,7 @@ def _budget_from_json(path: str) -> lb.LinkBudget:
             for name, value in dict(document["losses_db"]).items()
         )
         thresholds = document.get("thresholds_db")
-        budget = lb.LinkBudget(
+        return dict(
             transmit_power_dbw=float(document["tx_power_dbw"]),
             transmit_gain_dbi=float(document["tx_gain_dbi"]),
             transmit_feeder_loss_db=float(document.get("tx_feeder_loss_db", 0.0)),
@@ -571,16 +572,15 @@ def _budget_from_json(path: str) -> lb.LinkBudget:
         )
     except KeyError as exc:
         raise SchemaError(f"budget document is missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise SchemaError(f"budget document has a malformed value: {exc}") from exc
-    return budget
 
 
 def _cmd_budget(args) -> tuple[dict, None]:
     from . import linkbudget as lb
 
     if args.input is not None:
-        budget = _budget_from_json(args.input)
+        fields = _budget_fields_from_json(args.input)
     else:
         required = {
             "--tx-power": args.tx_power,
@@ -593,10 +593,7 @@ def _cmd_budget(args) -> tuple[dict, None]:
         missing = [flag for flag, value in required.items() if value is None]
         if missing:
             raise DomainError("missing required budget flag(s): " + ", ".join(missing))
-        thresholds = (
-            tuple(args.threshold) if args.threshold else lb.DEFAULT_EBN0_THRESHOLDS_DB
-        )
-        budget = lb.LinkBudget(
+        fields = dict(
             transmit_power_dbw=args.tx_power,
             transmit_gain_dbi=args.tx_gain,
             transmit_feeder_loss_db=args.tx_feeder_loss,
@@ -606,16 +603,18 @@ def _cmd_budget(args) -> tuple[dict, None]:
             receiver_temperature_k=args.receiver_temp,
             feeder_loss_linear=args.feeder_loss_linear,
             data_rate_bps=args.data_rate,
-            required_eb_n0_db=thresholds,
+            required_eb_n0_db=(
+                tuple(args.threshold) if args.threshold else lb.DEFAULT_EBN0_THRESHOLDS_DB
+            ),
             path_length_m=args.distance,
             frequency_hz=args.frequency,
         )
-    report = lb.evaluate_link(budget)
+    report = lb.evaluate_link(lb.LinkBudget(**fields))
     payload = report._asdict()
     # The CSV and text reports keep key order: fsl_check comes after closes.
     fsl_check = payload.pop("fsl_check")
-    payload["margins_db"] = dict(report.margins_db)
-    payload["closes"] = {name: margin >= 0.0 for name, margin in report.margins_db}
+    payload["margins_db"] = report.margins
+    payload["closes"] = {name: report.closes(name) for name in payload["margins_db"]}
     if fsl_check is not None:
         payload["fsl_check"] = fsl_check._asdict()
     return payload, None

@@ -48,7 +48,7 @@ from .fieldmetrics import (
     nef_from_aperture,
     trx_from_noise_figure,
 )
-from .quantities import ValidatedRecord, resolve_eta0
+from .quantities import ValidatedRecord, db_to_linear, resolve_eta0
 from .radiometry import tsys_from_nedt
 
 __all__ = [
@@ -333,7 +333,7 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
                 a_e = (DEFAULT_APERTURE_EFFICIENCY if eta_ap is None else eta_ap) * a_phys
             elif aperture_method == "gain" and gain_dbi is not None:
                 try:
-                    gain = 10.0 ** (gain_dbi / 10.0)
+                    gain = db_to_linear(gain_dbi)
                 except OverflowError:
                     raise DomainError(
                         f"gain_dbi {gain_dbi:g} dBi overflows the linear gain") from None

@@ -22,7 +22,9 @@ import warnings as _warnings
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .quantities import CODATA, ValidatedRecord, frequency_to_wavelength, resolve_eta0
+from .quantities import (
+    CODATA, ValidatedRecord, db_to_linear, frequency_to_wavelength, resolve_eta0,
+)
 
 __all__ = [
     "CavityCoupling",
@@ -63,60 +65,34 @@ def default_polarisation_coupling(coherence: str) -> float:
 
 class ReceiverReference(ValidatedRecord, namedtuple(
     "ReceiverReference",
-    "system_temperature_k effective_aperture_m2 gain frequency_hz rho2",
-    defaults=(None, None, None, 1.0),
+    "system_temperature_k effective_aperture_m2 rho2",
+    defaults=(1.0,),
 )):
-    """A classical receiver reference: T_sys plus an aperture description.
+    """A classical receiver reference: T_sys, effective aperture and rho^2.
 
-    The aperture may be given directly (``effective_aperture_m2``) or as a
-    linear gain with its frequency; when both are supplied they must agree
-    through A_e = G*lambda^2/(4*pi) to 1e-9 relative.  ``rho2`` is the
-    polarisation power coupling: 1 for a polarisation-matched coherent
-    signal, 1/2 for unpolarised emission on a single linear channel.
+    A receiver described by its gain enters through
+    :func:`aperture_from_gain`.  ``rho2`` is the polarisation power
+    coupling: 1 for a polarisation-matched coherent signal, 1/2 for
+    unpolarised emission on a single linear channel.
     """
 
     __slots__ = ()
 
     def _check(self):
         require("system temperature", self.system_temperature_k, "K")
+        require("effective aperture", self.effective_aperture_m2, "m^2")
         require("polarisation coupling rho^2", self.rho2, "", 0.0, True, 1.0)
-        has_aperture = self.effective_aperture_m2 is not None
-        has_gain = self.gain is not None and self.frequency_hz is not None
-        if not has_aperture and not has_gain:
-            raise DomainError("need an effective aperture, or a gain with frequency")
-        if has_aperture:
-            require("effective aperture", self.effective_aperture_m2, "m^2")
-        if self.gain is not None:
-            require("gain", self.gain)
-        if self.frequency_hz is not None:
-            require("frequency", self.frequency_hz, "Hz")
-        if has_aperture and has_gain:
-            implied = aperture_from_gain(self.gain, self.frequency_hz)
-            if abs(implied - self.effective_aperture_m2) > 1e-9 * self.effective_aperture_m2:
-                raise DomainError(
-                    "aperture and gain disagree: "
-                    f"A_e={self.effective_aperture_m2:g} m^2 vs "
-                    f"G*lambda^2/(4*pi)={implied:g} m^2"
-                )
-
-    def aperture_m2(self) -> float:
-        if self.effective_aperture_m2 is not None:
-            return self.effective_aperture_m2
-        return aperture_from_gain(self.gain, self.frequency_hz)
 
 
 class CavityCoupling(ValidatedRecord, namedtuple(
-    "CavityCoupling",
-    "frequency_hz q_loaded rf_efficiency mode_volume_m3 q_external q_internal",
-    defaults=(None, None),
+    "CavityCoupling", "frequency_hz q_loaded rf_efficiency mode_volume_m3",
 )):
     """A single-mode cavity coupling an incident field to the sensing volume.
 
-    ``q_loaded`` is canonical; external/internal quality factors are kept
-    when known and must then satisfy 1/Q_L = 1/Q_e + 1/Q_i to 1e-9 relative.
     ``rf_efficiency`` is the transfer efficiency from the antenna port into
     the cavity input and ``mode_volume_m3`` the electric-energy volume of the
-    probed mode.
+    probed mode.  External and internal quality factors enter through
+    :meth:`from_quality_factors`.
     """
 
     __slots__ = ()
@@ -126,17 +102,6 @@ class CavityCoupling(ValidatedRecord, namedtuple(
         require("loaded quality factor", self.q_loaded)
         require("RF transfer efficiency", self.rf_efficiency, "", 0.0, True, 1.0)
         require("mode volume", self.mode_volume_m3, "m^3")
-        if (self.q_external is None) != (self.q_internal is None):
-            raise DomainError("give both or neither of Q_e and Q_i")
-        if self.q_external is not None:
-            require("external quality factor", self.q_external)
-            require("internal quality factor", self.q_internal)
-            combined = 1.0 / (1.0 / self.q_external + 1.0 / self.q_internal)
-            if abs(combined - self.q_loaded) > 1e-9 * self.q_loaded:
-                raise DomainError(
-                    f"1/Q_L = 1/Q_e + 1/Q_i violated: Q_L={self.q_loaded:g} "
-                    f"but combination gives {combined:g}"
-                )
 
     @classmethod
     def from_quality_factors(
@@ -147,11 +112,10 @@ class CavityCoupling(ValidatedRecord, namedtuple(
         rf_efficiency: float,
         mode_volume_m3: float,
     ) -> "CavityCoupling":
-        # Checked here as well as in the constructor: Q_L divides by them.
+        """Combine Q_e and Q_i into the loaded Q, 1/Q_L = 1/Q_e + 1/Q_i."""
         q_loaded = 1.0 / (1.0 / require("external quality factor", q_external)
                           + 1.0 / require("internal quality factor", q_internal))
-        return cls(frequency_hz, q_loaded, rf_efficiency, mode_volume_m3,
-                   q_external, q_internal)
+        return cls(frequency_hz, q_loaded, rf_efficiency, mode_volume_m3)
 
     @classmethod
     def from_bandwidth(
@@ -221,20 +185,13 @@ def nef_from_gain(
 ) -> float:
     """Equivalent free-space field at SNR = 1, gain-based form.
 
+    :func:`nef_from_aperture` with A_e = G*lambda^2/(4*pi), that is
     NEF = sqrt(4*pi*f^2*k_B*T_sys*eta_0 / (c^2*G*rho2)) in V/m/sqrt(Hz);
     for rho^2 = 1/2 this is the 8*pi form, a factor sqrt(2) above the
-    polarisation-matched value.  Algebraically identical to
-    ``nef_from_aperture`` with A_e = G*lambda^2/(4*pi).
+    polarisation-matched value.
     """
-    eta_0 = resolve_eta0(eta_0)
-    require("system temperature", system_temperature_k, "K")
-    require("gain", gain)
-    require("frequency", frequency_hz, "Hz")
-    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    c = CODATA.light_speed
-    return math.sqrt(
-        4.0 * math.pi * frequency_hz**2 * CODATA.boltzmann * system_temperature_k
-        * eta_0 / (c**2 * gain * rho2)
+    return nef_from_aperture(
+        system_temperature_k, aperture_from_gain(gain, frequency_hz), rho2, eta_0
     )
 
 
@@ -246,21 +203,16 @@ def tsys_from_nef(
     eta_0: float | None = None,
 ) -> float:
     """Noise temperature implied by a field sensitivity; inverse of
-    :func:`nef_from_gain`.
+    :func:`nef_from_gain`, T_sys = NEF^2*rho^2*A_e/(k_B*eta_0).
 
     The mapping needs the full coupling assumption (G, f, rho^2) because a
     bare NEF does not determine (T_sys, A_e) uniquely.
     """
     eta_0 = resolve_eta0(eta_0)
     require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
-    require("gain", gain)
-    require("frequency", frequency_hz, "Hz")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    c = CODATA.light_speed
-    return (
-        nef_v_per_m_sqrt_hz**2 * c**2 * gain * rho2
-        / (4.0 * math.pi * frequency_hz**2 * CODATA.boltzmann * eta_0)
-    )
+    aperture = aperture_from_gain(gain, frequency_hz)
+    return nef_v_per_m_sqrt_hz**2 * rho2 * aperture / (CODATA.boltzmann * eta_0)
 
 
 def aperture_from_gain(gain: float, frequency_hz: float) -> float:
@@ -286,7 +238,7 @@ def trx_from_noise_figure(noise_figure_db: float) -> float:
     (``CODATA.reference_temperature``)."""
     require("noise figure", noise_figure_db, "dB", 0.0, False)
     try:
-        t_rx = (10.0 ** (noise_figure_db / 10.0) - 1.0) * CODATA.reference_temperature
+        t_rx = (db_to_linear(noise_figure_db) - 1.0) * CODATA.reference_temperature
     except OverflowError:
         t_rx = math.inf
     if t_rx == math.inf:
@@ -339,7 +291,7 @@ def local_field_requirement(
         )
     free = nef_from_aperture(
         reference.system_temperature_k,
-        reference.aperture_m2(),
+        reference.effective_aperture_m2,
         reference.rho2,
         eta_0,
     )

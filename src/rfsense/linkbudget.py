@@ -176,10 +176,10 @@ class LinkReport(namedtuple(
 
     def closes(self, modulation: str) -> bool:
         """True when the stated modulation has non-negative margin."""
-        for name, margin in self.margins_db:
-            if name == modulation:
-                return margin >= 0.0
-        raise DomainError(f"no threshold named {modulation!r} in this report")
+        margin = self.margins.get(modulation)
+        if margin is None:
+            raise DomainError(f"no threshold named {modulation!r} in this report")
+        return margin >= 0.0
 
     @property
     def margins(self) -> dict[str, float]:

@@ -78,6 +78,18 @@ class CalibrationResult(namedtuple(
     __slots__ = ()
 
 
+def _radiometric_factor(bandwidth_hz, integration_time_s, gain_stability):
+    """NEDT/T_sys = sqrt(1/(B*tau) + (dG/G)^2)."""
+    product = bandwidth_hz * integration_time_s
+    # Below the smallest normal float, 1/product overflows (or divides by 0).
+    if not FLOAT_MIN <= product <= FLOAT_MAX:
+        raise DomainError(
+            f"bandwidth x integration time {bandwidth_hz:g} Hz x {integration_time_s:g} s"
+            " is outside the float range"
+        )
+    return math.sqrt(1.0 / product + gain_stability**2)
+
+
 def nedt(model: ReceiverNoiseModel) -> float:
     """Noise-equivalent delta temperature of a total-power radiometer in K.
 
@@ -85,9 +97,8 @@ def nedt(model: ReceiverNoiseModel) -> float:
     falls with the time-bandwidth product; the gain-stability term sets the
     floor reached at long integration times.
     """
-    radiometric = 1.0 / (model.bandwidth_hz * model.integration_time_s)
-    return model.system_temperature_k * math.sqrt(
-        radiometric + model.gain_stability**2
+    return model.system_temperature_k * _radiometric_factor(
+        model.bandwidth_hz, model.integration_time_s, model.gain_stability
     )
 
 
@@ -189,11 +200,4 @@ def tsys_from_nedt(
     require("bandwidth", bandwidth_hz, "Hz")
     require("integration time", integration_time_s, "s")
     require("gain stability", gain_stability, "", 0.0, False)
-    product = bandwidth_hz * integration_time_s
-    # Below the smallest normal float, 1/product overflows (or divides by 0).
-    if not FLOAT_MIN <= product <= FLOAT_MAX:
-        raise DomainError(
-            f"bandwidth x integration time {bandwidth_hz:g} Hz x {integration_time_s:g} s"
-            " is outside the float range"
-        )
-    return nedt_k / math.sqrt(1.0 / product + gain_stability**2)
+    return nedt_k / _radiometric_factor(bandwidth_hz, integration_time_s, gain_stability)

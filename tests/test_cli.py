@@ -20,7 +20,7 @@ import rfsense.rydberg
 from rfsense.cli import (
     OPERATION_MAP, ReportTable, build_parser, format_number, main, render_json, render_report,
 )
-from rfsense.errors import DomainError
+from rfsense.errors import DomainError, SchemaError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -32,6 +32,18 @@ BUDGET_ARGS = [
     "--feeder-loss-linear", "1.5", "--data-rate", "1e8",
     "--distance", "3.6e7m", "--frequency", "20ghz",
 ]
+# The budget of BUDGET_ARGS without the geometry, as a flat JSON document.
+BUDGET_DOCUMENT = {
+    "tx_power_dbw": 20.0,
+    "tx_gain_dbi": 45.0,
+    "tx_feeder_loss_db": 2.0,
+    "losses_db": {"fsl": 206.5, "atm": 2.0, "rain": 3.0, "other": 1.0},
+    "rx_gain_dbi": 50.0,
+    "antenna_temp_k": 100.0,
+    "receiver_temp_k": 100.0,
+    "feeder_loss_linear": 1.5,
+    "data_rate_bps": 1e8,
+}
 RANGES_ARGS = ["dataset-ranges", "--format", "csv"]
 ENHANCE_ARGS = [
     "enhance", "--f0", "8.4ghz", "--signal-bandwidth", "1mhz",
@@ -47,6 +59,19 @@ RANGES_JSON_ARGS = ["dataset-ranges"]
 PLOTDATA_ARGS = [
     "dataset-plotdata", "--thermal-line", "2.4e-8", "--marker", "probe:5mhz:1e-8",
 ]
+# The README examples, and the gain-form and Q_e/Q_i inputs of the field chain.
+NEDT_ARGS = ["nedt", "--antenna-temp", "250", "--receiver-temp", "600",
+             "--bandwidth", "1ghz", "--integration-time", "15ms", "--gain-stability", "1.5e-5"]
+NEDT_INVERSE_ARGS = ["nedt", "--nedt", "0.22", "--bandwidth", "1ghz", "--integration-time", "15ms"]
+NEF_GAIN_ARGS = ["nef", "--tsys", "7000", "--gain", "1.5lin", "--frequency", "96ghz",
+                 "--rho2", "0.5"]
+CONVERT_ARGS = ["convert", "--db-to-linear", "3.0103", "--noise-figure", "10db",
+                "--nef", "7.9e-6", "--gain", "1.5lin", "--frequency", "96ghz", "--rho2", "0.5"]
+RYDBERG_ARGS = ["rydberg", "--dipole-ea0", "1000", "--sensor-nef", "1e-6", "--gain", "1.5lin",
+                "--frequency", "10ghz", "--rabi", "8e5"]
+# The same cavity again: Q_L = 1/(1/16800 + 1/16800) = 8400.
+ENHANCE_Q_FACTORS_ARGS = (ENHANCE_ARGS[:3] + ["--q-external", "16800", "--q-internal", "16800"]
+                          + ENHANCE_ARGS[5:])
 
 
 @pytest.fixture(autouse=True)
@@ -93,10 +118,17 @@ class TestGoldenFiles:
             (PLOTDATA_ARGS, "dataset_plotdata.json"),
             (DERIVE_TEXT_ARGS, "dataset_derive.txt"),
             (RANGES_JSON_ARGS, "dataset_ranges.json"),
+            (NEDT_ARGS, "nedt.json"),
+            (NEDT_INVERSE_ARGS, "nedt_inverse.json"),
+            (NEF_GAIN_ARGS, "nef_gain.json"),
+            (CONVERT_ARGS, "convert.json"),
+            (RYDBERG_ARGS, "rydberg.json"),
+            (ENHANCE_Q_FACTORS_ARGS, "enhance.json"),
         ],
         ids=["budget", "dataset-ranges", "enhance", "enhance-q-loaded", "dataset-derive",
              "dataset-derive-csv", "dataset-plotdata", "dataset-derive-text",
-             "dataset-ranges-json"],
+             "dataset-ranges-json", "nedt", "nedt-inverse", "nef-gain", "convert", "rydberg",
+             "enhance-q-factors"],
     )
     def test_byte_identical_across_runs_and_matches_golden(self, capsys, argv, golden):
         code1, out1, _ = run(capsys, argv)
@@ -151,19 +183,8 @@ class TestBudgetCommand:
         assert abs(report["fsl_check"]["recomputed_db"] - 209.6) < 0.1
 
     def test_budget_from_json_document(self, capsys, tmp_path):
-        document = {
-            "tx_power_dbw": 20.0,
-            "tx_gain_dbi": 45.0,
-            "tx_feeder_loss_db": 2.0,
-            "losses_db": {"fsl": 206.5, "atm": 2.0, "rain": 3.0, "other": 1.0},
-            "rx_gain_dbi": 50.0,
-            "antenna_temp_k": 100.0,
-            "receiver_temp_k": 100.0,
-            "feeder_loss_linear": 1.5,
-            "data_rate_bps": 1e8,
-        }
         path = tmp_path / "budget.json"
-        path.write_text(json.dumps(document))
+        path.write_text(json.dumps(BUDGET_DOCUMENT))
         code, out, _ = run(capsys, ["budget", "--input", str(path)])
         assert code == 0
         report = json.loads(out)
@@ -176,6 +197,16 @@ class TestBudgetCommand:
         assert code == 3
         assert err.startswith("schema-error:")
         assert "\n" not in err.strip()
+
+    def test_out_of_range_value_is_one_domain_error_from_json_or_flags(self, capsys, tmp_path):
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(dict(BUDGET_DOCUMENT, data_rate_bps=-1e8)))
+        args = list(BUDGET_ARGS)
+        at = args.index("--data-rate")
+        args[at:at + 2] = ["--data-rate=-1e8"]
+        line = "domain-error: data rate must be > 0 bit/s\n"
+        assert run(capsys, ["budget", "--input", str(path)]) == (2, "", line)
+        assert run(capsys, args) == (2, "", line)
 
     def test_missing_flags_is_domain_error(self, capsys):
         code, _, err = run(capsys, ["budget", "--tx-power", "20dbw"])
@@ -764,3 +795,120 @@ class TestErrorContract:
         else:
             assert child.stdout == ""
             assert child.stderr.startswith(named) and child.stderr.count("\n") == 1
+
+
+NEDT_REQUIRED = ["nedt", "--bandwidth", "1ghz", "--integration-time", "15ms"]
+RADAR_REQUIRED = ["radar", "--tx-power", "1e3w", "--tx-gain", "1e3lin", "--rx-gain", "1e3lin",
+                  "--range", "100km"]
+RADAR_POINT = RADAR_REQUIRED + ["--frequency", "1ghz", "--sigma", "1m2"]
+ENHANCE_REQUIRED = ["enhance", "--f0", "8.4ghz", "--rf-efficiency", "0.8",
+                    "--mode-volume", "1e-5", "--tsys", "20"]
+APERTURE_WAYS = ("give exactly one aperture description: --aperture, --diameter, "
+                 "or --gain with --frequency")
+Q_WAYS = "give exactly one of --q-loaded, --q-external with --q-internal, or --signal-bandwidth"
+
+
+def _usage(command, flag, message):
+    return f"rfsense {command}: error: argument {flag}: {message}"
+
+
+class TestErrorLines:
+    """Each CLI error path: the argv, its exit code and its exact stderr line."""
+
+    @pytest.mark.parametrize("argv,line", [
+        # Flag combinations the handlers refuse.
+        (NEDT_REQUIRED, "--antenna-temp and --receiver-temp are required "
+                        "(or use --nedt for the inverse)"),
+        (RADAR_REQUIRED + ["--sigma", "1m2"], "one of --frequency or --wavelength is required"),
+        (RADAR_POINT + ["--pulse-width", "1us"], "--pulse-width needs --bandwidth to form B*tau_p"),
+        (RADAR_POINT + ["--sigma0", "0.05"], "give either --sigma or --sigma0, not both"),
+        (RADAR_REQUIRED + ["--frequency", "1ghz", "--sigma0", "0.05"],
+         "--sigma0 needs --cell-area"),
+        (RADAR_REQUIRED + ["--frequency", "1ghz"],
+         "a target is required: --sigma or --sigma0 with --cell-area"),
+        (RADAR_POINT + ["--compare-tsys", "300"], "--compare-tsys needs --tsys"),
+        (["budget", "--tx-power", "20dbw"], "missing required budget flag(s): --tx-gain, "
+                                            "--rx-gain, --antenna-temp, --receiver-temp, --data-rate"),
+        (["nef", "--tsys", "20"], APERTURE_WAYS),
+        (["nef", "--tsys", "20", "--aperture", "1", "--diameter", "34m"], APERTURE_WAYS),
+        (["nef", "--tsys", "20", "--gain", "1.5lin"], "--gain needs --frequency to form an aperture"),
+        (["convert", "--db-to-linear", "4000"], "--db-to-linear 4000 overflows the float range"),
+        (["convert", "--field", "0.01"], "--field needs --aperture for the power relation"),
+        (["convert", "--nef", "7.9e-6", "--gain", "1.5lin"],
+         "--nef needs --gain and --frequency (the inverse mapping is not unique without the "
+         "coupling assumption)"),
+        (["convert"], "nothing to convert: give at least one input flag"),
+        (ENHANCE_REQUIRED + ["--aperture", "1"], Q_WAYS),
+        (ENHANCE_REQUIRED + ["--aperture", "1", "--q-loaded", "8400", "--signal-bandwidth", "1mhz"],
+         Q_WAYS),
+        (ENHANCE_REQUIRED + ["--aperture", "1", "--q-external", "16800"],
+         "--q-external and --q-internal must be given together"),
+        (ENHANCE_REQUIRED + ["--q-loaded", "8400"], APERTURE_WAYS),
+        (["rydberg", "--dipole", "8.5e-27", "--dipole-ea0", "1000"],
+         "give either --dipole or --dipole-ea0, not both"),
+        (["rydberg", "--atoms", "1e6"], "projection-noise floor needs --dipole (or --dipole-ea0), "
+                                        "--atoms and --coherence-time"),
+        (["rydberg", "--probe-power", "1mw"], "shot noise needs --probe-power and --probe-frequency"),
+        (["rydberg", "--field", "0.01"], "--field needs a dipole moment"),
+        (["rydberg", "--rabi", "8e5"], "--rabi needs a dipole moment (or --detuning for Stark)"),
+        (["rydberg", "--sensor-nef", "1e-6", "--gain", "1.5lin"],
+         "--sensor-nef needs --gain and --frequency"),
+        (["rydberg"], "nothing to compute: give at least one input group"),
+    ])
+    def test_flag_combination_is_one_domain_error_line(self, capsys, argv, line):
+        assert run(capsys, argv) == (2, "", f"domain-error: {line}\n")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["budget", "--loss", "fsl"], _usage("budget", "--loss", "expected NAME=VALUEdb, got 'fsl'")),
+        (["budget", "--loss", "=206.5db"], _usage("budget", "--loss", "empty name in '=206.5db'")),
+        (["budget", "--tx-power", "20dbi"], _usage(
+            "budget", "--tx-power", "dB value '20dbi' needs an explicit reference suffix (dbw/dbm)")),
+        (["calibrate", "--bandwidth", "1ghz", "--point", "77"],
+         _usage("calibrate", "--point", "expected TEMP_K:POWER_W, got '77'")),
+        (["calibrate", "--bandwidth", "1ghz", "--point", "77:abc"],
+         _usage("calibrate", "--point", "cannot parse point '77:abc'")),
+        (["dataset-plotdata", "--marker", "probe"],
+         _usage("dataset-plotdata", "--marker", "expected NAME:BANDWIDTH:E_FIELD, got 'probe'")),
+        (["dataset-plotdata", "--marker", "probe:5mhz:abc"],
+         _usage("dataset-plotdata", "--marker", "cannot parse field 'abc'")),
+        (["nef", "--tsys", "20", "--gain", "1.5"],
+         _usage("nef", "--gain", "gain '1.5' needs an explicit 'dbi' or 'lin' suffix")),
+        (["nef", "--tsys", "20", "--gain", "4000dbi", "--frequency", "1ghz"],
+         _usage("nef", "--gain", "gain '4000dbi' overflows the float range")),
+        (["nef", "--tsys", "20", "--rho2", "1k"],
+         _usage("nef", "--rho2", "value '1k' must be a plain number (got unit 'k')")),
+        (["nedt", "--bandwidth", "1parsec", "--integration-time", "15ms"], _usage(
+            "nedt", "--bandwidth", "unknown frequency unit 'parsec' (expected ghz/hz/khz/mhz/thz)")),
+        (["nedt", "--bandwidth", "1e9", "--integration-time", "15ms"], _usage(
+            "nedt", "--bandwidth", "frequency value '1e9' needs a unit suffix (ghz/hz/khz/mhz/thz)")),
+        (["nedt", "--bandwidth", "lots", "--integration-time", "15ms"],
+         _usage("nedt", "--bandwidth", "cannot parse quantity 'lots'")),
+        (["nedt", "--bandwidth", "1e400hz", "--integration-time", "15ms"],
+         _usage("nedt", "--bandwidth", "value '1e400hz' overflows the float range")),
+        (["nedt", "--bandwidth", "1e308thz", "--integration-time", "15ms"],
+         _usage("nedt", "--bandwidth", "frequency '1e308thz' overflows the float range")),
+        (["radar", "--system-loss", "4000db"],
+         _usage("radar", "--system-loss", "dB value '4000db' overflows the float range")),
+    ])
+    def test_bad_flag_value_is_one_usage_line(self, capsys, argv, line):
+        assert run(capsys, argv) == (2, "", f"{line}\n")
+
+    @pytest.mark.parametrize("document,line", [
+        (None, "cannot read budget file: [Errno 2] No such file or directory: '{path}'"),
+        ("fsl=206.5", "budget file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "budget document must be a JSON object"),
+        ('{"tx_power_dbw": "abc", "losses_db": {}}',
+         "budget document has a malformed value: could not convert string to float: 'abc'"),
+        ('{"tx_power_dbw": 1%s, "losses_db": {}}' % ("0" * 400),
+         "budget document has a malformed value: int too large to convert to float"),
+    ], ids=["unreadable", "not-json", "not-an-object", "malformed-value", "beyond-float-range"])
+    def test_bad_budget_file_is_one_schema_error_line(self, capsys, tmp_path, document, line):
+        path = tmp_path / "budget.json"
+        if document is not None:
+            path.write_text(document)
+        code, out, err = run(capsys, ["budget", "--input", str(path)])
+        assert (code, out, err) == (3, "", f"schema-error: {line.format(path=path)}\n")
+
+    def test_unknown_report_format_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match=r"^unknown format 'xml'$"):
+            render_report({"x": 1.0}, "xml")

@@ -258,24 +258,10 @@ class TestNoiseFigure:
 class TestReceiverReference:
     def test_aperture_only(self):
         ref = ReceiverReference(23.0, effective_aperture_m2=2660.0)
-        assert ref.aperture_m2() == 2660.0
-
-    def test_gain_only(self):
-        ref = ReceiverReference(7000.0, gain=1.5, frequency_hz=96e9, rho2=0.5)
-        assert ref.aperture_m2() == pytest.approx(APERTURE_DIPOLE_96GHZ, rel=1e-12)
-
-    def test_consistent_pair_accepted(self):
-        a_e = aperture_from_gain(1.5, 96e9)
-        ReceiverReference(7000.0, effective_aperture_m2=a_e, gain=1.5, frequency_hz=96e9)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(DomainError):
-            ReceiverReference(
-                7000.0, effective_aperture_m2=1.0, gain=1.5, frequency_hz=96e9
-            )
+        assert ref.effective_aperture_m2 == 2660.0
 
     def test_missing_aperture_description_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             ReceiverReference(7000.0)
 
     def test_rho2_bounds(self):
@@ -294,11 +280,6 @@ class TestCavityCoupling:
     def test_critical_coupling_composition(self):
         cavity = CavityCoupling.from_quality_factors(8.4e9, 16800.0, 16800.0, 0.8, 1e-5)
         assert cavity.q_loaded == pytest.approx(8400.0, rel=1e-12)
-
-    def test_inconsistent_q_rejected(self):
-        with pytest.raises(DomainError):
-            CavityCoupling(8.4e9, 9000.0, 0.8, 1e-5, q_external=16800.0,
-                           q_internal=16800.0)
 
     def test_exchange_invariance(self):
         a = CavityCoupling.from_quality_factors(8.4e9, 10000.0, 30000.0, 0.8, 1e-5)

@@ -202,6 +202,13 @@ class TestEvaluateLink:
         assert report.margins["demanding"] == pytest.approx(-1.87, abs=0.01)
         assert not report.closes("demanding")
 
+    def test_a_repeated_threshold_name_closes_by_its_reported_margin(self):
+        # The last entry of a name wins, in ``margins`` and ``closes`` alike.
+        budget = ka_band_budget(required_eb_n0_db=(("qpsk", 4.0), ("qpsk", 25.0)))
+        report = evaluate_link(budget)
+        assert report.margins["qpsk"] == pytest.approx(-1.87, abs=0.01)
+        assert not report.closes("qpsk")
+
     def test_unknown_modulation_rejected(self):
         with pytest.raises(DomainError):
             evaluate_link(ka_band_budget()).closes("nonexistent")

@@ -75,6 +75,18 @@ class TestNedt:
         assert nedt(wider) < nedt(base)
         assert nedt(longer) < nedt(base)
 
+    # B*tau underflows to 0, is subnormal (1/(B*tau) overflows), or overflows.
+    @pytest.mark.parametrize("bandwidth,tau", [(1e-320, 1e-320), (1e-160, 1e-160),
+                                               (1e300, 1e300)])
+    def test_bandwidth_time_product_outside_the_float_range_as_in_the_inverse(
+        self, bandwidth, tau
+    ):
+        with pytest.raises(DomainError) as forward:
+            nedt(ReceiverNoiseModel(1.0, 1.0, bandwidth, tau))
+        with pytest.raises(DomainError) as inverse:
+            tsys_from_nedt(1.0, bandwidth, tau)
+        assert str(forward.value) == str(inverse.value)
+
     def test_gain_fluctuation_floor_at_long_integration(self):
         model = ReceiverNoiseModel(250.0, 600.0, 1e9, 1e12, 1.5e-5)
         floor = model.system_temperature_k * model.gain_stability

@@ -29,8 +29,8 @@ VALIDATED = [
      "system loss must be >= 1"),
     (ReceiverReference(20.0, 10.0), {"rho2": 2.0},
      "polarisation coupling rho^2 must be in (0, 1]"),
-    (CavityCoupling(1e10, 1e4, 0.5, 1e-6), {"q_external": 1e4},
-     "give both or neither of Q_e and Q_i"),
+    (CavityCoupling(1e10, 1e4, 0.5, 1e-6), {"q_loaded": 0.0},
+     "loaded quality factor must be > 0"),
     (BUDGET, {"data_rate_bps": 0.0}, "data rate must be > 0 bit/s"),
     (CategoryRange("c", 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1),
      {"f0_min_hz": 3.0}, "range bounds out of order: 3 > 2"),
