@@ -6,6 +6,7 @@ Conventions at this boundary:
   ``--tx-power 20dbw``, ``--gain 1.5lin``); dB flags always carry their
   reference (dbw/dbm/dbi/db/dbhz) so a bare number can never be mistaken
   for the wrong scale.
+- A flag is given as ``--flag value``, ``--flag=value`` or a unique prefix (``--diam 34m``).
 - Reports are deterministic byte-for-byte: stable key order, numbers at six
   significant digits, scientific notation outside [1e-3, 1e6).
 - Each handler imports the engine module it calls, so a cold call loads
@@ -18,11 +19,11 @@ Conventions at this boundary:
 
 from __future__ import annotations
 
-import argparse
 import json as _json_module
 import math
 import re
 import sys
+import types
 from collections import namedtuple
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -110,23 +111,6 @@ OPERATION_MAP: dict[str, tuple[str, ...]] = {
     "dataset-plotdata": ("dataset.emit_plot_data",),
 }
 
-_HELP_WIDTH = 92
-
-
-def _formatter(prog: str) -> argparse.HelpFormatter:
-    return argparse.HelpFormatter(prog, width=_HELP_WIDTH)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line (no usage block), exit 2.
-
-    Subparsers inherit the class, so the rule holds for every subcommand.
-    """
-
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 # ---------------------------------------------------------------------------
 # Flag value parsing (magnitude + unit suffix)
 
@@ -146,10 +130,10 @@ _POWER = {"w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9}
 def _split_quantity(text: str) -> tuple[float, str]:
     match = _QUANTITY_RE.match(text.strip())
     if match is None:
-        raise argparse.ArgumentTypeError(f"cannot parse quantity {text!r}")
+        raise ValueError(f"cannot parse quantity {text!r}")
     value = float(match.group(1))
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"value {text!r} overflows the float range")
+        raise ValueError(f"value {text!r} overflows the float range")
     return value, (match.group(2) or "").lower()
 
 
@@ -157,7 +141,7 @@ def _to_linear(kind: str, text: str, value_db: float) -> float:
     try:
         return db_to_linear(value_db)
     except OverflowError as exc:
-        raise argparse.ArgumentTypeError(f"{kind} {text!r} overflows the float range") from exc
+        raise ValueError(f"{kind} {text!r} overflows the float range") from exc
 
 
 def _scaled(kind: str, table: dict[str, float], require_suffix: bool):
@@ -166,21 +150,16 @@ def _scaled(kind: str, table: dict[str, float], require_suffix: bool):
         if not suffix:
             if require_suffix:
                 units = "/".join(sorted(table))
-                raise argparse.ArgumentTypeError(
-                    f"{kind} value {text!r} needs a unit suffix ({units})"
-                )
+                raise ValueError(f"{kind} value {text!r} needs a unit suffix ({units})")
             return value
         if suffix not in table:
             units = "/".join(sorted(table))
-            raise argparse.ArgumentTypeError(
-                f"unknown {kind} unit {suffix!r} (expected {units})"
-            )
+            raise ValueError(f"unknown {kind} unit {suffix!r} (expected {units})")
         value *= table[suffix]
         if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"{kind} {text!r} overflows the float range")
+            raise ValueError(f"{kind} {text!r} overflows the float range")
         return value
 
-    parse.__name__ = kind
     return parse
 
 
@@ -196,9 +175,7 @@ power_flag = _scaled("power", _POWER, require_suffix=False)
 def plain_flag(text: str) -> float:
     value, suffix = _split_quantity(text)
     if suffix:
-        raise argparse.ArgumentTypeError(
-            f"value {text!r} must be a plain number (got unit {suffix!r})"
-        )
+        raise ValueError(f"value {text!r} must be a plain number (got unit {suffix!r})")
     return value
 
 
@@ -212,14 +189,11 @@ def db_flag(*references: str):
         value, suffix = _split_quantity(text)
         if suffix not in references:
             expected = "/".join(references)
-            raise argparse.ArgumentTypeError(
-                f"dB value {text!r} needs an explicit reference suffix ({expected})"
-            )
+            raise ValueError(f"dB value {text!r} needs an explicit reference suffix ({expected})")
         if suffix == "dbm":
             return value - 30.0
         return value
 
-    parse.__name__ = "db_" + "_".join(references)
     return parse
 
 
@@ -230,9 +204,7 @@ def gain_flag(text: str) -> float:
         return _to_linear("gain", text, value)
     if suffix == "lin":
         return value
-    raise argparse.ArgumentTypeError(
-        f"gain {text!r} needs an explicit 'dbi' or 'lin' suffix"
-    )
+    raise ValueError(f"gain {text!r} needs an explicit 'dbi' or 'lin' suffix")
 
 
 def ratio_db_flag(text: str) -> float:
@@ -246,36 +218,43 @@ def ratio_db_flag(text: str) -> float:
 def named_db_flag(text: str) -> tuple[str, float]:
     """NAME=VALUEdb pair, e.g. ``fsl=206.5db``."""
     if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUEdb, got {text!r}")
+        raise ValueError(f"expected NAME=VALUEdb, got {text!r}")
     name, _, raw = text.partition("=")
     name = name.strip()
     if not name:
-        raise argparse.ArgumentTypeError(f"empty name in {text!r}")
+        raise ValueError(f"empty name in {text!r}")
     return name, db_flag("db")(raw)
 
 
 def calibration_point_flag(text: str) -> tuple[float, float]:
     """TEMP:POWER pair in K and W, e.g. ``77:1.06e-11``."""
     if ":" not in text:
-        raise argparse.ArgumentTypeError(f"expected TEMP_K:POWER_W, got {text!r}")
+        raise ValueError(f"expected TEMP_K:POWER_W, got {text!r}")
     left, _, right = text.partition(":")
     try:
         return float(left), float(right)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse point {text!r}") from exc
+        raise ValueError(f"cannot parse point {text!r}") from exc
+
+
+def int_flag(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def marker_flag(text: str) -> tuple[str, float, float]:
     """NAME:BANDWIDTH:E_FIELD marker, e.g. ``probe:1e7hz:4e-7``."""
     parts = text.rsplit(":", 2)
     if len(parts) != 3 or not parts[0].strip():
-        raise argparse.ArgumentTypeError(f"expected NAME:BANDWIDTH:E_FIELD, got {text!r}")
+        raise ValueError(f"expected NAME:BANDWIDTH:E_FIELD, got {text!r}")
     name, bw_raw, field_raw = parts
     bandwidth = frequency_flag(bw_raw)
     try:
         e_field = float(field_raw)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse field {field_raw!r}") from exc
+        raise ValueError(f"cannot parse field {field_raw!r}") from exc
     return name.strip(), bandwidth, e_field
 
 
@@ -879,272 +858,281 @@ def _cmd_dataset_plotdata(args) -> tuple[dict, None]:
 
 
 # ---------------------------------------------------------------------------
-# Parser construction
+# The command line as data: one row per flag drives parsing and --help
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json",
-                        help="report format (default: json)")
-    common.add_argument("--output", metavar="PATH", default=None,
-                        help="write the report to PATH instead of stdout")
+# kind: "" (one value), "required", "append", "required append" or "switch" (takes no
+# value, stores True).  A tuple ``convert`` lists the choices of a string value.
+Flag = namedtuple("Flag", "name convert metavar help default kind", defaults=(None, ""))
 
-    parser = _Parser(
-        prog="rfsense",
-        description="Sensitivity figures of merit for RF/microwave receivers "
-                    "and atomic field sensors.",
-        formatter_class=_formatter,
-    )
-    sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+_HELP = Flag("-h/--help", None, None, "show this help message and exit", kind="switch")
+_TOP = {"-h": _HELP, "--help": _HELP}  # the options before the subcommand
+# Rows every subcommand has, ahead of its own.
+_COMMON = (
+    _HELP,
+    Flag("--format", ("json", "csv", "text"), None, "report format (default: json)", "json"),
+    Flag("--output", None, "PATH", "write the report to PATH instead of stdout"),
+)
+_BANDWIDTH = Flag("--bandwidth", frequency_flag, "FREQ", "detection bandwidth with unit suffix (hz/khz/mhz/ghz)", kind="required")
+_APERTURE_EFFICIENCY = Flag("--aperture-efficiency", plain_flag, "ETA", "aperture efficiency used with --diameter (default 0.65)")
+_RHO2 = Flag("--rho2", plain_flag, "RHO2", "polarisation power coupling in (0, 1] (default 1)", 1.0)
+_DATASET = Flag("--input", None, "PATH", "dataset CSV (default: the bundled instrument table)")
 
-    p = sub.add_parser("nedt", parents=[common], formatter_class=_formatter,
-                       help="radiometer sensitivity (NEDT) and output power")
-    p.add_argument("--antenna-temp", type=temperature_flag, metavar="K",
-                   help="antenna temperature T_A in kelvin")
-    p.add_argument("--receiver-temp", type=temperature_flag, metavar="K",
-                   help="receiver noise temperature T_Rx in kelvin")
-    p.add_argument("--bandwidth", type=frequency_flag, metavar="FREQ", required=True,
-                   help="detection bandwidth with unit suffix (hz/khz/mhz/ghz)")
-    p.add_argument("--integration-time", type=time_flag, metavar="TIME", required=True,
-                   help="integration time with unit suffix (s/ms/us)")
-    p.add_argument("--gain-stability", type=plain_flag, default=0.0, metavar="X",
-                   help="fractional gain fluctuation dG/G, dimensionless (default 0)")
-    p.add_argument("--gain", type=plain_flag, metavar="G",
-                   help="linear receiver gain; adds the output-power estimate")
-    p.add_argument("--nedt", type=temperature_flag, metavar="K",
-                   help="invert a known NEDT in kelvin to a system temperature")
-    p.set_defaults(handler=_cmd_nedt)
+# Subcommand -> (its line in the top-level help, handler, its own flag rows).
+SUBCOMMANDS = {
+    "nedt": ("radiometer sensitivity (NEDT) and output power", _cmd_nedt, (
+        Flag("--antenna-temp", temperature_flag, "K", "antenna temperature T_A in kelvin"),
+        Flag("--receiver-temp", temperature_flag, "K", "receiver noise temperature T_Rx in kelvin"),
+        _BANDWIDTH,
+        Flag("--integration-time", time_flag, "TIME", "integration time with unit suffix (s/ms/us)", kind="required"),
+        Flag("--gain-stability", plain_flag, "X", "fractional gain fluctuation dG/G, dimensionless (default 0)", 0.0),
+        Flag("--gain", plain_flag, "G", "linear receiver gain; adds the output-power estimate"),
+        Flag("--nedt", temperature_flag, "K", "invert a known NEDT in kelvin to a system temperature"))),
+    "calibrate": ("hot/cold calibration regression for (G, T_Rx)", _cmd_calibrate, (
+        _BANDWIDTH,
+        Flag("--point", calibration_point_flag, "T_K:P_W", "calibration load: temperature in kelvin and measured power in watts (repeatable, at least two)", kind="required append"))),
+    "radar": ("radar received power, SNR, NESZ, and resolution", _cmd_radar, (
+        Flag("--tx-power", power_flag, "P_W", "transmit power in watts (suffix w/mw optional)", kind="required"),
+        Flag("--tx-gain", gain_flag, "GAIN", "transmit gain with explicit suffix: dbi or lin", kind="required"),
+        Flag("--rx-gain", gain_flag, "GAIN", "receive gain with explicit suffix: dbi or lin", kind="required"),
+        Flag("--frequency", frequency_flag, "FREQ", "carrier frequency with unit suffix (hz/mhz/ghz)"),
+        Flag("--wavelength", distance_flag, "DIST", "carrier wavelength with unit suffix (m/mm)"),
+        Flag("--sigma", area_flag, "M2", "point-target radar cross section in m^2"),
+        Flag("--sigma0", plain_flag, "X", "normalised cross section (dimensionless), with --cell-area"),
+        Flag("--cell-area", area_flag, "M2", "resolution cell area in m^2"),
+        Flag("--range", distance_flag, "DIST", "slant range with unit suffix (m/km)", kind="required"),
+        Flag("--system-loss", ratio_db_flag, "DB", "system loss in dB (suffix db required; default 0db)", 0.0),
+        Flag("--propagation-loss", ratio_db_flag, "DB", "propagation loss in dB (suffix db required; default 0db)", 0.0),
+        Flag("--processing-gain", plain_flag, "G", "linear processing gain (default 1)", 1.0),
+        Flag("--pulse-width", time_flag, "TIME", "pulse width with unit suffix; with --bandwidth forms B*tau_p"),
+        Flag("--tsys", temperature_flag, "K", "system noise temperature in kelvin"),
+        Flag("--bandwidth", frequency_flag, "FREQ", "receiver bandwidth with unit suffix"),
+        Flag("--compare-tsys", temperature_flag, "K", "second system temperature in kelvin for the max-range ratio"))),
+    "budget": ("end-to-end communication link budget", _cmd_budget, (
+        Flag("--input", None, "PATH", "flat JSON budget document instead of flags"),
+        Flag("--tx-power", db_flag("dbw", "dbm"), "DBW", "transmit power with suffix dbw or dbm"),
+        Flag("--tx-gain", db_flag("dbi"), "DBI", "transmit antenna gain with suffix dbi"),
+        Flag("--tx-feeder-loss", db_flag("db"), "DB", "transmit feeder loss with suffix db (default 0db)", 0.0),
+        Flag("--loss", named_db_flag, "NAME=DB", "propagation loss ledger entry, e.g. fsl=206.5db (repeatable)", kind="append"),
+        Flag("--rx-gain", db_flag("dbi"), "DBI", "receive antenna gain with suffix dbi"),
+        Flag("--antenna-temp", temperature_flag, "K", "receive antenna noise temperature in kelvin"),
+        Flag("--receiver-temp", temperature_flag, "K", "receiver noise temperature in kelvin"),
+        Flag("--feeder-loss-linear", plain_flag, "L", "receive feeder loss as a linear factor >= 1 (default 1)", 1.0),
+        Flag("--data-rate", plain_flag, "BPS", "data rate in bit/s"),
+        Flag("--threshold", named_db_flag, "NAME=DB", "required Eb/N0 threshold, e.g. qpsk=4db (repeatable; defaults to the built-in table)", kind="append"),
+        Flag("--distance", distance_flag, "DIST", "path length with unit suffix (m/km); enables the FSL check"),
+        Flag("--frequency", frequency_flag, "FREQ", "carrier frequency with unit suffix; enables the FSL check"))),
+    "nef": ("equivalent free-space field and SEFD of a receiver", _cmd_nef, (
+        Flag("--tsys", temperature_flag, "K", "system noise temperature in kelvin", kind="required"),
+        Flag("--aperture", area_flag, "M2", "effective aperture in m^2"),
+        Flag("--diameter", distance_flag, "DIST", "dish diameter with unit suffix (m); uses aperture efficiency"),
+        _APERTURE_EFFICIENCY,
+        Flag("--gain", gain_flag, "GAIN", "receiver gain with explicit suffix dbi or lin; needs --frequency"),
+        Flag("--frequency", frequency_flag, "FREQ", "frequency with unit suffix, for the gain-based form"),
+        Flag("--rho2", plain_flag, "RHO2", "polarisation power coupling in (0, 1]; defaults from --coherence"),
+        Flag("--coherence", ("coherent", "incoherent"), None, "coherence class setting the default polarisation coupling factor (1 coherent, 0.5 incoherent)", "coherent"))),
+    "convert": ("unit conversions and inverse field/temperature mapping", _cmd_convert, (
+        Flag("--db-to-linear", plain_flag, "DB", "power dB value to convert to a linear ratio"),
+        Flag("--linear-to-db", plain_flag, "X", "linear power ratio to convert to dB"),
+        Flag("--wavelength-of", frequency_flag, "FREQ", "frequency with unit suffix to convert to wavelength in m"),
+        Flag("--field", plain_flag, "V_M", "field amplitude in V/m for the power relation (needs --aperture)"),
+        Flag("--aperture", area_flag, "M2", "aperture in m^2 for the power relation"),
+        Flag("--noise-figure", ratio_db_flag, "DB", "noise figure with suffix db to convert to T_Rx in kelvin"),
+        Flag("--nef", plain_flag, "V_M_SQRTHZ", "field sensitivity in V/m/sqrt(Hz) to map to a noise temperature"),
+        Flag("--gain", gain_flag, "GAIN", "assumed gain with explicit suffix dbi or lin, for --nef"),
+        Flag("--frequency", frequency_flag, "FREQ", "assumed frequency with unit suffix, for --nef"),
+        _RHO2)),
+    "enhance": ("cavity field-enhancement chain against a receiver reference", _cmd_enhance, (
+        Flag("--f0", frequency_flag, "FREQ", "cavity centre frequency with unit suffix", kind="required"),
+        Flag("--q-loaded", plain_flag, "Q", "loaded quality factor"),
+        Flag("--q-external", plain_flag, "Q", "external quality factor (with --q-internal)"),
+        Flag("--q-internal", plain_flag, "Q", "internal quality factor (with --q-external)"),
+        Flag("--signal-bandwidth", frequency_flag, "FREQ", "admitted signal bandwidth with unit suffix; sets Q_L = f0/B"),
+        Flag("--rf-efficiency", plain_flag, "ETA", "RF transfer efficiency into the cavity, in (0, 1]", kind="required"),
+        Flag("--mode-volume", volume_flag, "M3", "electric-energy mode volume in m^3", kind="required"),
+        Flag("--tsys", temperature_flag, "K", "reference system noise temperature in kelvin", kind="required"),
+        Flag("--aperture", area_flag, "M2", "reference effective aperture in m^2"),
+        Flag("--diameter", distance_flag, "DIST", "reference dish diameter with unit suffix (m)"),
+        _APERTURE_EFFICIENCY,
+        Flag("--gain", gain_flag, "GAIN", "reference gain with explicit suffix dbi or lin; needs --frequency"),
+        Flag("--frequency", frequency_flag, "FREQ", "reference frequency with unit suffix, used with --gain"),
+        _RHO2,
+        Flag("--sensor-nef", plain_flag, "V_M_SQRTHZ", "sensor local NEF in V/m/sqrt(Hz) to compare against the chain"))),
+    "rydberg": ("atomic-sensor noise floors and field calibration", _cmd_rydberg, (
+        Flag("--dipole", plain_flag, "C_M", "transition dipole moment in C*m"),
+        Flag("--dipole-ea0", plain_flag, "X", "transition dipole moment as a multiple of e*a_0"),
+        Flag("--atoms", plain_flag, "N", "participating atom count"),
+        Flag("--coherence-time", time_flag, "TIME", "coherence time with unit suffix (s/ms/us)"),
+        Flag("--integration-time", time_flag, "TIME", "integration time with unit suffix; warns when below coherence"),
+        Flag("--probe-power", power_flag, "P_W", "detected probe power in watts (suffix w/mw/uw optional)"),
+        Flag("--probe-frequency", frequency_flag, "FREQ", "probe laser frequency with unit suffix"),
+        Flag("--field", plain_flag, "V_M", "field amplitude in V/m to convert to a Rabi frequency"),
+        Flag("--rabi", plain_flag, "RAD_S", "Rabi frequency in rad/s (field inverse, or Stark with --detuning)"),
+        Flag("--alignment-cosine", plain_flag, "COS", "field/dipole alignment cosine in [-1, 1] (default 1)", 1.0),
+        Flag("--detuning", plain_flag, "RAD_S", "detuning in rad/s for the AC-Stark shift"),
+        Flag("--stark-constant", plain_flag, "K", "AC-Stark proportionality constant (default 1/4 convention)", 0.25),
+        Flag("--sensor-nef", plain_flag, "V_M_SQRTHZ", "sensor NEF in V/m/sqrt(Hz) to map to a noise temperature"),
+        Flag("--gain", gain_flag, "GAIN", "assumed coupling gain with explicit suffix dbi or lin"),
+        Flag("--frequency", frequency_flag, "FREQ", "assumed carrier frequency with unit suffix"),
+        _RHO2)),
+    "dataset-derive": ("parse the instrument dataset and derive per-row fields", _cmd_dataset_derive, (
+        _DATASET,
+        Flag("--mismatch-tolerance", plain_flag, "REL", "relative tolerance for quoted-vs-recomputed field diagnostics (default 0.10)", 0.10))),
+    "dataset-ranges": ("synthesize per-category parameter ranges", _cmd_dataset_ranges, (
+        _DATASET,
+        Flag("--sig-figs", int_flag, "N", "significant digits for rounded bounds (default 2)", 2),
+        Flag("--no-rounding", None, None, "emit unrounded bounds (invariant-testing mode)", False, "switch"))),
+    "dataset-plotdata": ("emit bandwidth/field plot data (rectangles and markers)", _cmd_dataset_plotdata, (
+        _DATASET,
+        Flag("--marker", marker_flag, "NAME:FREQ:E", "extra point marker: name, bandwidth with unit suffix, field in V/m/sqrt(Hz) (repeatable)", kind="append"),
+        Flag("--converter-bandwidth", frequency_flag, "FREQ", "bandwidth coordinate with unit suffix for the built-in converter marker (default 1e7hz)"),
+        Flag("--no-converter-marker", None, None, "omit the built-in converter marker", False, "switch"),
+        Flag("--thermal-line", plain_flag, "V_M_SQRTHZ", "include the 290 K thermal reference line at this field value in V/m/sqrt(Hz)"))),
+}
 
-    p = sub.add_parser("calibrate", parents=[common], formatter_class=_formatter,
-                       help="hot/cold calibration regression for (G, T_Rx)")
-    p.add_argument("--bandwidth", type=frequency_flag, metavar="FREQ", required=True,
-                   help="detection bandwidth with unit suffix (hz/khz/mhz/ghz)")
-    p.add_argument("--point", type=calibration_point_flag, action="append",
-                   required=True, metavar="T_K:P_W",
-                   help="calibration load: temperature in kelvin and measured "
-                        "power in watts (repeatable, at least two)")
-    p.set_defaults(handler=_cmd_calibrate)
 
-    p = sub.add_parser("radar", parents=[common], formatter_class=_formatter,
-                       help="radar received power, SNR, NESZ, and resolution")
-    p.add_argument("--tx-power", type=power_flag, required=True, metavar="P_W",
-                   help="transmit power in watts (suffix w/mw optional)")
-    p.add_argument("--tx-gain", type=gain_flag, required=True, metavar="GAIN",
-                   help="transmit gain with explicit suffix: dbi or lin")
-    p.add_argument("--rx-gain", type=gain_flag, required=True, metavar="GAIN",
-                   help="receive gain with explicit suffix: dbi or lin")
-    p.add_argument("--frequency", type=frequency_flag, metavar="FREQ",
-                   help="carrier frequency with unit suffix (hz/mhz/ghz)")
-    p.add_argument("--wavelength", type=distance_flag, metavar="DIST",
-                   help="carrier wavelength with unit suffix (m/mm)")
-    p.add_argument("--sigma", type=area_flag, metavar="M2",
-                   help="point-target radar cross section in m^2")
-    p.add_argument("--sigma0", type=plain_flag, metavar="X",
-                   help="normalised cross section (dimensionless), with --cell-area")
-    p.add_argument("--cell-area", type=area_flag, metavar="M2",
-                   help="resolution cell area in m^2")
-    p.add_argument("--range", type=distance_flag, required=True, metavar="DIST",
-                   help="slant range with unit suffix (m/km)")
-    p.add_argument("--system-loss", type=ratio_db_flag, default=0.0, metavar="DB",
-                   help="system loss in dB (suffix db required; default 0db)")
-    p.add_argument("--propagation-loss", type=ratio_db_flag, default=0.0, metavar="DB",
-                   help="propagation loss in dB (suffix db required; default 0db)")
-    p.add_argument("--processing-gain", type=plain_flag, default=1.0, metavar="G",
-                   help="linear processing gain (default 1)")
-    p.add_argument("--pulse-width", type=time_flag, metavar="TIME",
-                   help="pulse width with unit suffix; with --bandwidth forms B*tau_p")
-    p.add_argument("--tsys", type=temperature_flag, metavar="K",
-                   help="system noise temperature in kelvin")
-    p.add_argument("--bandwidth", type=frequency_flag, metavar="FREQ",
-                   help="receiver bandwidth with unit suffix")
-    p.add_argument("--compare-tsys", type=temperature_flag, metavar="K",
-                   help="second system temperature in kelvin for the max-range ratio")
-    p.set_defaults(handler=_cmd_radar)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("budget", parents=[common], formatter_class=_formatter,
-                       help="end-to-end communication link budget")
-    p.add_argument("--input", metavar="PATH",
-                   help="flat JSON budget document instead of flags")
-    p.add_argument("--tx-power", type=db_flag("dbw", "dbm"), metavar="DBW",
-                   help="transmit power with suffix dbw or dbm")
-    p.add_argument("--tx-gain", type=db_flag("dbi"), metavar="DBI",
-                   help="transmit antenna gain with suffix dbi")
-    p.add_argument("--tx-feeder-loss", type=db_flag("db"), default=0.0, metavar="DB",
-                   help="transmit feeder loss with suffix db (default 0db)")
-    p.add_argument("--loss", type=named_db_flag, action="append", metavar="NAME=DB",
-                   help="propagation loss ledger entry, e.g. fsl=206.5db (repeatable)")
-    p.add_argument("--rx-gain", type=db_flag("dbi"), metavar="DBI",
-                   help="receive antenna gain with suffix dbi")
-    p.add_argument("--antenna-temp", type=temperature_flag, metavar="K",
-                   help="receive antenna noise temperature in kelvin")
-    p.add_argument("--receiver-temp", type=temperature_flag, metavar="K",
-                   help="receiver noise temperature in kelvin")
-    p.add_argument("--feeder-loss-linear", type=plain_flag, default=1.0, metavar="L",
-                   help="receive feeder loss as a linear factor >= 1 (default 1)")
-    p.add_argument("--data-rate", type=plain_flag, metavar="BPS",
-                   help="data rate in bit/s")
-    p.add_argument("--threshold", type=named_db_flag, action="append", metavar="NAME=DB",
-                   help="required Eb/N0 threshold, e.g. qpsk=4db "
-                        "(repeatable; defaults to the built-in table)")
-    p.add_argument("--distance", type=distance_flag, metavar="DIST",
-                   help="path length with unit suffix (m/km); enables the FSL check")
-    p.add_argument("--frequency", type=frequency_flag, metavar="FREQ",
-                   help="carrier frequency with unit suffix; enables the FSL check")
-    p.set_defaults(handler=_cmd_budget)
 
-    p = sub.add_parser("nef", parents=[common], formatter_class=_formatter,
-                       help="equivalent free-space field and SEFD of a receiver")
-    p.add_argument("--tsys", type=temperature_flag, required=True, metavar="K",
-                   help="system noise temperature in kelvin")
-    p.add_argument("--aperture", type=area_flag, metavar="M2",
-                   help="effective aperture in m^2")
-    p.add_argument("--diameter", type=distance_flag, metavar="DIST",
-                   help="dish diameter with unit suffix (m); uses aperture efficiency")
-    p.add_argument("--aperture-efficiency", type=plain_flag, metavar="ETA",
-                   help="aperture efficiency used with --diameter (default 0.65)")
-    p.add_argument("--gain", type=gain_flag, metavar="GAIN",
-                   help="receiver gain with explicit suffix dbi or lin; needs --frequency")
-    p.add_argument("--frequency", type=frequency_flag, metavar="FREQ",
-                   help="frequency with unit suffix, for the gain-based form")
-    p.add_argument("--rho2", type=plain_flag, default=None, metavar="RHO2",
-                   help="polarisation power coupling in (0, 1]; defaults from --coherence")
-    p.add_argument("--coherence", choices=("coherent", "incoherent"),
-                   default="coherent",
-                   help="coherence class setting the default polarisation "
-                        "coupling factor (1 coherent, 0.5 incoherent)")
-    p.set_defaults(handler=_cmd_nef)
+def _fail(prog: str, message: str):
+    sys.stderr.write(f"{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("convert", parents=[common], formatter_class=_formatter,
-                       help="unit conversions and inverse field/temperature mapping")
-    p.add_argument("--db-to-linear", type=plain_flag, metavar="DB",
-                   help="power dB value to convert to a linear ratio")
-    p.add_argument("--linear-to-db", type=plain_flag, metavar="X",
-                   help="linear power ratio to convert to dB")
-    p.add_argument("--wavelength-of", type=frequency_flag, metavar="FREQ",
-                   help="frequency with unit suffix to convert to wavelength in m")
-    p.add_argument("--field", type=plain_flag, metavar="V_M",
-                   help="field amplitude in V/m for the power relation (needs --aperture)")
-    p.add_argument("--aperture", type=area_flag, metavar="M2",
-                   help="aperture in m^2 for the power relation")
-    p.add_argument("--noise-figure", type=ratio_db_flag, metavar="DB",
-                   help="noise figure with suffix db to convert to T_Rx in kelvin")
-    p.add_argument("--nef", type=plain_flag, metavar="V_M_SQRTHZ",
-                   help="field sensitivity in V/m/sqrt(Hz) to map to a noise temperature")
-    p.add_argument("--gain", type=gain_flag, metavar="GAIN",
-                   help="assumed gain with explicit suffix dbi or lin, for --nef")
-    p.add_argument("--frequency", type=frequency_flag, metavar="FREQ",
-                   help="assumed frequency with unit suffix, for --nef")
-    p.add_argument("--rho2", type=plain_flag, default=1.0, metavar="RHO2",
-                   help="polarisation power coupling in (0, 1] (default 1)")
-    p.set_defaults(handler=_cmd_convert)
 
-    p = sub.add_parser("enhance", parents=[common], formatter_class=_formatter,
-                       help="cavity field-enhancement chain against a receiver reference")
-    p.add_argument("--f0", type=frequency_flag, required=True, metavar="FREQ",
-                   help="cavity centre frequency with unit suffix")
-    p.add_argument("--q-loaded", type=plain_flag, metavar="Q",
-                   help="loaded quality factor")
-    p.add_argument("--q-external", type=plain_flag, metavar="Q",
-                   help="external quality factor (with --q-internal)")
-    p.add_argument("--q-internal", type=plain_flag, metavar="Q",
-                   help="internal quality factor (with --q-external)")
-    p.add_argument("--signal-bandwidth", type=frequency_flag, metavar="FREQ",
-                   help="admitted signal bandwidth with unit suffix; sets Q_L = f0/B")
-    p.add_argument("--rf-efficiency", type=plain_flag, required=True, metavar="ETA",
-                   help="RF transfer efficiency into the cavity, in (0, 1]")
-    p.add_argument("--mode-volume", type=volume_flag, required=True, metavar="M3",
-                   help="electric-energy mode volume in m^3")
-    p.add_argument("--tsys", type=temperature_flag, required=True, metavar="K",
-                   help="reference system noise temperature in kelvin")
-    p.add_argument("--aperture", type=area_flag, metavar="M2",
-                   help="reference effective aperture in m^2")
-    p.add_argument("--diameter", type=distance_flag, metavar="DIST",
-                   help="reference dish diameter with unit suffix (m)")
-    p.add_argument("--aperture-efficiency", type=plain_flag, metavar="ETA",
-                   help="aperture efficiency used with --diameter (default 0.65)")
-    p.add_argument("--gain", type=gain_flag, metavar="GAIN",
-                   help="reference gain with explicit suffix dbi or lin; needs --frequency")
-    p.add_argument("--frequency", type=frequency_flag, metavar="FREQ",
-                   help="reference frequency with unit suffix, used with --gain")
-    p.add_argument("--rho2", type=plain_flag, default=1.0, metavar="RHO2",
-                   help="polarisation power coupling in (0, 1] (default 1)")
-    p.add_argument("--sensor-nef", type=plain_flag, metavar="V_M_SQRTHZ",
-                   help="sensor local NEF in V/m/sqrt(Hz) to compare against the chain")
-    p.set_defaults(handler=_cmd_enhance)
+def _read_option(prog: str, token: str, options: dict):
+    """None if ``token`` is a value, else (its row or None if unknown, option, attached value)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return options[token], token, None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return options[name], name, value
+    if token[1] == "-":  # a unique prefix of a long option, maybe with "=value"
+        matches = [option for option in options if option.startswith(name)]
+        value = value if eq else None
+    else:  # a short option with its value attached: -hVALUE
+        matches, value = [token[:2]] if token[:2] in options else [], token[2:]
+    if len(matches) > 1:
+        _fail(prog, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return options[matches[0]], matches[0], value
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, token, None)
 
-    p = sub.add_parser("rydberg", parents=[common], formatter_class=_formatter,
-                       help="atomic-sensor noise floors and field calibration")
-    p.add_argument("--dipole", type=plain_flag, metavar="C_M",
-                   help="transition dipole moment in C*m")
-    p.add_argument("--dipole-ea0", type=plain_flag, metavar="X",
-                   help="transition dipole moment as a multiple of e*a_0")
-    p.add_argument("--atoms", type=plain_flag, metavar="N",
-                   help="participating atom count")
-    p.add_argument("--coherence-time", type=time_flag, metavar="TIME",
-                   help="coherence time with unit suffix (s/ms/us)")
-    p.add_argument("--integration-time", type=time_flag, metavar="TIME",
-                   help="integration time with unit suffix; warns when below coherence")
-    p.add_argument("--probe-power", type=power_flag, metavar="P_W",
-                   help="detected probe power in watts (suffix w/mw/uw optional)")
-    p.add_argument("--probe-frequency", type=frequency_flag, metavar="FREQ",
-                   help="probe laser frequency with unit suffix")
-    p.add_argument("--field", type=plain_flag, metavar="V_M",
-                   help="field amplitude in V/m to convert to a Rabi frequency")
-    p.add_argument("--rabi", type=plain_flag, metavar="RAD_S",
-                   help="Rabi frequency in rad/s (field inverse, or Stark with --detuning)")
-    p.add_argument("--alignment-cosine", type=plain_flag, default=1.0, metavar="COS",
-                   help="field/dipole alignment cosine in [-1, 1] (default 1)")
-    p.add_argument("--detuning", type=plain_flag, metavar="RAD_S",
-                   help="detuning in rad/s for the AC-Stark shift")
-    p.add_argument("--stark-constant", type=plain_flag, default=0.25, metavar="K",
-                   help="AC-Stark proportionality constant (default 1/4 convention)")
-    p.add_argument("--sensor-nef", type=plain_flag, metavar="V_M_SQRTHZ",
-                   help="sensor NEF in V/m/sqrt(Hz) to map to a noise temperature")
-    p.add_argument("--gain", type=gain_flag, metavar="GAIN",
-                   help="assumed coupling gain with explicit suffix dbi or lin")
-    p.add_argument("--frequency", type=frequency_flag, metavar="FREQ",
-                   help="assumed carrier frequency with unit suffix")
-    p.add_argument("--rho2", type=plain_flag, default=1.0, metavar="RHO2",
-                   help="polarisation power coupling in (0, 1] (default 1)")
-    p.set_defaults(handler=_cmd_rydberg)
 
-    p = sub.add_parser("dataset-derive", parents=[common], formatter_class=_formatter,
-                       help="parse the instrument dataset and derive per-row fields")
-    p.add_argument("--input", metavar="PATH",
-                   help="dataset CSV (default: the bundled instrument table)")
-    p.add_argument("--mismatch-tolerance", type=plain_flag, default=0.10, metavar="REL",
-                   help="relative tolerance for quoted-vs-recomputed field "
-                        "diagnostics (default 0.10)")
-    p.set_defaults(handler=_cmd_dataset_derive)
+def _parse_flags(prog: str, rows: tuple, tokens: list[str]) -> tuple[dict, list[str]]:
+    """The value of each row's flag by attribute name, and the tokens left over.
 
-    p = sub.add_parser("dataset-ranges", parents=[common], formatter_class=_formatter,
-                       help="synthesize per-category parameter ranges")
-    p.add_argument("--input", metavar="PATH",
-                   help="dataset CSV (default: the bundled instrument table)")
-    p.add_argument("--sig-figs", type=int, default=2, metavar="N",
-                   help="significant digits for rounded bounds (default 2)")
-    p.add_argument("--no-rounding", action="store_true",
-                   help="emit unrounded bounds (invariant-testing mode)")
-    p.set_defaults(handler=_cmd_dataset_ranges)
+    Every token is read before any is converted, so an ambiguous prefix is reported
+    first, then a bad value (in argv order), then the required flags that are missing.
+    """
+    options = {option: row for row in rows for option in row.name.split("/")}
+    end = tokens.index("--") if "--" in tokens else len(tokens)  # later tokens are values
+    found = [_read_option(prog, token, options) for token in tokens[:end]]
+    found += [False] + [None] * (len(tokens) - end - 1)  # "--" itself is left over
+    values = {row.name: row.default for row in rows if row is not _HELP}
+    leftovers, seen, i = [], set(), 0
+    while i < len(tokens):
+        token, read, i = tokens[i], found[i], i + 1
+        if not read or read[0] is None:  # a value, "--" or an unknown flag
+            leftovers.append(token)
+            continue
+        row, option, value = read
+        if row.kind == "switch":
+            if value is not None:  # refused, except that -hh is -h twice
+                left = value if option.startswith("--") else value.lstrip("h")
+                if left or not value:
+                    _fail(prog, f"argument {row.name}: ignored explicit argument {left!r}")
+            if row is _HELP:
+                sys.stdout.write(_help_page(prog, rows))
+                raise SystemExit(0)
+            value = True
+        else:
+            if value is None:
+                if i == len(tokens) or found[i] is not None:
+                    _fail(prog, f"argument {row.name}: expected one argument")
+                value, i = tokens[i], i + 1
+            if type(row.convert) is tuple and value not in row.convert:
+                _fail(prog, f"argument {row.name}: invalid choice: {value!r} "
+                            f"(choose from {', '.join(map(repr, row.convert))})")
+            try:
+                value = row.convert(value) if callable(row.convert) else value
+            except ValueError as exc:
+                _fail(prog, f"argument {row.name}: {exc}")
+        if "append" in row.kind:
+            value = [*(values[row.name] or ()), value]
+        values[row.name] = value
+        seen.add(row.name)
+    missing = [row.name for row in rows if "required" in row.kind and row.name not in seen]
+    if missing:
+        _fail(prog, "the following arguments are required: " + ", ".join(missing))
+    return {name[2:].replace("-", "_"): value for name, value in values.items()}, leftovers
 
-    p = sub.add_parser("dataset-plotdata", parents=[common], formatter_class=_formatter,
-                       help="emit bandwidth/field plot data (rectangles and markers)")
-    p.add_argument("--input", metavar="PATH",
-                   help="dataset CSV (default: the bundled instrument table)")
-    p.add_argument("--marker", type=marker_flag, action="append",
-                   metavar="NAME:FREQ:E",
-                   help="extra point marker: name, bandwidth with unit suffix, "
-                        "field in V/m/sqrt(Hz) (repeatable)")
-    p.add_argument("--converter-bandwidth", type=frequency_flag, metavar="FREQ",
-                   help="bandwidth coordinate with unit suffix for the built-in "
-                        "converter marker (default 1e7hz)")
-    p.add_argument("--no-converter-marker", action="store_true",
-                   help="omit the built-in converter marker")
-    p.add_argument("--thermal-line", type=plain_flag, metavar="V_M_SQRTHZ",
-                   help="include the 290 K thermal reference line at this field "
-                        "value in V/m/sqrt(Hz)")
-    p.set_defaults(handler=_cmd_dataset_plotdata)
 
-    return parser
+def _parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
+    """The options before the subcommand, then the subcommand's own flags."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i, token in enumerate(argv):
+        # The subcommand is the first value, or a "--" that is not last.
+        if (token == "--" and i + 1 < len(argv)) or _read_option("rfsense", token, _TOP) is None:
+            break
+    else:
+        i = len(argv)
+    leftovers = _parse_flags("rfsense", (_HELP,), argv[:i])[1]
+    args = types.SimpleNamespace(command=None, handler=None)
+    if i < len(argv):
+        if argv[i] not in SUBCOMMANDS:
+            _fail("rfsense", f"argument SUBCOMMAND: invalid choice: {argv[i]!r} "
+                             f"(choose from {', '.join(map(repr, SUBCOMMANDS))})")
+        _, handler, flags = SUBCOMMANDS[argv[i]]
+        values, more = _parse_flags("rfsense " + argv[i], _COMMON + flags, argv[i + 1:])
+        leftovers += more
+        args = types.SimpleNamespace(command=argv[i], handler=handler, **values)
+    if leftovers:
+        _fail("rfsense", "unrecognized arguments: " + " ".join(leftovers))
+    return args
+
+
+def _help_page(prog: str, rows: tuple) -> str:
+    """The --help page of ``prog``, in the layout of argparse before Python 3.13 at width 92."""
+    import textwrap  # only a help page wraps text
+
+    blocks, parts, entries = [], [], []
+    for row in rows:
+        metavar = "{%s}" % ",".join(row.convert) if type(row.convert) is tuple else row.metavar
+        spelling = f"{row.name} {metavar}" if metavar else row.name.replace("/", ", ")
+        text = spelling if metavar else row.name.split("/")[0]
+        parts += text.split() if "required" in row.kind else [f"[{text}]"]
+        entries.append((2, spelling, row.help))
+    sections = [("options", entries)]
+    if prog == "rfsense":  # the program's own page lists the subcommands
+        parts += ["SUBCOMMAND", "..."]
+        blocks = [textwrap.fill("Sensitivity figures of merit for RF/microwave receivers and "
+                                "atomic field sensors.", 92)]
+        sections.insert(0, ("positional arguments", [(2, "SUBCOMMAND", "")] + [
+            (4, name, entry[0]) for name, entry in SUBCOMMANDS.items()]))
+    line, lines = "usage: " + prog, []
+    for part in parts:
+        if len(line) + 1 + len(part) > 92:
+            lines.append(line)
+            line = " " * (len(prog) + 7)
+        line += " " + part
+    blocks.insert(0, "\n".join(lines + [line]))
+    position = min(max(len(text) for _, entries in sections for _, text, _ in entries) + 4, 24)
+    for title, entries in sections:
+        block = [title + ":"]
+        for indent, text, help_text in entries:
+            head, wrapped = " " * indent + text, textwrap.wrap(help_text, 92 - position)
+            if wrapped and len(head) + 2 <= position:
+                head = head.ljust(position) + wrapped.pop(0)
+            block += [head] + [" " * position + more for more in wrapped]
+        blocks.append("\n".join(block))
+    return "\n\n".join(blocks) + "\n"
+
+
+def build_parser() -> types.SimpleNamespace:
+    """The command line: ``parse_args(argv)`` and the program's ``format_help()``."""
+    return types.SimpleNamespace(parse_args=_parse_args,
+                                 format_help=lambda: _help_page("rfsense", (_HELP,)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1152,10 +1140,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    if getattr(args, "handler", None) is None:
-        parser.print_help()
+        return exc.code
+    if args.handler is None:
+        sys.stdout.write(parser.format_help())
         return 2
 
     try:

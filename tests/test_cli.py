@@ -18,7 +18,8 @@ import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, ReportTable, build_parser, format_number, main, render_json, render_report,
+    OPERATION_MAP, SUBCOMMANDS, ReportTable, build_parser, format_number, main, render_json,
+    render_report,
 )
 from rfsense.errors import DomainError, SchemaError
 
@@ -149,20 +150,19 @@ class TestGoldenFiles:
 
     def test_every_flag_help_mentions_units_or_kind(self):
         # Numeric flags must state their unit (or explicit dimensionlessness).
-        parser = build_parser()
         unit_words = (
             "kelvin", "unit suffix", "db", "watt", "m^2", "m^3", "bit/s",
             "v/m", "rad/s", "dimensionless", "linear", "factor", "count",
             "significant digits", "tolerance", "constant", "cosine",
             "efficiency", "coupling", "quality", "c*m", "e*a_0",
         )
-        for action in parser._subparsers._group_actions[0].choices.values():
-            for flag_action in action._actions:
-                if flag_action.type is None:
-                    continue  # paths, store_true, choices
-                text = (flag_action.help or "").lower()
+        for _, _, flags in SUBCOMMANDS.values():
+            for flag in flags:
+                if not callable(flag.convert):
+                    continue  # paths, switches, choices
+                text = (flag.help or "").lower()
                 assert any(word in text for word in unit_words), (
-                    f"flag {flag_action.option_strings} lacks a unit in help: {text!r}"
+                    f"flag {flag.name} lacks a unit in help: {text!r}"
                 )
 
 
@@ -628,9 +628,7 @@ class TestOperationCoverage:
         assert set(mapped) == operations
 
     def test_subcommand_names_match_parser(self):
-        parser = build_parser()
-        choices = parser._subparsers._group_actions[0].choices
-        assert set(choices) == set(OPERATION_MAP)
+        assert set(SUBCOMMANDS) == set(OPERATION_MAP)
 
 
 def _non_finite_dataset(tmp_path) -> str:
@@ -808,8 +806,16 @@ APERTURE_WAYS = ("give exactly one aperture description: --aperture, --diameter,
 Q_WAYS = "give exactly one of --q-loaded, --q-external with --q-internal, or --signal-bandwidth"
 
 
+NEF_ARGS = ["nef", "--tsys", "20", "--diameter", "34m"]
+SUBCOMMAND_CHOICES = ("'nedt', 'calibrate', 'radar', 'budget', 'nef', 'convert', 'enhance', "
+                      "'rydberg', 'dataset-derive', 'dataset-ranges', 'dataset-plotdata'")
+
+
 def _usage(command, flag, message):
     return f"rfsense {command}: error: argument {flag}: {message}"
+
+
+BAD_TSYS = _usage("nef", "--tsys", "cannot parse quantity 'abc'")
 
 
 class TestErrorLines:
@@ -854,6 +860,8 @@ class TestErrorLines:
         (["rydberg", "--sensor-nef", "1e-6", "--gain", "1.5lin"],
          "--sensor-nef needs --gain and --frequency"),
         (["rydberg"], "nothing to compute: give at least one input group"),
+        # A plain negative number is a value, so the handler refuses it.
+        (["nef", "--tsys", "-20", "--diameter", "34m"], "--tsys must be > 0"),
     ])
     def test_flag_combination_is_one_domain_error_line(self, capsys, argv, line):
         assert run(capsys, argv) == (2, "", f"domain-error: {line}\n")
@@ -889,6 +897,44 @@ class TestErrorLines:
          _usage("nedt", "--bandwidth", "frequency '1e308thz' overflows the float range")),
         (["radar", "--system-loss", "4000db"],
          _usage("radar", "--system-loss", "dB value '4000db' overflows the float range")),
+        # The grammar at its edges: prefixes, "=", "--", choices and switches.
+        (["nef", "--tsys", "20", "--a", "1"],
+         "rfsense nef: error: ambiguous option: --a could match --aperture, "
+         "--aperture-efficiency"),
+        (["nef", "--=x"], "rfsense nef: error: ambiguous option: --=x could match --help, "
+                          "--format, --output, --tsys, --aperture, --diameter, "
+                          "--aperture-efficiency, --gain, --frequency, --rho2, --coherence"),
+        (["nef", "--tsys"], _usage("nef", "--tsys", "expected one argument")),
+        # A value that starts with "-" but is not a plain negative number reads as a flag.
+        (NEF_ARGS + ["--tsys", "-1e5"], _usage("nef", "--tsys", "expected one argument")),
+        (["nef", "--diameter", "34m"],
+         "rfsense nef: error: the following arguments are required: --tsys"),
+        (NEF_ARGS + ["extra"], "rfsense: error: unrecognized arguments: extra"),
+        (NEF_ARGS + ["--", "x"], "rfsense: error: unrecognized arguments: -- x"),
+        (["--frob"] + NEF_ARGS, "rfsense: error: unrecognized arguments: --frob"),
+        (["--"], "rfsense: error: unrecognized arguments: --"),
+        (["bogus"], "rfsense: error: argument SUBCOMMAND: invalid choice: 'bogus' "
+                    f"(choose from {SUBCOMMAND_CHOICES})"),
+        (["--", "nef"], "rfsense: error: argument SUBCOMMAND: invalid choice: '--' "
+                        f"(choose from {SUBCOMMAND_CHOICES})"),
+        (NEF_ARGS + ["--format", "xml"], _usage(
+            "nef", "--format", "invalid choice: 'xml' (choose from 'json', 'csv', 'text')")),
+        (NEF_ARGS + ["--coherence", "partial"], _usage(
+            "nef", "--coherence",
+            "invalid choice: 'partial' (choose from 'coherent', 'incoherent')")),
+        (["dataset-ranges", "--sig-figs", "2.5"],
+         _usage("dataset-ranges", "--sig-figs", "invalid int value: '2.5'")),
+        (["dataset-ranges", "--no-rounding=1"],
+         _usage("dataset-ranges", "--no-rounding", "ignored explicit argument '1'")),
+        (["-hx"], "rfsense: error: argument -h/--help: ignored explicit argument 'x'"),
+        (["--help=x"], "rfsense: error: argument -h/--help: ignored explicit argument 'x'"),
+        (["nef", "-h="], _usage("nef", "-h/--help", "ignored explicit argument ''")),
+        # Bad values first, in argv order; then the missing required flags; then leftovers.
+        (["nedt", "--frobnicate", "1"], "rfsense nedt: error: the following arguments are "
+                                        "required: --bandwidth, --integration-time"),
+        (["nef", "--no-such", "--tsys", "abc"], BAD_TSYS),
+        (["nef", "--tsys", "abc", "--rho2", "1k"], BAD_TSYS),
+        (["nef", "--tsys", "abc", "--help"], BAD_TSYS),
     ])
     def test_bad_flag_value_is_one_usage_line(self, capsys, argv, line):
         assert run(capsys, argv) == (2, "", f"{line}\n")
@@ -912,3 +958,26 @@ class TestErrorLines:
     def test_unknown_report_format_is_a_schema_error(self):
         with pytest.raises(SchemaError, match=r"^unknown format 'xml'$"):
             render_report({"x": 1.0}, "xml")
+
+
+    @pytest.mark.parametrize("argv,spelled_out", [
+        (["nef", "--tsys", "20", "--diam", "34m", "--form", "csv"],
+         NEF_ARGS + ["--format", "csv"]),
+        (["nef", "--tsys=20", "--diameter=34m"], NEF_ARGS),
+        (["nef", "--tsys", "5", "--diameter", "34m", "--tsys", "20"], NEF_ARGS),
+        (NEF_ARGS + ["--coh", "incoherent"], NEF_ARGS + ["--coherence", "incoherent"]),
+    ], ids=["unique-prefixes", "equals", "last-repeat-wins", "choice-prefix"])
+    def test_accepted_spelling_prints_the_spelled_out_report(self, capsys, argv, spelled_out):
+        expected = run(capsys, spelled_out)
+        assert expected[0] == 0 and expected[2] == ""
+        assert run(capsys, argv) == expected
+
+    @pytest.mark.parametrize("argv,code,section", [
+        ([], 2, 0), (["-h"], 0, 0), (["-hh"], 0, 0), (["--he"], 0, 0), (["nef", "-h"], 0, 5),
+        (["nef", "--help", "--tsys", "abc"], 0, 5), (["dataset-plotdata", "--h"], 0, 11),
+    ], ids=["no-arguments", "short", "short-twice", "prefix", "nef", "help-first",
+            "subcommand-prefix"])
+    def test_help_prints_its_golden_section(self, capsys, argv, code, section):
+        sections = (GOLDEN_DIR / "help.txt").read_text(encoding="utf-8").split("\n" + "=" * 80
+                                                                              + "\n")
+        assert run(capsys, argv) == (code, sections[section], "")

@@ -30,7 +30,7 @@ from rfsense import quantities as q
 from rfsense import radar as rd
 from rfsense import radiometry as rm
 from rfsense import rydberg as ry
-from rfsense.cli import OPERATION_MAP, main
+from rfsense.cli import OPERATION_MAP, SUBCOMMANDS, main
 from rfsense.errors import DomainError
 
 ABOVE_ONE = math.nextafter(1.0, 2.0)
@@ -333,8 +333,10 @@ CLI_FLAGS = {
               "--sigma0": ("", 0.05, ""), "--cell-area": ("", 20, "m2"),
               "--range": ("", 700, "km"), "--tsys": ("", 606, ""),
               "--bandwidth": ("", 100, "mhz"), "--processing-gain": ("", 5000, ""),
-              "--compare-tsys": ("", 300, ""), "--system-loss": ("", 1, "db")},
+              "--compare-tsys": ("", 300, ""), "--system-loss": ("", 1, "db"),
+              "--propagation-loss": ("", 0.5, "db")},
     "budget": {"--tx-power": ("", 20, "dbw"), "--tx-gain": ("", 45, "dbi"),
+               "--tx-feeder-loss": ("", 2, "db"), "--threshold": ("qpsk=", 4, "db"),
                "--loss": ("fsl=", 206.5, "db"), "--rx-gain": ("", 50, "dbi"),
                "--antenna-temp": ("", 100, ""), "--receiver-temp": ("", 100, ""),
                "--feeder-loss-linear": ("", 1.5, ""), "--data-rate": ("", 1e8, ""),
@@ -348,9 +350,11 @@ CLI_FLAGS = {
     "enhance": {"--f0": ("", 8.4, "ghz"), "--signal-bandwidth": ("", 1, "mhz"),
                 "--rf-efficiency": ("", 0.8, ""), "--mode-volume": ("", 1e-5, ""),
                 "--tsys": ("", 20, ""), "--diameter": ("", 34, "m"), "--rho2": ("", 1, ""),
+                "--aperture-efficiency": ("", 0.65, ""),
                 "--sensor-nef": ("", 1e-7, "")},
     "rydberg": {"--dipole-ea0": ("", 1000, ""), "--atoms": ("", 1e6, ""),
                 "--coherence-time": ("", 10, "us"), "--field": ("", 0.01, ""),
+                "--rabi": ("", 8e5, ""), "--rho2": ("", 0.5, ""),
                 "--probe-power": ("", 1, "mw"), "--probe-frequency": ("", 384.349, "thz"),
                 "--alignment-cosine": ("", 0.5, ""), "--sensor-nef": ("", 1e-6, ""),
                 "--gain": ("", 1.5, "lin"), "--frequency": ("", 10, "ghz")},
@@ -360,6 +364,19 @@ CLI_FLAGS = {
                          "--converter-bandwidth": ("", 1, "mhz"),
                          "--thermal-line": ("", 2.4e-8, "")},
 }
+# Numeric flags that CLI_FLAGS leaves out, by reason.  Alternatives to a flag it gives:
+# the handler refuses the two together or lets one of them win, so one call drives one.
+ALTERNATIVE_FLAGS = {
+    "nedt": {"--nedt"},
+    "radar": {"--wavelength", "--sigma", "--pulse-width"},
+    "nef": {"--diameter", "--aperture-efficiency", "--gain", "--frequency"},
+    "enhance": {"--q-loaded", "--q-external", "--q-internal", "--aperture", "--gain",
+                "--frequency"},
+    "rydberg": {"--dipole", "--detuning", "--stark-constant"},
+}
+# An integration time below the coherence time is reported as a Python warning, not in
+# the report (ROADMAP item 3), and ``_cli`` allows no warning but the attenuation one.
+PYTHON_WARNING_FLAGS = {"rydberg": {"--integration-time"}}
 # Arguments every call of the subcommand also gets: a calibration needs two points.
 CLI_FIXED = {"calibrate": ["--point=300:1.243e-11"]}
 EXTREMES = st.sampled_from(
@@ -388,6 +405,15 @@ def _cli(command, changed):
 
 def test_cli_flags_cover_every_subcommand():
     assert set(CLI_FLAGS) == set(OPERATION_MAP)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_cli_flags_are_table_rows_and_every_numeric_row_is_driven_or_excused(command):
+    rows = SUBCOMMANDS[command][2]
+    assert set(CLI_FLAGS[command]) <= {row.name for row in rows}
+    numeric = {row.name for row in rows if callable(row.convert)}
+    excused = ALTERNATIVE_FLAGS.get(command, set()) | PYTHON_WARNING_FLAGS.get(command, set())
+    assert numeric - set(CLI_FLAGS[command]) == excused
 
 
 @pytest.mark.parametrize("command", sorted(CLI_FLAGS))

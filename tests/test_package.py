@@ -24,18 +24,23 @@ def python(*args):
 
 
 def test_import_loads_neither_numpy_nor_the_cli():
+    # The CLI parses argv from its own flag table: neither importing it nor a
+    # whole call loads argparse or the gettext it imports.
     probe = (
-        "import sys, rfsense\n"
+        "import contextlib, io, sys, rfsense\n"
         "print(sorted(m for m in ('numpy', 'argparse', 'rfsense.cli', 'rfsense.dataset')"
         " if m in sys.modules))\n"
         "from rfsense import *\n"
         "import rfsense.cli, rfsense.dataset\n"
         "assert cli is rfsense.cli and dataset is rfsense.dataset\n"
-        "print('numpy' in sys.modules)\n"
+        "print(sorted(m for m in ('numpy', 'argparse', 'gettext') if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = rfsense.cli.main(['nef', '--tsys', '20', '--diameter', '34m'])\n"
+        "print(code, sorted(m for m in ('numpy', 'argparse', 'gettext') if m in sys.modules))\n"
     )
     child = python("-c", probe)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["[]", "False"]
+    assert child.stdout.splitlines() == ["[]", "[]", "0 []"]
 
 
 def test_lazy_submodules_resolve_as_attributes_and_show_in_importtime():
