@@ -137,13 +137,6 @@ def _split_quantity(text: str) -> tuple[float, str]:
     return value, (match.group(2) or "").lower()
 
 
-def _to_linear(kind: str, text: str, value_db: float) -> float:
-    try:
-        return db_to_linear(value_db)
-    except OverflowError as exc:
-        raise ValueError(f"{kind} {text!r} overflows the float range") from exc
-
-
 def _scaled(kind: str, table: dict[str, float], require_suffix: bool):
     def parse(text: str) -> float:
         value, suffix = _split_quantity(text)
@@ -201,7 +194,7 @@ def gain_flag(text: str) -> float:
     """Antenna/system gain: explicit 'dbi' or 'lin' suffix, returns linear."""
     value, suffix = _split_quantity(text)
     if suffix == "dbi":
-        return _to_linear("gain", text, value)
+        return db_to_linear(value)
     if suffix == "lin":
         return value
     raise ValueError(f"gain {text!r} needs an explicit 'dbi' or 'lin' suffix")
@@ -211,7 +204,7 @@ def ratio_db_flag(text: str) -> float:
     """Power ratio in dB (suffix 'db') that the handler turns into a linear
     factor, so its linear value must fit the float range."""
     value = db_flag("db")(text)
-    _to_linear("dB value", text, value)
+    db_to_linear(value)
     return value
 
 
@@ -650,12 +643,7 @@ def _cmd_convert(args) -> tuple[dict, None]:
 
     payload: dict = {}
     if args.db_to_linear is not None:
-        try:
-            payload["linear_ratio"] = db_to_linear(args.db_to_linear)
-        except OverflowError as exc:
-            raise DomainError(
-                f"--db-to-linear {args.db_to_linear:g} overflows the float range"
-            ) from exc
+        payload["linear_ratio"] = db_to_linear(args.db_to_linear)
     if args.linear_to_db is not None:
         payload["value_db"] = linear_to_db(args.linear_to_db)
     if args.wavelength_of is not None:
@@ -1154,11 +1142,6 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"schema-error: {exc}", file=sys.stderr)
         return 3
-    except (OverflowError, ZeroDivisionError):
-        # Also a division by a product of inputs that underflowed to zero.
-        print(f"domain-error: {args.command}: a result overflows the float range",
-              file=sys.stderr)
-        return 2
 
     if args.output is None:
         sys.stdout.write(rendered)

@@ -18,10 +18,12 @@ source for cross-checking; mismatches between it and the recomputed value
 are surfaced as diagnostics, never silently corrected.
 
 Parsing: column names and cells are stripped of surrounding whitespace, and
-blank lines are skipped.  A diagnostic's ``row`` counts non-blank records
-with the header as row 1, so a quoted cell that spans lines is one row.  A
-short row reads its missing cells as empty; cells beyond the header are
-ignored.
+blank lines are skipped.  A parse diagnostic's ``row`` counts non-blank CSV
+records with the header as row 1, so a quoted cell that spans lines is one
+row; a diagnostic of :func:`derive_records` or :func:`consistency_diagnostics`
+counts instead the 1-based position in the records it was given, which skips
+the header and every row that failed to parse.  A short row reads its
+missing cells as empty; cells beyond the header are ignored.
 """
 
 from __future__ import annotations
@@ -169,8 +171,10 @@ def round_to_sig_figs(value: float, figures: int = 2) -> float:
     if require("value", value, "", -FLOAT_MAX, False) == 0.0:
         return value
     exponent = math.floor(math.log10(abs(value)))
-    quantum = Decimal(1).scaleb(exponent - figures + 1)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    # repr(value) has at most 17 significant digits, so more figures change nothing.
+    quantum = Decimal(1).scaleb(exponent - min(figures, 17) + 1)
+    rounded = float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return require("rounded value", rounded, "", -FLOAT_MAX, False)
 
 
 def _parse_cell(column: str, text: str) -> float | None:
@@ -332,12 +336,7 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
             if aperture_method == "phys" and a_phys is not None:
                 a_e = (DEFAULT_APERTURE_EFFICIENCY if eta_ap is None else eta_ap) * a_phys
             elif aperture_method == "gain" and gain_dbi is not None:
-                try:
-                    gain = db_to_linear(gain_dbi)
-                except OverflowError:
-                    raise DomainError(
-                        f"gain_dbi {gain_dbi:g} dBi overflows the linear gain") from None
-                a_e = aperture_from_gain(gain, f0_ghz * 1e9)
+                a_e = aperture_from_gain(db_to_linear(gain_dbi), f0_ghz * 1e9)
             else:
                 raise DomainError("no aperture value available")
         if t_rx is None and t_rx_method == "NF" and nf_db is not None:

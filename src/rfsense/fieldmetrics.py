@@ -133,7 +133,7 @@ class CavityCoupling(ValidatedRecord, namedtuple(
     @property
     def linewidth_hz(self) -> float:
         """Cavity linewidth f_0/Q_L."""
-        return self.frequency_hz / self.q_loaded
+        return require("cavity linewidth", self.frequency_hz / self.q_loaded, "Hz")
 
 
 def sefd(
@@ -150,9 +150,8 @@ def sefd(
     require("system temperature", system_temperature_k, "K", 0.0, False)
     require("effective aperture", effective_aperture_m2, "m^2")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    if system_temperature_k == 0.0:
-        return 0.0
-    return CODATA.boltzmann * system_temperature_k / (rho2 * effective_aperture_m2)
+    flux = CODATA.boltzmann * system_temperature_k / rho2 / effective_aperture_m2
+    return require("SEFD", flux, "W/m^2/Hz", 0.0, False)
 
 
 def nef_from_aperture(
@@ -170,10 +169,8 @@ def nef_from_aperture(
     require("system temperature", system_temperature_k, "K")
     require("effective aperture", effective_aperture_m2, "m^2")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    return math.sqrt(
-        CODATA.boltzmann * system_temperature_k * eta_0
-        / (rho2 * effective_aperture_m2)
-    )
+    nef = math.sqrt(CODATA.boltzmann * system_temperature_k * eta_0 / rho2 / effective_aperture_m2)
+    return require("NEF", nef, "V/m/sqrt(Hz)")
 
 
 def nef_from_gain(
@@ -212,14 +209,15 @@ def tsys_from_nef(
     require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     aperture = aperture_from_gain(gain, frequency_hz)
-    return nef_v_per_m_sqrt_hz**2 * rho2 * aperture / (CODATA.boltzmann * eta_0)
+    t_sys = nef_v_per_m_sqrt_hz * nef_v_per_m_sqrt_hz * rho2 * aperture / CODATA.boltzmann / eta_0
+    return require("system temperature", t_sys, "K")
 
 
 def aperture_from_gain(gain: float, frequency_hz: float) -> float:
     """Effective aperture ``A_e = G*lambda^2/(4*pi)`` in m^2."""
     require("gain", gain)
     wavelength = frequency_to_wavelength(frequency_hz)
-    return gain * wavelength**2 / (4.0 * math.pi)
+    return require("effective aperture", gain * (wavelength * wavelength) / (4.0 * math.pi), "m^2")
 
 
 def aperture_from_diameter(
@@ -229,7 +227,8 @@ def aperture_from_diameter(
     """Effective aperture of a circular dish: ``eta_ap * pi * (D/2)^2``."""
     require("diameter", diameter_m, "m")
     require("aperture efficiency", aperture_efficiency, "", 0.0, True, 1.0)
-    return aperture_efficiency * math.pi * (diameter_m / 2.0) ** 2
+    radius = diameter_m / 2.0
+    return require("effective aperture", aperture_efficiency * math.pi * (radius * radius), "m^2")
 
 
 def trx_from_noise_figure(noise_figure_db: float) -> float:
@@ -237,15 +236,8 @@ def trx_from_noise_figure(noise_figure_db: float) -> float:
     ``T_Rx = (10^(NF/10) - 1) * T_0``, with T_0 = 290 K
     (``CODATA.reference_temperature``)."""
     require("noise figure", noise_figure_db, "dB", 0.0, False)
-    try:
-        t_rx = (db_to_linear(noise_figure_db) - 1.0) * CODATA.reference_temperature
-    except OverflowError:
-        t_rx = math.inf
-    if t_rx == math.inf:
-        raise DomainError(
-            f"noise figure {noise_figure_db:g} dB overflows the receiver temperature"
-        )
-    return t_rx
+    t_rx = (db_to_linear(noise_figure_db) - 1.0) * CODATA.reference_temperature
+    return require("receiver temperature", t_rx, "K", 0.0, False)
 
 
 def enhancement_factor_cavity(
@@ -262,14 +254,15 @@ def enhancement_factor_cavity(
     eta_0 = resolve_eta0(eta_0)
     require("effective aperture", effective_aperture_m2, "m^2")
     omega_0 = 2.0 * math.pi * cavity.frequency_hz
-    return (
+    beta = (
         math.sqrt(cavity.rf_efficiency)
         * math.sqrt(2.0 * cavity.q_loaded / omega_0)
         * math.sqrt(
-            effective_aperture_m2
-            / (2.0 * eta_0 * CODATA.vacuum_permittivity * cavity.mode_volume_m3)
+            effective_aperture_m2 / 2.0 / eta_0 / CODATA.vacuum_permittivity
+            / cavity.mode_volume_m3
         )
     )
+    return require("enhancement factor", beta)
 
 
 def local_field_requirement(
@@ -295,7 +288,7 @@ def local_field_requirement(
         reference.rho2,
         eta_0,
     )
-    return enhancement * free
+    return require("local field requirement", enhancement * free, "V/m/sqrt(Hz)")
 
 
 def meets_classical_reference(

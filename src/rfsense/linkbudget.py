@@ -56,7 +56,8 @@ def eirp(transmit_power_dbw: float, transmit_gain_dbi: float, feeder_loss_db: fl
     require("transmit power", transmit_power_dbw, "dBW", -FLOAT_MAX, False)
     require("transmit gain", transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
     require("feeder loss", feeder_loss_db, "dB", -FLOAT_MAX, False)
-    return transmit_power_dbw + transmit_gain_dbi - feeder_loss_db
+    eirp_dbw = transmit_power_dbw + transmit_gain_dbi - feeder_loss_db
+    return require("EIRP", eirp_dbw, "dBW", -FLOAT_MAX, False)
 
 
 def system_noise_temperature(
@@ -75,11 +76,12 @@ def system_noise_temperature(
     require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
     require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
     require("linear feeder loss", feeder_loss_linear, "", 1.0, False)
-    return (
+    t_sys = (
         antenna_temperature_k
         + (feeder_loss_linear - 1.0) * CODATA.reference_temperature
         + feeder_loss_linear * receiver_temperature_k
     )
+    return require("system temperature", t_sys, "K", 0.0, False)
 
 
 def figure_of_merit(receive_gain_dbi: float, system_temperature_k: float) -> float:
@@ -103,7 +105,7 @@ def total_loss(ledger: "list[tuple[str, float]] | tuple[tuple[str, float], ...]"
     sum_db = 0.0
     for name, value in ledger:
         sum_db += require(f"loss {name!r}", value, "dB", 0.0, False)
-    return sum_db
+    return require("total loss", sum_db, "dB", 0.0, False)
 
 
 def c_over_n0(eirp_dbw: float, loss_db: float, g_over_t_db: float) -> float:
@@ -111,7 +113,8 @@ def c_over_n0(eirp_dbw: float, loss_db: float, g_over_t_db: float) -> float:
     require("EIRP", eirp_dbw, "dBW", -FLOAT_MAX, False)
     require("loss", loss_db, "dB", -FLOAT_MAX, False)
     require("G/T", g_over_t_db, "dB/K", -FLOAT_MAX, False)
-    return eirp_dbw - loss_db + g_over_t_db + BOLTZMANN_DB
+    cn0 = eirp_dbw - loss_db + g_over_t_db + BOLTZMANN_DB
+    return require("C/N0", cn0, "dBHz", -FLOAT_MAX, False)
 
 
 def eb_over_n0(c_over_n0_dbhz: float, data_rate_bps: float) -> float:
@@ -208,7 +211,8 @@ def evaluate_link(budget: LinkBudget) -> LinkReport:
     cn0 = c_over_n0(eirp_dbw, loss_db, g_over_t)
     ebn0 = eb_over_n0(cn0, budget.data_rate_bps)
     margins = tuple(
-        (name, ebn0 - required) for name, required in budget.required_eb_n0_db
+        (name, require(f"margin {name!r}", ebn0 - required, "dB", -FLOAT_MAX, False))
+        for name, required in budget.required_eb_n0_db
     )
 
     fsl_check = None

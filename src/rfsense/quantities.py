@@ -31,6 +31,9 @@ __all__ = [
 # set RFSENSE_ETA0_OHMS=377 to match them at their own precision.
 ETA0_ENV_VAR = "RFSENSE_ETA0_OHMS"
 
+# The largest dB value whose linear ratio is a finite float.
+DB_MAX = math.nextafter(10.0 * math.log10(FLOAT_MAX), 0.0)
+
 
 class ValidatedRecord(tuple):
     """Base of a record that checks its fields when built and in ``_replace``.
@@ -102,8 +105,8 @@ def resolve_eta0(eta_0: float | None) -> float:
 
 def db_to_linear(x: float) -> float:
     """Convert a power-dB value to a linear ratio, ``10**(x/10)``."""
-    require("dB value", x, "dB", -FLOAT_MAX, False)
-    return 10.0 ** (x / 10.0)
+    require("dB value", x, "dB", -FLOAT_MAX, False, DB_MAX)
+    return require("linear ratio", 10.0 ** (x / 10.0))
 
 
 def linear_to_db(ratio: float) -> float:
@@ -115,7 +118,7 @@ def linear_to_db(ratio: float) -> float:
 def frequency_to_wavelength(frequency_hz: float) -> float:
     """Wavelength in metres of a wave at ``frequency_hz``."""
     require("frequency", frequency_hz, "Hz")
-    return CODATA.light_speed / frequency_hz
+    return require("wavelength", CODATA.light_speed / frequency_hz, "m")
 
 
 def power_from_field(
@@ -135,4 +138,5 @@ def power_from_field(
     eta_0 = resolve_eta0(eta_0)
     require("aperture", aperture_m2, "m^2")
     require("field amplitude", field_v_per_m, "V/m", 0.0, False)
-    return aperture_m2 * field_v_per_m**2 / (2.0 * eta_0)
+    power = aperture_m2 * (field_v_per_m * field_v_per_m) / (2.0 * eta_0)
+    return require("collected power", power, "W", 0.0, False)

@@ -84,12 +84,11 @@ class RadarScenario(ValidatedRecord, namedtuple(
 
 
 def _one_way_factor(s: RadarScenario) -> float:
+    # One factor at a time: a product of inputs could underflow to a zero divisor.
+    r = s.range_m
     return (
-        s.transmit_power_w
-        * s.transmit_gain
-        * s.receive_gain
-        * s.wavelength_m**2
-        / (FOUR_PI_CUBED * s.range_m**4 * s.system_loss * s.propagation_loss)
+        s.transmit_power_w * s.transmit_gain * s.receive_gain * s.wavelength_m * s.wavelength_m
+        / FOUR_PI_CUBED / r / r / r / r / s.system_loss / s.propagation_loss
     )
 
 
@@ -101,7 +100,8 @@ def received_power(s: RadarScenario) -> float:
     """
     if not isinstance(s.target, PointTarget):
         raise DomainError("received_power needs a point-target scenario (sigma form)")
-    return _one_way_factor(s) * s.target.cross_section_m2
+    p_r = _one_way_factor(s) * s.target.cross_section_m2
+    return require("received power", p_r, "W", 0.0, False)
 
 
 def processed_received_power(s: RadarScenario) -> float:
@@ -113,28 +113,30 @@ def processed_received_power(s: RadarScenario) -> float:
         raise DomainError(
             "processed_received_power needs a resolution-cell scenario (sigma0 form)"
         )
-    return _one_way_factor(s) * s.target.cross_section_m2 * s.processing_gain
+    p_r = _one_way_factor(s) * s.target.cross_section_m2 * s.processing_gain
+    return require("processed received power", p_r, "W", 0.0, False)
 
 
 def processing_gain_from_pulse(bandwidth_hz: float, pulse_width_s: float) -> float:
     """Pulse-compression gain as the time-bandwidth product B*tau_p."""
     require("bandwidth", bandwidth_hz, "Hz")
     require("pulse width", pulse_width_s, "s")
-    return bandwidth_hz * pulse_width_s
+    return require("processing gain", bandwidth_hz * pulse_width_s)
 
 
 def noise_power(system_temperature_k: float, bandwidth_hz: float) -> float:
     """Receiver noise power ``P_n = k_B * T_sys * B`` in W."""
     require("system temperature", system_temperature_k, "K", 0.0, False)
     require("bandwidth", bandwidth_hz, "Hz")
-    return CODATA.boltzmann * system_temperature_k * bandwidth_hz
+    p_n = CODATA.boltzmann * system_temperature_k * bandwidth_hz
+    return require("noise power", p_n, "W", 0.0, False)
 
 
 def snr(received_power_w: float, noise_power_w: float) -> float:
     """Signal-to-noise ratio P_r / P_n (linear)."""
     require("noise power", noise_power_w, "W")
     require("received power", received_power_w, "W", 0.0, False)
-    return received_power_w / noise_power_w
+    return require("SNR", received_power_w / noise_power_w, "", 0.0, False)
 
 
 def nesz(sigma0: float, snr_linear: float) -> float:
@@ -146,7 +148,7 @@ def nesz(sigma0: float, snr_linear: float) -> float:
     """
     require("linear SNR", snr_linear)
     require("sigma0", sigma0, "", 0.0, False)
-    return sigma0 / snr_linear
+    return require("NESZ", sigma0 / snr_linear, "", 0.0, False)
 
 
 def nesz_at_unit_snr(s: RadarScenario) -> float:
@@ -159,17 +161,21 @@ def nesz_at_unit_snr(s: RadarScenario) -> float:
         raise DomainError("nesz_at_unit_snr needs a resolution-cell scenario")
     if s.system_temperature_k is None or s.bandwidth_hz is None:
         raise DomainError("scenario needs system temperature and bandwidth for NESZ")
-    p_n = noise_power(s.system_temperature_k, s.bandwidth_hz)
-    per_sigma0 = _one_way_factor(s) * s.target.cell_area_m2 * s.processing_gain
-    if per_sigma0 <= 0.0:
-        raise DomainError("scenario yields no signal response")
-    return p_n / per_sigma0
+    # The radar equation solved for sigma0, dividing by one input at a time.
+    r = s.range_m
+    sigma0 = (
+        noise_power(s.system_temperature_k, s.bandwidth_hz) * FOUR_PI_CUBED * r * r * r * r
+        * s.system_loss * s.propagation_loss / s.transmit_power_w / s.transmit_gain
+        / s.receive_gain / s.wavelength_m / s.wavelength_m / s.target.cell_area_m2
+        / s.processing_gain
+    )
+    return require("NESZ", sigma0, "", 0.0, False)
 
 
 def range_resolution(bandwidth_hz: float) -> float:
     """Slant-range resolution ``delta_R = c / (2B)`` in m."""
     require("bandwidth", bandwidth_hz, "Hz")
-    return CODATA.light_speed / (2.0 * bandwidth_hz)
+    return require("range resolution", CODATA.light_speed / (2.0 * bandwidth_hz), "m")
 
 
 def max_range_ratio(system_temperature_1_k: float, system_temperature_2_k: float) -> float:
@@ -179,4 +185,5 @@ def max_range_ratio(system_temperature_1_k: float, system_temperature_2_k: float
     """
     require("system temperature 1", system_temperature_1_k, "K")
     require("system temperature 2", system_temperature_2_k, "K")
-    return (system_temperature_1_k / system_temperature_2_k) ** 0.25
+    ratio = (system_temperature_1_k / system_temperature_2_k) ** 0.25
+    return require("maximum-range ratio", ratio)

@@ -87,7 +87,7 @@ def _radiometric_factor(bandwidth_hz, integration_time_s, gain_stability):
             f"bandwidth x integration time {bandwidth_hz:g} Hz x {integration_time_s:g} s"
             " is outside the float range"
         )
-    return math.sqrt(1.0 / product + gain_stability**2)
+    return math.sqrt(1.0 / product + gain_stability * gain_stability)
 
 
 def nedt(model: ReceiverNoiseModel) -> float:
@@ -97,9 +97,10 @@ def nedt(model: ReceiverNoiseModel) -> float:
     falls with the time-bandwidth product; the gain-stability term sets the
     floor reached at long integration times.
     """
-    return model.system_temperature_k * _radiometric_factor(
+    factor = _radiometric_factor(
         model.bandwidth_hz, model.integration_time_s, model.gain_stability
     )
+    return require("NEDT", model.system_temperature_k * factor, "K", 0.0, False)
 
 
 def radiometer_output_power(
@@ -114,7 +115,7 @@ def radiometer_output_power(
     require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
     require("bandwidth", bandwidth_hz, "Hz")
     t_sys = antenna_temperature_k + receiver_temperature_k
-    return gain * CODATA.boltzmann * t_sys * bandwidth_hz
+    return require("output power", gain * CODATA.boltzmann * t_sys * bandwidth_hz, "W", 0.0, False)
 
 
 def calibrate_hot_cold(
@@ -200,4 +201,5 @@ def tsys_from_nedt(
     require("bandwidth", bandwidth_hz, "Hz")
     require("integration time", integration_time_s, "s")
     require("gain stability", gain_stability, "", 0.0, False)
-    return nedt_k / _radiometric_factor(bandwidth_hz, integration_time_s, gain_stability)
+    t_sys = nedt_k / _radiometric_factor(bandwidth_hz, integration_time_s, gain_stability)
+    return require("system temperature", t_sys, "K")

@@ -29,7 +29,7 @@ ATOMIC_DIPOLE_UNIT = 1.602176634e-19 * 5.29177210903e-11
 def dipole_moment(multiple_of_e_a0: float) -> float:
     """Dipole moment in C*m from a multiple of e*a_0."""
     require("dipole moment multiple of e*a_0", multiple_of_e_a0)
-    return multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT
+    return require("dipole moment", multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT, "C*m")
 
 
 def qpn_nef(
@@ -56,7 +56,8 @@ def qpn_nef(
             "expression assumes integration over at least one coherence time",
             stacklevel=2,
         )
-    return (CODATA.planck / dipole_moment_cm) / math.sqrt(atom_count * coherence_time_s)
+    nef = CODATA.planck / dipole_moment_cm / math.sqrt(atom_count) / math.sqrt(coherence_time_s)
+    return require("projection-noise NEF", nef, "V/m/sqrt(Hz)")
 
 
 def photon_shot_noise_nep(probe_power_w: float, probe_frequency_hz: float) -> float:
@@ -66,7 +67,8 @@ def photon_shot_noise_nep(probe_power_w: float, probe_frequency_hz: float) -> fl
     """
     require("probe power", probe_power_w, "W", 0.0, False)
     require("probe frequency", probe_frequency_hz, "Hz")
-    return math.sqrt(probe_power_w * CODATA.planck * probe_frequency_hz)
+    nep = math.sqrt(probe_power_w * CODATA.planck * probe_frequency_hz)
+    return require("shot-noise NEP", nep, "W/sqrt(Hz)", 0.0, False)
 
 
 def rabi_from_field(
@@ -84,7 +86,8 @@ def rabi_from_field(
     require("dipole moment", dipole_moment_cm, "C*m")
     require("field amplitude", field_v_per_m, "V/m", 0.0, False)
     require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
-    return dipole_moment_cm * field_v_per_m * alignment_cosine / CODATA.reduced_planck
+    rabi = dipole_moment_cm * field_v_per_m * alignment_cosine / CODATA.reduced_planck
+    return require("Rabi frequency", rabi, "rad/s", -FLOAT_MAX, False)
 
 
 def field_from_rabi(
@@ -98,7 +101,8 @@ def field_from_rabi(
     require("Rabi frequency", rabi_rad_per_s, "rad/s", 0.0, False)
     if require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0) == 0.0:
         raise DomainError("alignment cosine must be non-zero")
-    return rabi_rad_per_s * CODATA.reduced_planck / (dipole_moment_cm * alignment_cosine)
+    field = rabi_rad_per_s * CODATA.reduced_planck / dipole_moment_cm / alignment_cosine
+    return require("field amplitude", field, "V/m", -FLOAT_MAX, False)
 
 
 def ac_stark_shift(
@@ -117,7 +121,8 @@ def ac_stark_shift(
     if require("detuning", detuning_rad_per_s, "rad/s", -FLOAT_MAX, False) == 0.0:
         raise DomainError("detuning must be non-zero (resonant case has no Stark shift)")
     require("Stark proportionality constant", proportionality, "", -FLOAT_MAX, False)
-    return proportionality * abs(rabi_rad_per_s) ** 2 / detuning_rad_per_s
+    shift = proportionality * (rabi_rad_per_s * rabi_rad_per_s) / detuning_rad_per_s
+    return require("AC Stark shift", shift, "rad/s", -FLOAT_MAX, False)
 
 
 def compare_to_classical(

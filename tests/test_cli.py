@@ -567,6 +567,12 @@ class TestSubcommands:
         deep_space = json.loads(out)["ranges"][0]
         assert abs(deep_space["t_sys_max_k"] - 27.6) < 1e-9
 
+    # Beyond the 17 digits a float holds, rounding leaves every bound as it is.
+    @pytest.mark.parametrize("figures", ["17", "29", "400"])
+    def test_dataset_ranges_more_figures_than_a_float_holds(self, capsys, figures):
+        unrounded = run(capsys, ["dataset-ranges", "--no-rounding"])
+        assert run(capsys, ["dataset-ranges", "--sig-figs", figures]) == unrounded
+
     def test_dataset_plotdata(self, capsys):
         code, out, _ = run(capsys, [
             "dataset-plotdata", "--thermal-line", "2.4e-8",
@@ -699,14 +705,13 @@ class TestErrorContract:
         assert [r["instrument"] for r in report["records"]] == [r.instrument for r in bundled]
         assert report["diagnostics"][0] == {
             "row": len(bundled) + 1, "instrument": "Huge gain",
-            "message": "Huge gain: gain_dbi 4000 dBi overflows the linear gain",
+            "message": "Huge gain: dB value must be <= 3082.55 dB",
         }
 
     # The first bundled row, DSN 70 m BWG, with its T_Rx from a noise figure or
     # its T_sys from an NEDT whose B*tau product underflows.
     @pytest.mark.parametrize("old,new,message", [
-        (",18,direct,,23,sum,", ",,NF,4000,,sum,",
-         "noise figure 4000 dB overflows the receiver temperature"),
+        (",18,direct,,23,sum,", ",,NF,4000,,sum,", "dB value must be <= 3082.55 dB"),
         (",4.0e8,RF,phys,2660,,,,5,measured,18,direct,,23,sum,,,",
          ",1e-300,RF,phys,2660,,,,5,measured,18,direct,,,NEDT,1,1e-300,",
          "bandwidth x integration time 1e-300 Hz x 1e-300 s is outside the float range"),
@@ -729,7 +734,8 @@ class TestErrorContract:
         }
 
     @pytest.mark.parametrize("argv,code,named", [
-        (["convert", "--db-to-linear", "4000"], 2, "domain-error: --db-to-linear"),
+        (["convert", "--db-to-linear", "4000"], 2,
+         "domain-error: dB value must be <= 3082.55 dB\n"),
         (["convert", "--noise-figure", "4000db"], 2,
          "rfsense convert: error: argument --noise-figure:"),
         (["nef", "--tsys", "20", "--diameter", "34m", "--output", "{missing}"], 3,
@@ -838,7 +844,7 @@ class TestErrorLines:
         (["nef", "--tsys", "20"], APERTURE_WAYS),
         (["nef", "--tsys", "20", "--aperture", "1", "--diameter", "34m"], APERTURE_WAYS),
         (["nef", "--tsys", "20", "--gain", "1.5lin"], "--gain needs --frequency to form an aperture"),
-        (["convert", "--db-to-linear", "4000"], "--db-to-linear 4000 overflows the float range"),
+        (["convert", "--db-to-linear", "4000"], "dB value must be <= 3082.55 dB"),
         (["convert", "--field", "0.01"], "--field needs --aperture for the power relation"),
         (["convert", "--nef", "7.9e-6", "--gain", "1.5lin"],
          "--nef needs --gain and --frequency (the inverse mapping is not unique without the "
@@ -882,7 +888,7 @@ class TestErrorLines:
         (["nef", "--tsys", "20", "--gain", "1.5"],
          _usage("nef", "--gain", "gain '1.5' needs an explicit 'dbi' or 'lin' suffix")),
         (["nef", "--tsys", "20", "--gain", "4000dbi", "--frequency", "1ghz"],
-         _usage("nef", "--gain", "gain '4000dbi' overflows the float range")),
+         _usage("nef", "--gain", "dB value must be <= 3082.55 dB")),
         (["nef", "--tsys", "20", "--rho2", "1k"],
          _usage("nef", "--rho2", "value '1k' must be a plain number (got unit 'k')")),
         (["nedt", "--bandwidth", "1parsec", "--integration-time", "15ms"], _usage(
@@ -896,7 +902,7 @@ class TestErrorLines:
         (["nedt", "--bandwidth", "1e308thz", "--integration-time", "15ms"],
          _usage("nedt", "--bandwidth", "frequency '1e308thz' overflows the float range")),
         (["radar", "--system-loss", "4000db"],
-         _usage("radar", "--system-loss", "dB value '4000db' overflows the float range")),
+         _usage("radar", "--system-loss", "dB value must be <= 3082.55 dB")),
         # The grammar at its edges: prefixes, "=", "--", choices and switches.
         (["nef", "--tsys", "20", "--a", "1"],
          "rfsense nef: error: ambiguous option: --a could match --aperture, "

@@ -478,11 +478,11 @@ class TestDerive:
         derived, diagnostics = derive_records([good, bad])
         assert derived == (derive_record(good),)
         assert diagnostics == (Diagnostic(
-            2, "huge-gain", "huge-gain: gain_dbi 4000 dBi overflows the linear gain"),)
+            2, "huge-gain", "huge-gain: dB value must be <= 3082.55 dB"),)
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(t_rx_k=None, t_rx_method="NF", nf_db=4000.0, t_sys_k=None),
-         "noise figure 4000 dB overflows the receiver temperature"),
+         "dB value must be <= 3082.55 dB"),
         (dict(t_sys_k=None, t_sys_method="NEDT", nedt_k=1.0, bandwidth_hz=1e-300, tau_s=1e-300),
          "bandwidth x integration time 1e-300 Hz x 1e-300 s is outside the float range"),
     ], ids=["noise-figure", "nedt-bandwidth-time"])
@@ -760,6 +760,17 @@ class TestRounding:
     def test_invalid_figures_rejected(self):
         with pytest.raises(DomainError):
             round_to_sig_figs(1.0, 0)
+
+    # A float has at most 17 significant digits, so from 17 figures on nothing rounds.
+    @pytest.mark.parametrize("figures", range(1, 41))
+    def test_any_number_of_figures_rounds(self, figures):
+        for value in (0.1 + 0.2, -math.pi, 123456789.12345679, 5e-324, 1e300):
+            rounded = round_to_sig_figs(value, figures)
+            assert math.isfinite(rounded)
+            if figures >= 17:
+                assert rounded == value
+            else:
+                assert rounded == pytest.approx(value, rel=10.0 ** (1 - figures))
 
 
 class TestPlotData:
