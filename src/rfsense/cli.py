@@ -718,6 +718,8 @@ def _cmd_enhance(args) -> tuple[dict, None]:
     if args.sensor_nef is not None:
         payload["sensor_nef_v_m_sqrthz"] = args.sensor_nef
         payload["meets_reference"] = fm.meets_classical_reference(args.sensor_nef, e_local)
+    if beta < 1.0:
+        payload["warnings"] = [f"enhancement factor {beta:g} < 1 attenuates the field"]
     return payload, None
 
 
@@ -725,6 +727,7 @@ def _cmd_rydberg(args) -> tuple[dict, None]:
     from . import rydberg as ry
 
     payload: dict = {}
+    warnings = []
     dipole = args.dipole
     if args.dipole_ea0 is not None:
         if dipole is not None:
@@ -739,9 +742,11 @@ def _cmd_rydberg(args) -> tuple[dict, None]:
                 "projection-noise floor needs --dipole (or --dipole-ea0), "
                 "--atoms and --coherence-time"
             )
-        payload["qpn_nef_v_m_sqrthz"] = ry.qpn_nef(
-            dipole, args.atoms, args.coherence_time, args.integration_time
-        )
+        payload["qpn_nef_v_m_sqrthz"] = ry.qpn_nef(dipole, args.atoms, args.coherence_time)
+        tau = args.integration_time
+        if tau is not None and require("integration time", tau, "s") < args.coherence_time:
+            warnings.append("integration time is below the coherence time; the projection-noise "
+                            "expression assumes integration over at least one coherence time")
     if args.probe_power is not None or args.probe_frequency is not None:
         if args.probe_power is None or args.probe_frequency is None:
             raise DomainError("shot noise needs --probe-power and --probe-frequency")
@@ -769,6 +774,8 @@ def _cmd_rydberg(args) -> tuple[dict, None]:
         )
     if not payload:
         raise DomainError("nothing to compute: give at least one input group")
+    if warnings:
+        payload["warnings"] = warnings
     return payload, None
 
 

@@ -90,6 +90,8 @@ T_SYS_METHODS = ("sum", "NEDT")
 
 LOWER_MARGIN = 0.8
 UPPER_MARGIN = 1.2
+# The largest f0_ghz whose frequency in Hz, f0_ghz * 1e9, is a finite float.
+_F0_GHZ_MAX = FLOAT_MAX / 1e9
 
 # Default coordinates of the microwave-to-optical converter marker on the
 # bandwidth/field plane: inferred sensitivity 4 nV/cm/sqrt(Hz) expressed in
@@ -248,6 +250,8 @@ def _parse_row(
     f0_ghz = _parse_cell("f0_ghz", f0_ghz)
     if f0_ghz is None or f0_ghz <= 0.0:
         raise DomainError("f0_ghz must be present and > 0")
+    if f0_ghz > _F0_GHZ_MAX:
+        raise DomainError(f"f0_ghz must be <= {_F0_GHZ_MAX:g} GHz")
     bandwidth_hz = _parse_cell("bandwidth_hz", bandwidth_hz)
     if bandwidth_hz is None or bandwidth_hz <= 0.0:
         raise DomainError("bandwidth_hz must be present and > 0")

@@ -18,7 +18,6 @@ require explicit gain (or aperture), frequency, and polarisation coupling.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from collections import namedtuple
 
 from .errors import DomainError, require
@@ -169,7 +168,9 @@ def nef_from_aperture(
     require("system temperature", system_temperature_k, "K")
     require("effective aperture", effective_aperture_m2, "m^2")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    nef = math.sqrt(CODATA.boltzmann * system_temperature_k * eta_0 / rho2 / effective_aperture_m2)
+    # One root per factor: the radicand as a whole can underflow where the NEF does not.
+    nef = (math.sqrt(CODATA.boltzmann) * math.sqrt(system_temperature_k) * math.sqrt(eta_0)
+           / math.sqrt(rho2) / math.sqrt(effective_aperture_m2))
     return require("NEF", nef, "V/m/sqrt(Hz)")
 
 
@@ -274,14 +275,10 @@ def local_field_requirement(
 
     E_loc = beta * E_free, where E_free is the reference receiver's
     equivalent free-space NEF.  An enhancement below 1 (attenuation) is
-    allowed but flagged with a warning, since the point of the structure is
-    to relax the sensor's local requirement.
+    allowed, though the point of the structure is to relax the sensor's
+    local requirement.
     """
-    if require("enhancement factor", enhancement) < 1.0:
-        _warnings.warn(
-            f"enhancement factor {enhancement:g} < 1 attenuates the field",
-            stacklevel=2,
-        )
+    require("enhancement factor", enhancement)
     free = nef_from_aperture(
         reference.system_temperature_k,
         reference.effective_aperture_m2,

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 
 from . import fieldmetrics
 from .errors import FLOAT_MAX, DomainError, require
@@ -32,30 +31,17 @@ def dipole_moment(multiple_of_e_a0: float) -> float:
     return require("dipole moment", multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT, "C*m")
 
 
-def qpn_nef(
-    dipole_moment_cm: float,
-    atom_count: float,
-    coherence_time_s: float,
-    integration_time_s: float | None = None,
-) -> float:
+def qpn_nef(dipole_moment_cm: float, atom_count: float, coherence_time_s: float) -> float:
     """Quantum-projection-noise field floor, V/m/sqrt(Hz).
 
     NEF_qpn = (h/d) / sqrt(N * tau_coh), the measurement-collapse limit of an
-    atomic field sensor.  Valid when the integration time exceeds the
-    coherence time; passing a shorter ``integration_time_s`` triggers a
-    warning because the expression then underestimates the floor.
+    atomic field sensor.  Valid when the integration time is at least the
+    coherence time; a shorter integration makes the expression underestimate
+    the floor.
     """
     require("dipole moment", dipole_moment_cm, "C*m")
     require("atom count", atom_count)
     require("coherence time", coherence_time_s, "s")
-    if integration_time_s is not None and (
-        require("integration time", integration_time_s, "s") < coherence_time_s
-    ):
-        _warnings.warn(
-            "integration time is below the coherence time; the projection-noise "
-            "expression assumes integration over at least one coherence time",
-            stacklevel=2,
-        )
     nef = CODATA.planck / dipole_moment_cm / math.sqrt(atom_count) / math.sqrt(coherence_time_s)
     return require("projection-noise NEF", nef, "V/m/sqrt(Hz)")
 

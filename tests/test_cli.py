@@ -73,6 +73,11 @@ RYDBERG_ARGS = ["rydberg", "--dipole-ea0", "1000", "--sensor-nef", "1e-6", "--ga
 # The same cavity again: Q_L = 1/(1/16800 + 1/16800) = 8400.
 ENHANCE_Q_FACTORS_ARGS = (ENHANCE_ARGS[:3] + ["--q-external", "16800", "--q-internal", "16800"]
                           + ENHANCE_ARGS[5:])
+# Inputs that warn: each report carries one warning in its "warnings" list.
+RYDBERG_WARNING_ARGS = ["rydberg", "--dipole-ea0", "3000", "--atoms", "1e6",
+                        "--coherence-time", "10us", "--integration-time", "1us"]
+ENHANCE_WARNING_ARGS = ["enhance", "--f0", "10ghz", "--q-loaded", "1", "--rf-efficiency", "0.5",
+                        "--mode-volume", "1", "--tsys", "50", "--aperture", "1e-6"]
 
 
 @pytest.fixture(autouse=True)
@@ -125,11 +130,13 @@ class TestGoldenFiles:
             (CONVERT_ARGS, "convert.json"),
             (RYDBERG_ARGS, "rydberg.json"),
             (ENHANCE_Q_FACTORS_ARGS, "enhance.json"),
+            (RYDBERG_WARNING_ARGS, "rydberg_warning.json"),
+            (ENHANCE_WARNING_ARGS, "enhance_warning.json"),
         ],
         ids=["budget", "dataset-ranges", "enhance", "enhance-q-loaded", "dataset-derive",
              "dataset-derive-csv", "dataset-plotdata", "dataset-derive-text",
              "dataset-ranges-json", "nedt", "nedt-inverse", "nef-gain", "convert", "rydberg",
-             "enhance-q-factors"],
+             "enhance-q-factors", "rydberg-warning", "enhance-warning"],
     )
     def test_byte_identical_across_runs_and_matches_golden(self, capsys, argv, golden):
         code1, out1, _ = run(capsys, argv)
@@ -544,6 +551,18 @@ class TestSubcommands:
         assert abs(report["rabi_rad_s"] / 803961.9 - 1.0) < 1e-4
         assert report["photon_shot_noise_w_sqrthz"] > 0
 
+    # A warning is a line of the report's "warnings" list, never a Python warning on stderr.
+    @pytest.mark.parametrize("argv,warning", [
+        (RYDBERG_WARNING_ARGS, "integration time is below the coherence time; the "
+                               "projection-noise expression assumes integration over at "
+                               "least one coherence time"),
+        (ENHANCE_WARNING_ARGS, "enhancement factor 4.88433e-05 < 1 attenuates the field"),
+    ], ids=["rydberg-short-integration", "enhance-sub-unity"])
+    def test_warning_is_in_the_report(self, capsys, argv, warning):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["warnings"] == [warning]
+
     def test_rydberg_stark_mode(self, capsys):
         code, out, _ = run(capsys, [
             "rydberg", "--rabi", "1e5", "--detuning", "1e7",
@@ -560,6 +579,23 @@ class TestSubcommands:
         assert "Odin-SMR 557 GHz" in mismatch_rows
         assert "SMOS MIRAS element (single LICEF)" in mismatch_rows
         assert len(report["diagnostics"]) == 6
+
+    # f0_ghz = 1e300 is a finite cell whose frequency in Hz is not: it is that row's
+    # diagnostic, and every other row is still derived and synthesized.
+    @pytest.mark.parametrize("command", ["dataset-derive", "dataset-ranges"])
+    def test_frequency_beyond_the_float_range_is_that_rows_diagnostic(
+        self, capsys, tmp_path, command
+    ):
+        table = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8")
+        dsn = "DSN 70 m BWG,Goldstone DSS-14,Deep-space comm.,coherent,"
+        assert table.count(dsn + "8.4,") == 1
+        path = tmp_path / "instruments.csv"
+        path.write_text(table.replace(dsn + "8.4,", dsn + "1e300,"), encoding="utf-8")
+        code, out, err = run(capsys, [command, "--input", str(path)])
+        assert (code, err) == (0, "")
+        named = [d for d in json.loads(out)["diagnostics"] if d["instrument"] == "DSN 70 m BWG"]
+        assert named == [{"row": 2, "instrument": "DSN 70 m BWG",
+                          "message": "f0_ghz must be <= 1.79769e+299 GHz"}]
 
     def test_dataset_ranges_no_rounding(self, capsys):
         code, out, _ = run(capsys, ["dataset-ranges", "--no-rounding"])
@@ -868,6 +904,8 @@ class TestErrorLines:
         (["rydberg"], "nothing to compute: give at least one input group"),
         # A plain negative number is a value, so the handler refuses it.
         (["nef", "--tsys", "-20", "--diameter", "34m"], "--tsys must be > 0"),
+        (RYDBERG_WARNING_ARGS[:-2] + ["--integration-time=-1us"],
+         "integration time must be > 0 s"),
     ])
     def test_flag_combination_is_one_domain_error_line(self, capsys, argv, line):
         assert run(capsys, argv) == (2, "", f"domain-error: {line}\n")

@@ -21,7 +21,6 @@ import contextlib
 import io
 import math
 import re
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -252,7 +251,7 @@ BASELINES = {
     "rydberg.qpn_nef": (
         ry.qpn_nef,
         dict(dipole_moment_cm=(8.5e-27, ">0"), atom_count=(1e6, ">0"),
-             coherence_time_s=(1e-5, ">0"), integration_time_s=(1e-3, ">0")),
+             coherence_time_s=(1e-5, ">0")),
     ),
     "rydberg.photon_shot_noise_nep": (
         ry.photon_shot_noise_nep,
@@ -349,10 +348,6 @@ def test_bad_value_is_a_domain_error_naming_the_parameter(operation, parameter):
         assert _names(str(caught.value), parameter), (bad, str(caught.value))
 
 
-# An extreme input may leave the coherence time above the integration time, or the
-# cavity enhancement below 1: both warn, and neither is what this test checks.
-@pytest.mark.filterwarnings("ignore:integration time is below the coherence time")
-@pytest.mark.filterwarnings("ignore:enhancement factor .* attenuates the field")
 @pytest.mark.parametrize("operation", sorted(BASELINES))
 def test_extreme_finite_value_gives_finite_numbers_or_a_named_domain_error(operation):
     call, parameters = BASELINES[operation]
@@ -404,7 +399,8 @@ CLI_FLAGS = {
                 "--aperture-efficiency": ("", 0.65, ""),
                 "--sensor-nef": ("", 1e-7, "")},
     "rydberg": {"--dipole-ea0": ("", 1000, ""), "--atoms": ("", 1e6, ""),
-                "--coherence-time": ("", 10, "us"), "--field": ("", 0.01, ""),
+                "--coherence-time": ("", 10, "us"), "--integration-time": ("", 1, "ms"),
+                "--field": ("", 0.01, ""),
                 "--rabi": ("", 8e5, ""), "--rho2": ("", 0.5, ""),
                 "--probe-power": ("", 1, "mw"), "--probe-frequency": ("", 384.349, "thz"),
                 "--alignment-cosine": ("", 0.5, ""), "--sensor-nef": ("", 1e-6, ""),
@@ -415,8 +411,8 @@ CLI_FLAGS = {
                          "--converter-bandwidth": ("", 1, "mhz"),
                          "--thermal-line": ("", 2.4e-8, "")},
 }
-# Numeric flags that CLI_FLAGS leaves out, by reason.  Alternatives to a flag it gives:
-# the handler refuses the two together or lets one of them win, so one call drives one.
+# Numeric flags that CLI_FLAGS leaves out, each an alternative to a flag it gives: the
+# handler refuses the two together or lets one of them win, so one call drives one.
 ALTERNATIVE_FLAGS = {
     "nedt": {"--nedt"},
     "radar": {"--wavelength", "--sigma", "--pulse-width"},
@@ -425,9 +421,6 @@ ALTERNATIVE_FLAGS = {
                 "--frequency"},
     "rydberg": {"--dipole", "--detuning", "--stark-constant"},
 }
-# An integration time below the coherence time is reported as a Python warning, not in
-# the report (ROADMAP item 3), and ``_cli`` allows no warning but the attenuation one.
-PYTHON_WARNING_FLAGS = {"rydberg": {"--integration-time"}}
 # Arguments every call of the subcommand also gets: a calibration needs two points.
 CLI_FIXED = {"calibrate": ["--point=300:1.243e-11"]}
 EXTREMES = st.sampled_from(
@@ -436,22 +429,14 @@ EXTREMES = st.sampled_from(
 )
 
 
-# A sub-unity cavity enhancement still warns through Python's ``warnings``,
-# not in the report (ROADMAP item 3): the one warning a CLI call may raise.
-ATTENUATION = r"enhancement factor \S+ < 1 attenuates the field"
-
-
 def _cli(command, changed):
     """argv, exit code, stdout and stderr of ``command`` with the ``changed`` flag values."""
     argv = [command] + CLI_FIXED.get(command, [])
     for flag, (before, value, after) in CLI_FLAGS[command].items():
         argv.append(f"{flag}={before}{changed.get(flag, value)!r}{after}")
     out, err = io.StringIO(), io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught,
-          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
-        warnings.simplefilter("always")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert all(re.fullmatch(ATTENUATION, str(w.message)) for w in caught), (argv, caught)
     return argv, code, out.getvalue(), err.getvalue()
 
 
@@ -464,8 +449,7 @@ def test_cli_flags_are_table_rows_and_every_numeric_row_is_driven_or_excused(com
     rows = SUBCOMMANDS[command][2]
     assert set(CLI_FLAGS[command]) <= {row.name for row in rows}
     numeric = {row.name for row in rows if callable(row.convert)}
-    excused = ALTERNATIVE_FLAGS.get(command, set()) | PYTHON_WARNING_FLAGS.get(command, set())
-    assert numeric - set(CLI_FLAGS[command]) == excused
+    assert numeric - set(CLI_FLAGS[command]) == ALTERNATIVE_FLAGS.get(command, set())
 
 
 @pytest.mark.parametrize("command", sorted(CLI_FLAGS))

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +137,7 @@ class TestParse:
             ("bandwidth_method", "guess",
              "bandwidth_method must be one of ('RF', 'noise', 'chirp'), got 'guess'"),
             ("f0_ghz", "0", "f0_ghz must be present and > 0"),
+            ("f0_ghz", "1e300", "f0_ghz must be <= 1.79769e+299 GHz"),
             ("bandwidth_hz", "-1", "bandwidth_hz must be present and > 0"),
             ("rho2", "1.5", "rho2 must be in (0, 1]"),
             ("a_e_m2", "", "aperture_method 'direct' needs a_e_m2"),
@@ -253,6 +255,8 @@ def _ref_parse_row(row: dict) -> InstrumentRecord:
     f0_ghz = _ref_parse_cell(row, "f0_ghz")
     if f0_ghz is None or f0_ghz <= 0.0:
         raise DomainError("f0_ghz must be present and > 0")
+    if f0_ghz > sys.float_info.max / 1e9:
+        raise DomainError(f"f0_ghz must be <= {sys.float_info.max / 1e9:g} GHz")
     bandwidth_hz = _ref_parse_cell(row, "bandwidth_hz")
     if bandwidth_hz is None or bandwidth_hz <= 0.0:
         raise DomainError("bandwidth_hz must be present and > 0")
@@ -333,7 +337,8 @@ def _ref_parse_row(row: dict) -> InstrumentRecord:
 _GOOD_CELLS = dict(zip(COLUMNS, (
     "ok,m,cat,coherent,1.0,1e6,RF,direct,1.0,,,,5,,18,,,23,sum,,,0.5,r,6.7e-12".split(",")
 )))
-_NUMBERS = ["1.0", " 2.5 ", "1e6", "100", "0.5", "", "0", "-1", "abc", "nan", "inf", "1e400"]
+_NUMBERS = ["1.0", " 2.5 ", "1e6", "100", "0.5", "", "0", "-1", "abc", "nan", "inf", "1e400",
+            "1e300"]
 _CELL_VALUES = {
     **{c: ["DSN 70 m", " padded\t", "a,b", "line\nbreak", 'say "hi"', ""]
        for c in ("instrument", "mission", "category", "reference")},

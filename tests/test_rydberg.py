@@ -70,16 +70,11 @@ class TestQpn:
             1.0, rel=1e-12
         )
 
-    def test_short_integration_time_warns(self):
-        with pytest.warns(UserWarning):
-            qpn_nef(dipole_moment(1000.0), 1e6, 1e-3, integration_time_s=1e-5)
-
     @pytest.mark.parametrize("args, named", [
         ((math.nan, 1e6, 1e-5), "dipole moment"),
         ((1e-27, math.inf, 1e-5), "atom count"),
         ((1e-27, 1e6, math.nan), "coherence time"),
-        ((1e-27, 1e6, 1e-5, math.nan), "integration time"),
-    ], ids=["nan-dipole", "inf-atoms", "nan-coherence", "nan-integration"])
+    ], ids=["nan-dipole", "inf-atoms", "nan-coherence"])
     def test_non_finite_input_is_named(self, args, named):
         with pytest.raises(DomainError, match=named):
             qpn_nef(*args)
