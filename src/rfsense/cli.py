@@ -96,15 +96,12 @@ OPERATION_MAP: dict[str, tuple[str, ...]] = {
     ),
     "dataset-derive": (
         "dataset.parse_instruments",
-        "dataset.serialize_instruments",
         "dataset.derive_record",
         "dataset.derive_records",
         "dataset.consistency_diagnostics",
         "dataset.load_bundled_dataset",
-        "dataset.bundled_dataset_path",
     ),
     "dataset-ranges": (
-        "dataset.synthesize_ranges",
         "dataset.synthesize_all",
         "dataset.round_to_sig_figs",
     ),
@@ -743,10 +740,11 @@ def _cmd_rydberg(args) -> tuple[dict, None]:
                 "--atoms and --coherence-time"
             )
         payload["qpn_nef_v_m_sqrthz"] = ry.qpn_nef(dipole, args.atoms, args.coherence_time)
-        tau = args.integration_time
-        if tau is not None and require("integration time", tau, "s") < args.coherence_time:
+        if args.integration_time is not None and args.integration_time < args.coherence_time:
             warnings.append("integration time is below the coherence time; the projection-noise "
                             "expression assumes integration over at least one coherence time")
+    if args.integration_time is not None:
+        require("integration time", args.integration_time, "s")
     if args.probe_power is not None or args.probe_frequency is not None:
         if args.probe_power is None or args.probe_frequency is None:
             raise DomainError("shot noise needs --probe-power and --probe-frequency")

@@ -35,7 +35,7 @@ import os
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from decimal import ROUND_HALF_UP, Decimal
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 # The pipeline uses none of these three.  They load here because the
 # benchmark's tracer (bench/tracing.py, Recorder.install) wraps all six engine
@@ -50,7 +50,7 @@ from .fieldmetrics import (
     nef_from_aperture,
     trx_from_noise_figure,
 )
-from .quantities import ValidatedRecord, db_to_linear, resolve_eta0
+from .quantities import ValidatedRecord, db_to_linear, default_eta0
 from .radiometry import tsys_from_nedt
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "Diagnostic",
     "InstrumentRecord",
     "ParseResult",
-    "bundled_dataset_path",
     "consistency_diagnostics",
     "derive_record",
     "derive_records",
@@ -66,9 +65,7 @@ __all__ = [
     "load_bundled_dataset",
     "parse_instruments",
     "round_to_sig_figs",
-    "serialize_instruments",
     "synthesize_all",
-    "synthesize_ranges",
 ]
 
 REQUIRED_COLUMNS = (
@@ -130,9 +127,6 @@ class Diagnostic(namedtuple("Diagnostic", "row instrument message")):
     """A named, row-attributed problem found while processing the dataset."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"row {self.row} ({self.instrument}): {self.message}"
 
 
 class ParseResult(namedtuple("ParseResult", "records diagnostics")):
@@ -296,7 +290,8 @@ def _parse_row(
         if t_sys_method == "NEDT" and (nedt_k is None or tau_s is None):
             raise DomainError("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
         if t_sys_method == "sum":
-            t_rx_resolvable = t_rx is not None or nf_db is not None
+            # derive_record converts nf_db to T_Rx only under the NF method.
+            t_rx_resolvable = t_rx is not None or (t_rx_method == "NF" and nf_db is not None)
             if t_a is None or not t_rx_resolvable:
                 raise DomainError("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
 
@@ -309,17 +304,6 @@ def _parse_row(
         aperture_method, a_e, a_phys, eta_ap, gain_dbi, t_a, t_a_flag, t_rx, t_rx_method,
         nf_db, t_sys, t_sys_method, nedt_k, tau_s, rho2, reference, e_free_reported,
     )
-
-
-def serialize_instruments(records: Iterable[InstrumentRecord]) -> str:
-    """Serialize records back to the dataset CSV schema (RFC-4180)."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(COLUMNS)
-    # str(float) is its shortest round-tripping repr; None is an empty cell.
-    cells = attrgetter(*COLUMNS)
-    writer.writerows(["" if v is None else str(v) for v in cells(r)] for r in records)
-    return out.getvalue()
 
 
 def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> InstrumentRecord:
@@ -366,14 +350,13 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
 
 def derive_records(
     records: Iterable[InstrumentRecord],
-    eta_0: float | None = None,
 ) -> tuple[tuple[InstrumentRecord, ...], tuple[Diagnostic, ...]]:
     """Derive every record, collecting failures as diagnostics.
 
-    ``eta_0`` is resolved once, so an invalid ``RFSENSE_ETA0_OHMS`` raises
+    The impedance is read once, so an invalid ``RFSENSE_ETA0_OHMS`` raises
     one :class:`DomainError` instead of blaming every row.
     """
-    eta_0 = resolve_eta0(eta_0)
+    eta_0 = default_eta0()
     derived: list[InstrumentRecord] = []
     diagnostics: list[Diagnostic] = []
     for index, record in enumerate(records, start=1):
@@ -417,32 +400,12 @@ def consistency_diagnostics(
     return tuple(diagnostics)
 
 
-def synthesize_ranges(
-    records: Sequence[InstrumentRecord],
-    category: str,
-    sig_figs: int | None = 2,
-    eta_0: float | None = None,
-) -> CategoryRange:
-    """Synthesize the parameter range of one category.
-
-    Takes per-parameter extrema over the category's records, expands the
-    temperature, aperture and bandwidth bounds by 0.8x/1.2x (frequency keeps
-    its nominal extrema), recomputes the field bounds from the perturbed
-    temperature/aperture bounds, and rounds everything except frequency to
-    ``sig_figs`` significant digits (half-up).  Pass ``sig_figs=None`` to
-    skip rounding.
-    """
-    return _synthesize(category, [r for r in records if r.category == category], sig_figs, eta_0)
-
-
 def _synthesize(
     category: str,
     members: list[InstrumentRecord],
     sig_figs: int | None,
-    eta_0: float | None,
+    eta_0: float,
 ) -> CategoryRange:
-    if not members:
-        raise DomainError(f"no records in category {category!r}")
     # One record whose every field is the tuple of the members' values.
     column = InstrumentRecord._make(zip(*members))
     if None in column.a_e_m2 or None in column.t_sys_k or None in column.e_free_vm_sqrthz:
@@ -469,23 +432,26 @@ def _synthesize(
     if sig_figs is not None:
         bounds = [round_to_sig_figs(value, sig_figs) for value in bounds]
     # Scaling by 1e9 is monotonic, so the extrema of f0_hz are those of f0_ghz, scaled.
-    return CategoryRange(
-        category, min(column.f0_ghz) * 1e9, max(column.f0_ghz) * 1e9, *bounds, len(members)
-    )
+    f0_min = require(f"category {category!r} minimum frequency", min(column.f0_ghz) * 1e9, "Hz")
+    f0_max = require(f"category {category!r} maximum frequency", max(column.f0_ghz) * 1e9, "Hz")
+    return CategoryRange(category, f0_min, f0_max, *bounds, len(members))
 
 
 def synthesize_all(
     records: Sequence[InstrumentRecord],
     sig_figs: int | None = 2,
-    eta_0: float | None = None,
 ) -> tuple[CategoryRange, ...]:
-    """Synthesize every category, in first-appearance order.
+    """Synthesize the parameter range of every category, in first-appearance order.
 
-    One pass groups the records by category, so the cost is linear in the
-    number of records; each range equals ``synthesize_ranges(records,
-    category, sig_figs, eta_0)``, and the first failing category raises.
+    Takes per-parameter extrema over each category's records, expands the
+    temperature, aperture and bandwidth bounds by 0.8x/1.2x (frequency keeps
+    its nominal extrema), recomputes the field bounds from the perturbed
+    temperature/aperture bounds, and rounds everything except frequency to
+    ``sig_figs`` significant digits (half-up).  Pass ``sig_figs=None`` to
+    skip rounding.  One pass groups the records by category, so the cost is
+    linear in the number of records, and the first failing category raises.
     """
-    eta_0 = resolve_eta0(eta_0)
+    eta_0 = default_eta0()
     groups: dict[str, list[InstrumentRecord]] = {}
     for record in records:
         groups.setdefault(record.category, []).append(record)
@@ -547,13 +513,6 @@ def emit_plot_data(
 # importlib.resources, keeps that package (and the typing module it imports)
 # off the cold path of every dataset call.
 _BUNDLED_CSV = os.path.join(os.path.dirname(__file__), "data", "instruments.csv")
-
-
-def bundled_dataset_path():
-    """Path of the dataset CSV shipped with the package, a ``pathlib.Path``."""
-    from pathlib import Path
-
-    return Path(_BUNDLED_CSV)
 
 
 def load_bundled_dataset() -> ParseResult:

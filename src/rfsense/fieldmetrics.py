@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .errors import DomainError, require
 from .quantities import (
-    CODATA, ValidatedRecord, db_to_linear, frequency_to_wavelength, resolve_eta0,
+    CODATA, ValidatedRecord, db_to_linear, default_eta0, frequency_to_wavelength,
 )
 
 __all__ = [
@@ -162,9 +162,10 @@ def nef_from_aperture(
     """Equivalent free-space field at SNR = 1, from T_sys and aperture.
 
     E_free = sqrt(k_B*T_sys*eta_0/(rho^2*A_e)) = sqrt(SEFD*eta_0), in
-    V/m/sqrt(Hz).
+    V/m/sqrt(Hz).  ``eta_0`` defaults to the configured impedance
+    (:func:`rfsense.quantities.default_eta0`).
     """
-    eta_0 = resolve_eta0(eta_0)
+    eta_0 = default_eta0() if eta_0 is None else require("eta_0", eta_0, "ohm")
     require("system temperature", system_temperature_k, "K")
     require("effective aperture", effective_aperture_m2, "m^2")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
@@ -179,7 +180,6 @@ def nef_from_gain(
     gain: float,
     frequency_hz: float,
     rho2: float = 1.0,
-    eta_0: float | None = None,
 ) -> float:
     """Equivalent free-space field at SNR = 1, gain-based form.
 
@@ -188,9 +188,7 @@ def nef_from_gain(
     for rho^2 = 1/2 this is the 8*pi form, a factor sqrt(2) above the
     polarisation-matched value.
     """
-    return nef_from_aperture(
-        system_temperature_k, aperture_from_gain(gain, frequency_hz), rho2, eta_0
-    )
+    return nef_from_aperture(system_temperature_k, aperture_from_gain(gain, frequency_hz), rho2)
 
 
 def tsys_from_nef(
@@ -198,7 +196,6 @@ def tsys_from_nef(
     gain: float,
     frequency_hz: float,
     rho2: float = 1.0,
-    eta_0: float | None = None,
 ) -> float:
     """Noise temperature implied by a field sensitivity; inverse of
     :func:`nef_from_gain`, T_sys = NEF^2*rho^2*A_e/(k_B*eta_0).
@@ -206,7 +203,7 @@ def tsys_from_nef(
     The mapping needs the full coupling assumption (G, f, rho^2) because a
     bare NEF does not determine (T_sys, A_e) uniquely.
     """
-    eta_0 = resolve_eta0(eta_0)
+    eta_0 = default_eta0()
     require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     aperture = aperture_from_gain(gain, frequency_hz)
@@ -241,18 +238,14 @@ def trx_from_noise_figure(noise_figure_db: float) -> float:
     return require("receiver temperature", t_rx, "K", 0.0, False)
 
 
-def enhancement_factor_cavity(
-    cavity: CavityCoupling,
-    effective_aperture_m2: float,
-    eta_0: float | None = None,
-) -> float:
+def enhancement_factor_cavity(cavity: CavityCoupling, effective_aperture_m2: float) -> float:
     """Field enhancement of a critically coupled cavity fed from an aperture.
 
     beta = sqrt(eta_c) * sqrt(2*Q_L/omega_0) * sqrt(A_e/(2*eta_0*eps_0*V_eff)),
     the dimensionless ratio of the RMS field in the probed mode volume to the
     incident free-space field at the aperture.
     """
-    eta_0 = resolve_eta0(eta_0)
+    eta_0 = default_eta0()
     require("effective aperture", effective_aperture_m2, "m^2")
     omega_0 = 2.0 * math.pi * cavity.frequency_hz
     beta = (
@@ -266,11 +259,7 @@ def enhancement_factor_cavity(
     return require("enhancement factor", beta)
 
 
-def local_field_requirement(
-    reference: ReceiverReference,
-    enhancement: float,
-    eta_0: float | None = None,
-) -> float:
+def local_field_requirement(reference: ReceiverReference, enhancement: float) -> float:
     """Local field spectral density at the sensor matching a classical reference.
 
     E_loc = beta * E_free, where E_free is the reference receiver's
@@ -280,10 +269,7 @@ def local_field_requirement(
     """
     require("enhancement factor", enhancement)
     free = nef_from_aperture(
-        reference.system_temperature_k,
-        reference.effective_aperture_m2,
-        reference.rho2,
-        eta_0,
+        reference.system_temperature_k, reference.effective_aperture_m2, reference.rho2
     )
     return require("local field requirement", enhancement * free, "V/m/sqrt(Hz)")
 

@@ -171,7 +171,6 @@ class LinkReport(namedtuple(
     "LinkReport",
     "eirp_dbw total_loss_db system_temperature_k g_over_t_db_per_k c_over_n0_dbhz"
     " eb_over_n0_db margins_db fsl_check",
-    defaults=(None,),
 )):
     """Derived link figures; every field is recomputable from the budget alone."""
 

@@ -98,11 +98,6 @@ def default_eta0() -> float:
     return require(ETA0_ENV_VAR, value, "ohm")
 
 
-def resolve_eta0(eta_0: float | None) -> float:
-    """A caller's free-space impedance in ohms, or the configured default."""
-    return default_eta0() if eta_0 is None else require("eta_0", eta_0, "ohm")
-
-
 def db_to_linear(x: float) -> float:
     """Convert a power-dB value to a linear ratio, ``10**(x/10)``."""
     require("dB value", x, "dB", -FLOAT_MAX, False, DB_MAX)
@@ -121,11 +116,7 @@ def frequency_to_wavelength(frequency_hz: float) -> float:
     return require("wavelength", CODATA.light_speed / frequency_hz, "m")
 
 
-def power_from_field(
-    field_v_per_m: float,
-    aperture_m2: float,
-    eta_0: float | None = None,
-) -> float:
+def power_from_field(field_v_per_m: float, aperture_m2: float) -> float:
     """Power collected from a plane wave: ``P = A*E^2 / (2*eta_0)``.
 
     ``field_v_per_m`` is the field amplitude and ``aperture_m2`` the area
@@ -135,7 +126,7 @@ def power_from_field(
     for such sensors prefer the field-referred metrics in
     :mod:`rfsense.fieldmetrics`.
     """
-    eta_0 = resolve_eta0(eta_0)
+    eta_0 = default_eta0()
     require("aperture", aperture_m2, "m^2")
     require("field amplitude", field_v_per_m, "V/m", 0.0, False)
     power = aperture_m2 * (field_v_per_m * field_v_per_m) / (2.0 * eta_0)

@@ -70,9 +70,7 @@ class CalibrationPoint(ValidatedRecord, namedtuple(
         ))
 
 
-class CalibrationResult(namedtuple(
-    "CalibrationResult", "gain receiver_temperature_k warnings", defaults=((),),
-)):
+class CalibrationResult(namedtuple("CalibrationResult", "gain receiver_temperature_k warnings")):
     """Gain and receiver temperature recovered from a hot/cold calibration."""
 
     __slots__ = ()

@@ -116,7 +116,6 @@ def compare_to_classical(
     gain: float,
     frequency_hz: float,
     rho2: float = 1.0,
-    eta_0: float | None = None,
 ) -> float:
     """Noise temperature a classical receiver would need to match this NEF.
 
@@ -124,4 +123,4 @@ def compare_to_classical(
     benchmarking an atomic sensor against amplifier noise temperatures under
     an assumed coupling (G, f, rho^2).
     """
-    return fieldmetrics.tsys_from_nef(sensor_nef, gain, frequency_hz, rho2, eta_0)
+    return fieldmetrics.tsys_from_nef(sensor_nef, gain, frequency_hz, rho2)

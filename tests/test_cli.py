@@ -24,6 +24,7 @@ from rfsense.cli import (
 from rfsense.errors import DomainError, SchemaError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BUNDLED_CSV = Path(rfsense.dataset.__file__).parent / "data" / "instruments.csv"
 
 BUDGET_ARGS = [
     "budget", "--tx-power", "20dbw", "--tx-gain", "45dbi",
@@ -111,28 +112,31 @@ class TestNumberFormatting:
         assert format_number(value) == expected
 
 
+GOLDEN_CASES = [
+    (BUDGET_ARGS, "budget.json"),
+    (RANGES_ARGS, "dataset_ranges.csv"),
+    (ENHANCE_ARGS, "enhance.json"),
+    (ENHANCE_Q_LOADED_ARGS, "enhance.json"),
+    (DERIVE_ARGS, "dataset_derive.json"),
+    (DERIVE_CSV_ARGS, "dataset_derive.csv"),
+    (PLOTDATA_ARGS, "dataset_plotdata.json"),
+    (DERIVE_TEXT_ARGS, "dataset_derive.txt"),
+    (RANGES_JSON_ARGS, "dataset_ranges.json"),
+    (NEDT_ARGS, "nedt.json"),
+    (NEDT_INVERSE_ARGS, "nedt_inverse.json"),
+    (NEF_GAIN_ARGS, "nef_gain.json"),
+    (CONVERT_ARGS, "convert.json"),
+    (RYDBERG_ARGS, "rydberg.json"),
+    (ENHANCE_Q_FACTORS_ARGS, "enhance.json"),
+    (RYDBERG_WARNING_ARGS, "rydberg_warning.json"),
+    (ENHANCE_WARNING_ARGS, "enhance_warning.json"),
+]
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize(
         "argv,golden",
-        [
-            (BUDGET_ARGS, "budget.json"),
-            (RANGES_ARGS, "dataset_ranges.csv"),
-            (ENHANCE_ARGS, "enhance.json"),
-            (ENHANCE_Q_LOADED_ARGS, "enhance.json"),
-            (DERIVE_ARGS, "dataset_derive.json"),
-            (DERIVE_CSV_ARGS, "dataset_derive.csv"),
-            (PLOTDATA_ARGS, "dataset_plotdata.json"),
-            (DERIVE_TEXT_ARGS, "dataset_derive.txt"),
-            (RANGES_JSON_ARGS, "dataset_ranges.json"),
-            (NEDT_ARGS, "nedt.json"),
-            (NEDT_INVERSE_ARGS, "nedt_inverse.json"),
-            (NEF_GAIN_ARGS, "nef_gain.json"),
-            (CONVERT_ARGS, "convert.json"),
-            (RYDBERG_ARGS, "rydberg.json"),
-            (ENHANCE_Q_FACTORS_ARGS, "enhance.json"),
-            (RYDBERG_WARNING_ARGS, "rydberg_warning.json"),
-            (ENHANCE_WARNING_ARGS, "enhance_warning.json"),
-        ],
+        GOLDEN_CASES,
         ids=["budget", "dataset-ranges", "enhance", "enhance-q-loaded", "dataset-derive",
              "dataset-derive-csv", "dataset-plotdata", "dataset-derive-text",
              "dataset-ranges-json", "nedt", "nedt-inverse", "nef-gain", "convert", "rydberg",
@@ -586,7 +590,7 @@ class TestSubcommands:
     def test_frequency_beyond_the_float_range_is_that_rows_diagnostic(
         self, capsys, tmp_path, command
     ):
-        table = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8")
+        table = BUNDLED_CSV.read_text(encoding="utf-8")
         dsn = "DSN 70 m BWG,Goldstone DSS-14,Deep-space comm.,coherent,"
         assert table.count(dsn + "8.4,") == 1
         path = tmp_path / "instruments.csv"
@@ -672,10 +676,49 @@ class TestOperationCoverage:
     def test_subcommand_names_match_parser(self):
         assert set(SUBCOMMANDS) == set(OPERATION_MAP)
 
+    def test_every_listed_operation_is_called_by_an_example_argv(self, capsys, monkeypatch):
+        # The golden, README and contract-baseline argv, plus one argv for each
+        # operation those leave out: the pulse-compression gain and the AC-Stark shift.
+        from test_contract import CLI_FLAGS, _cli
+        from test_package import _readme_argv
+
+        names = {
+            getattr(module, symbol): f"{module_name}.{symbol}"
+            for module_name, module in self.MODULES.items()
+            for symbol in module.__all__
+            if inspect.isfunction(getattr(module, symbol))
+        }
+        called = set()
+
+        def recording(function):
+            def wrapper(*args, **kwargs):
+                called.add(names[function])
+                return function(*args, **kwargs)
+            return wrapper
+
+        # A module that imports an operation by name holds its own reference to it.
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("rfsense"):
+                for symbol, value in list(vars(module).items()):
+                    if inspect.isfunction(value) and value in names:
+                        monkeypatch.setattr(module, symbol, recording(value))
+        argvs = [argv for argv, _ in GOLDEN_CASES] + list(_readme_argv().values()) + [
+            RADAR_POINT + ["--range", "100km", "--tsys", "290", "--bandwidth", "1mhz",
+                           "--pulse-width", "10us"],
+            ["rydberg", "--rabi", "1e5", "--detuning", "1e7"],
+        ]
+        for argv in argvs:
+            assert run(capsys, argv)[0] == 0, argv
+        for command in CLI_FLAGS:
+            argv, code, _, _ = _cli(command, {})
+            assert code == 0, argv
+        mapped = {op for ops in OPERATION_MAP.values() for op in ops}
+        assert mapped - called == set()
+
 
 def _non_finite_dataset(tmp_path) -> str:
     """The bundled table with ``f0_ghz=nan`` in row 2 and ``t_sys_k=inf`` in row 3."""
-    lines = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8").splitlines()
+    lines = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
     assert ",coherent,8.4," in lines[1] and ",23,sum," in lines[2]
     lines[1] = lines[1].replace(",coherent,8.4,", ",coherent,nan,")
     lines[2] = lines[2].replace(",23,sum,", ",inf,sum,")
@@ -686,7 +729,7 @@ def _non_finite_dataset(tmp_path) -> str:
 
 def _zero_reported_field_dataset(tmp_path) -> str:
     """The bundled table with ``e_free_reported=0`` in row 3."""
-    lines = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8").splitlines()
+    lines = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
     assert lines[2].endswith(",1.4e-11")
     lines[2] = lines[2].removesuffix("1.4e-11") + "0"
     path = tmp_path / "zero-reported-field.csv"
@@ -696,7 +739,7 @@ def _zero_reported_field_dataset(tmp_path) -> str:
 
 def _huge_gain_dataset(tmp_path) -> str:
     """The bundled table plus a gain-tagged row whose ``gain_dbi=4000`` overflows."""
-    document = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8")
+    document = BUNDLED_CSV.read_text(encoding="utf-8")
     row = ("Huge gain,test,Test,coherent,8.4,1e6,RF,gain,,,,4000,5,measured,18,direct,,"
            "23,sum,,,1,ref,")
     path = tmp_path / "huge-gain.csv"
@@ -755,7 +798,7 @@ class TestErrorContract:
     def test_an_overflowing_derivation_is_one_row_diagnostic(
         self, capsys, tmp_path, old, new, message,
     ):
-        lines = rfsense.dataset.bundled_dataset_path().read_text(encoding="utf-8").splitlines()
+        lines = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
         assert lines[1].startswith("DSN 70 m BWG,") and lines[1].count(old) == 1
         lines[1] = lines[1].replace(old, new)
         path = tmp_path / "overflowing-row.csv"
@@ -905,6 +948,8 @@ class TestErrorLines:
         # A plain negative number is a value, so the handler refuses it.
         (["nef", "--tsys", "-20", "--diameter", "34m"], "--tsys must be > 0"),
         (RYDBERG_WARNING_ARGS[:-2] + ["--integration-time=-1us"],
+         "integration time must be > 0 s"),
+        (["rydberg", "--dipole-ea0", "3000", "--integration-time=-1us"],
          "integration time must be > 0 s"),
     ])
     def test_flag_combination_is_one_domain_error_line(self, capsys, argv, line):

@@ -21,6 +21,7 @@ import contextlib
 import io
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,7 @@ POSITIVE_RESULTS = {
 UNIT_WORDS = {"k", "hz", "s", "m", "m2", "m3", "w", "cm", "db", "dbw", "dbi", "dbhz", "bps",
               "v", "per", "sqrt", "rad"}
 
+BUNDLED_CSV = Path(ds.__file__).parent / "data" / "instruments.csv"
 BUNDLED = ds.load_bundled_dataset().records
 DERIVED = ds.derive_records(BUNDLED)[0]
 EIRP = dict(transmit_power_dbw=(20.0, "finite"), transmit_gain_dbi=(45.0, "finite"))
@@ -94,9 +96,9 @@ SCENARIO = dict(
 )
 CELL = dict(sigma0=(0.05, ">=0"), cell_area_m2=(20.0, ">0"))
 APERTURE_FORM = dict(system_temperature_k=(23.0, ">0"), effective_aperture_m2=(2660.0, ">0"),
-                     rho2=(1.0, "(0,1]"), eta_0=(376.73, ">0"))
-GAIN_FORM = dict(gain=(1.5, ">0"), frequency_hz=(96e9, ">0"), rho2=(0.5, "(0,1]"),
-                 eta_0=(376.73, ">0"))
+                     rho2=(1.0, "(0,1]"))
+GAIN_FORM = dict(gain=(1.5, ">0"), frequency_hz=(96e9, ">0"), rho2=(0.5, "(0,1]"))
+ETA_0 = dict(eta_0=(376.73, ">0"))
 CAVITY = dict(frequency_hz=(8.4e9, ">0"), q_loaded=(8400.0, ">0"),
               rf_efficiency=(0.8, "(0,1]"), mode_volume_m3=(1e-5, ">0"))
 DIPOLE = dict(dipole_moment_cm=(8.5e-27, ">0"), alignment_cosine=(0.5, "[-1,1]"))
@@ -116,12 +118,12 @@ def _budget(fsl, atm, qpsk, **fields):
     return lb.evaluate_link(budget)
 
 
-def _cavity(effective_aperture_m2, eta_0, **fields):
-    return fm.enhancement_factor_cavity(fm.CavityCoupling(**fields), effective_aperture_m2, eta_0)
+def _cavity(effective_aperture_m2, **fields):
+    return fm.enhancement_factor_cavity(fm.CavityCoupling(**fields), effective_aperture_m2)
 
 
-def _reference(enhancement, eta_0, **fields):
-    return fm.local_field_requirement(fm.ReceiverReference(**fields), enhancement, eta_0)
+def _reference(enhancement, **fields):
+    return fm.local_field_requirement(fm.ReceiverReference(**fields), enhancement)
 
 
 def _calibrate(antenna_temperature_k, output_power_w, bandwidth_hz):
@@ -208,7 +210,7 @@ BASELINES = {
         dict(system_temperature_k=(500.0, ">=0"), effective_aperture_m2=(18.4, ">0"),
              rho2=(0.5, "(0,1]")),
     ),
-    "fieldmetrics.nef_from_aperture": (fm.nef_from_aperture, APERTURE_FORM),
+    "fieldmetrics.nef_from_aperture": (fm.nef_from_aperture, dict(APERTURE_FORM, **ETA_0)),
     "fieldmetrics.nef_from_gain": (
         fm.nef_from_gain, dict(GAIN_FORM, system_temperature_k=(7000.0, ">0")),
     ),
@@ -229,7 +231,7 @@ BASELINES = {
         fm.trx_from_noise_figure, dict(noise_figure_db=(10.0, ">=0")),
     ),
     "fieldmetrics.enhancement_factor_cavity": (
-        _cavity, dict(CAVITY, effective_aperture_m2=(590.0, ">0"), eta_0=(376.73, ">0")),
+        _cavity, dict(CAVITY, effective_aperture_m2=(590.0, ">0")),
     ),
     "fieldmetrics.local_field_requirement": (
         _reference, dict(APERTURE_FORM, enhancement=(4.7e4, ">0")),
@@ -245,7 +247,7 @@ BASELINES = {
     ),
     "quantities.power_from_field": (
         q.power_from_field,
-        dict(field_v_per_m=(0.01, ">=0"), aperture_m2=(1.0, ">0"), eta_0=(376.73, ">0")),
+        dict(field_v_per_m=(0.01, ">=0"), aperture_m2=(1.0, ">0")),
     ),
     "rydberg.dipole_moment": (ry.dipole_moment, dict(multiple_of_e_a0=(1000.0, ">0"))),
     "rydberg.qpn_nef": (
@@ -268,27 +270,15 @@ BASELINES = {
         ry.compare_to_classical, dict(GAIN_FORM, sensor_nef=(7.9e-6, ">0")),
     ),
     "dataset.parse_instruments": (
-        lambda: ds.parse_instruments(ds.bundled_dataset_path().read_text(encoding="utf-8")), {},
+        lambda: ds.parse_instruments(BUNDLED_CSV.read_text(encoding="utf-8")), {},
     ),
-    "dataset.serialize_instruments": (lambda: ds.serialize_instruments(BUNDLED), {}),
-    "dataset.derive_record": (
-        lambda eta_0: ds.derive_record(BUNDLED[0], eta_0), dict(eta_0=(376.73, ">0")),
-    ),
-    "dataset.derive_records": (
-        lambda eta_0: ds.derive_records(BUNDLED, eta_0), dict(eta_0=(376.73, ">0")),
-    ),
+    "dataset.derive_record": (lambda eta_0: ds.derive_record(BUNDLED[0], eta_0), ETA_0),
+    "dataset.derive_records": (lambda: ds.derive_records(BUNDLED), {}),
     "dataset.consistency_diagnostics": (
         lambda rel_tol: ds.consistency_diagnostics(DERIVED, rel_tol), dict(rel_tol=(0.1, ">=0")),
     ),
     "dataset.load_bundled_dataset": (ds.load_bundled_dataset, {}),
-    "dataset.bundled_dataset_path": (ds.bundled_dataset_path, {}),
-    "dataset.synthesize_ranges": (
-        lambda eta_0: ds.synthesize_ranges(DERIVED, DERIVED[0].category, 2, eta_0),
-        dict(eta_0=(376.73, ">0")),
-    ),
-    "dataset.synthesize_all": (
-        lambda eta_0: ds.synthesize_all(DERIVED, 2, eta_0), dict(eta_0=(376.73, ">0")),
-    ),
+    "dataset.synthesize_all": (lambda: ds.synthesize_all(DERIVED, 2), {}),
     "dataset.round_to_sig_figs": (ds.round_to_sig_figs, dict(value=(0.0123, "finite"))),
     "dataset.emit_plot_data": (
         lambda probe_bandwidth, probe_field, **k: ds.emit_plot_data(

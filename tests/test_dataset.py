@@ -3,14 +3,15 @@ import gc
 import io
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfsense import dataset
 from rfsense.errors import DomainError, SchemaError
 from rfsense.fieldmetrics import default_polarisation_coupling
-from rfsense.quantities import CODATA
 from rfsense.dataset import (
     APERTURE_METHODS,
     BANDWIDTH_METHODS,
@@ -24,7 +25,6 @@ from rfsense.dataset import (
     Diagnostic,
     InstrumentRecord,
     ParseResult,
-    bundled_dataset_path,
     consistency_diagnostics,
     derive_record,
     derive_records,
@@ -32,12 +32,11 @@ from rfsense.dataset import (
     load_bundled_dataset,
     parse_instruments,
     round_to_sig_figs,
-    serialize_instruments,
     synthesize_all,
-    synthesize_ranges,
 )
 
 HEADER = ",".join(REQUIRED_COLUMNS)
+BUNDLED_CSV = Path(dataset.__file__).parent / "data" / "instruments.csv"
 
 # Frozen oracles (direct evaluation, CODATA impedance).
 E_FREE_DSN = 6.706254405772384e-12
@@ -155,18 +154,13 @@ class TestParse:
         [diagnostic] = result.diagnostics
         assert (diagnostic.row, diagnostic.instrument, diagnostic.message) == (2, "ok", message)
 
-    def test_round_trip_parse_serialize_parse(self):
-        first = load_bundled_dataset().records
-        again = parse_instruments(serialize_instruments(first)).records
-        assert again == first
-
     @pytest.mark.parametrize(
         "column,text",
         [("f0_ghz", "nan"), ("t_sys_k", "inf"), ("a_e_m2", "-Infinity"),
          ("e_free_reported", "NaN"), ("rho2", "1e400")],
     )
     def test_non_finite_cell_is_a_row_diagnostic_naming_the_column(self, column, text):
-        reader = csv.DictReader(io.StringIO(bundled_dataset_path().read_text(encoding="utf-8")))
+        reader = csv.DictReader(io.StringIO(BUNDLED_CSV.read_text(encoding="utf-8")))
         rows = list(reader)
         rows[4][column] = text
         document = io.StringIO()
@@ -179,8 +173,26 @@ class TestParse:
         assert (diagnostic.row, diagnostic.instrument) == (6, rows[4]["instrument"])
         assert diagnostic.message == f"{column} must be finite, got {text!r}"
 
+    # derive_record converts nf_db to T_Rx only under t_rx_method NF, so a direct
+    # T_Rx without t_rx_k leaves the sum T_A + T_Rx without its second term.
+    def test_sum_rule_with_direct_t_rx_and_only_a_noise_figure_is_a_row_diagnostic(self):
+        reader = csv.DictReader(io.StringIO(BUNDLED_CSV.read_text(encoding="utf-8")))
+        rows = list(reader)
+        rows[0].update(t_sys_k="", t_sys_method="sum", t_a_k="20", t_rx_k="",
+                       t_rx_method="direct", nf_db="1")
+        document = io.StringIO()
+        writer = csv.DictWriter(document, reader.fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+        result = parse_instruments(document.getvalue())
+        assert len(result.records) == 20
+        assert result.diagnostics == (Diagnostic(
+            2, rows[0]["instrument"], "t_sys_method 'sum' needs t_a_k and a resolvable t_rx",
+        ),)
+        assert _dictreader_parse_instruments(document.getvalue()) == result
+
     def test_padded_header_names_parse_like_plain_ones(self):
-        header, _, body = bundled_dataset_path().read_text(encoding="utf-8").partition("\n")
+        header, _, body = BUNDLED_CSV.read_text(encoding="utf-8").partition("\n")
         padded = ",".join(f" {name}\t" for name in header.split(","))
         result = parse_instruments(padded + "\n" + body)
         assert result.diagnostics == ()
@@ -302,7 +314,7 @@ def _ref_parse_row(row: dict) -> InstrumentRecord:
         if t_sys_method == "NEDT" and (nedt_k is None or tau_s is None):
             raise DomainError("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
         if t_sys_method == "sum":
-            t_rx_resolvable = t_rx is not None or nf_db is not None
+            t_rx_resolvable = t_rx is not None or (t_rx_method == "NF" and nf_db is not None)
             if t_a is None or not t_rx_resolvable:
                 raise DomainError("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
 
@@ -540,16 +552,13 @@ class TestDerive:
     def test_invalid_eta0_env_is_one_error_not_a_diagnostic_per_row(self, monkeypatch):
         records = load_bundled_dataset().records
         derived, _ = derive_records(records)
-        ranges = synthesize_all(derived)
+        synthesize_all(derived)
         monkeypatch.setenv("RFSENSE_ETA0_OHMS", "abc")
         message = "RFSENSE_ETA0_OHMS must be a number, got 'abc'"
         with pytest.raises(DomainError, match=message):
             derive_records(records)
         with pytest.raises(DomainError, match=message):
             synthesize_all(derived)
-        # An explicit impedance never reads the environment.
-        assert derive_records(records, eta_0=CODATA.eta_0) == (derived, ())
-        assert synthesize_all(derived, eta_0=CODATA.eta_0) == ranges
 
     def test_sum_consistency_of_bundled_rows(self):
         # Every row with both T_A and T_Rx listed satisfies T_sys = T_A + T_Rx.
@@ -590,10 +599,16 @@ class TestConsistencyDiagnostics:
         )
 
 
+def _range_of(records, category):
+    """The range ``synthesize_all`` gives ``category``."""
+    [found] = [r for r in synthesize_all(records) if r.category == category]
+    return found
+
+
 class TestSynthesize:
     def test_deep_space_row_matches_published_table(self):
         derived, _ = derive_records(load_bundled_dataset().records)
-        r = synthesize_ranges(derived, "Deep-space comm.")
+        r = _range_of(derived, "Deep-space comm.")
         assert (r.t_sys_min_k, r.t_sys_max_k) == (18.0, 28.0)
         assert (r.a_e_min_m2, r.a_e_max_m2) == (500.0, 3200.0)
         assert (r.bandwidth_min_hz, r.bandwidth_max_hz) == (1.6e7, 4.8e8)
@@ -602,30 +617,25 @@ class TestSynthesize:
 
     def test_space_vlbi_row_matches_published_table(self):
         derived, _ = derive_records(load_bundled_dataset().records)
-        r = synthesize_ranges(derived, "Space VLBI")
+        r = _range_of(derived, "Space VLBI")
         assert (r.t_sys_min_k, r.t_sys_max_k) == (56.0, 100.0)
         assert (r.a_e_min_m2, r.a_e_max_m2) == (10.0, 48.0)
         assert (r.e_free_min, r.e_free_max) == (1.1e-10, 3.3e-10)
 
     def test_frequency_bounds_are_raw_extrema(self):
         derived, _ = derive_records(load_bundled_dataset().records)
-        r = synthesize_ranges(derived, "Deep-space comm.")
+        r = _range_of(derived, "Deep-space comm.")
         assert r.f0_min_hz == pytest.approx(8.4e9)
         assert r.f0_max_hz == pytest.approx(8.45e9)
 
     def test_single_record_category_degenerate_bounds(self):
         record = derive_record(make_record(category="solo"))
-        r = synthesize_ranges([record], "solo", sig_figs=None)
+        [r] = synthesize_all([record], sig_figs=None)
         assert r.t_sys_min_k == pytest.approx(0.8 * 23.0, rel=1e-12)
         assert r.t_sys_max_k == pytest.approx(1.2 * 23.0, rel=1e-12)
         assert r.a_e_min_m2 == pytest.approx(0.8 * 2660.0, rel=1e-12)
         assert r.a_e_max_m2 == pytest.approx(1.2 * 2660.0, rel=1e-12)
         assert r.f0_min_hz == r.f0_max_hz == pytest.approx(8.4e9)
-
-    def test_empty_category_rejected(self):
-        with pytest.raises(DomainError) as caught:
-            synthesize_ranges([derive_record(make_record())], "nope")
-        assert str(caught.value) == "no records in category 'nope'"
 
     def test_underived_records_rejected(self):
         members = [
@@ -635,14 +645,12 @@ class TestSynthesize:
             make_record(instrument="raw-field"),
             derive_record(make_record(instrument="raw-tsys"))._replace(t_sys_k=None),
         ]
-        for synthesize in (lambda: synthesize_ranges(members, "test-category"),
-                           lambda: synthesize_all(members)):
-            with pytest.raises(DomainError) as caught:
-                synthesize()
-            assert str(caught.value) == (
-                "records not fully derived in category 'test-category': "
-                "raw-aperture, raw-field, raw-tsys"
-            )
+        with pytest.raises(DomainError) as caught:
+            synthesize_all(members)
+        assert str(caught.value) == (
+            "records not fully derived in category 'test-category': "
+            "raw-aperture, raw-field, raw-tsys"
+        )
 
     def test_mixed_rho2_rejected_naming_offenders(self):
         a = derive_record(make_record(instrument="one", rho2=1.0))
@@ -650,16 +658,30 @@ class TestSynthesize:
                                       coherence="incoherent"))
         c = derive_record(make_record(instrument="three", rho2=1.0))
         with pytest.raises(DomainError) as exc_info:
-            synthesize_ranges([a, b, c], "test-category")
+            synthesize_all([a, b, c])
         assert str(exc_info.value) == (
             "mixed rho2 within category 'test-category': "
             "one (rho2=1), two (rho2=0.5), three (rho2=1)"
         )
 
+    # InstrumentRecord does not check its fields, so a record made in code can
+    # carry a frequency whose value in Hz leaves the float range.
+    @pytest.mark.parametrize("f0_ghz,message", [
+        (1e300, "category 'Deep-space comm.' maximum frequency must be finite and > 0 Hz, "
+                "got inf"),
+        (-1.0, "category 'Deep-space comm.' minimum frequency must be > 0 Hz"),
+    ])
+    def test_frequency_bound_out_of_range_is_a_domain_error_naming_it(self, f0_ghz, message):
+        derived, _ = derive_records(load_bundled_dataset().records)
+        records = (derived[0]._replace(f0_ghz=f0_ghz), *derived[1:])
+        with pytest.raises(DomainError) as caught:
+            synthesize_all(records)
+        assert str(caught.value) == message
+
     def test_permutation_invariance(self):
         derived, _ = derive_records(load_bundled_dataset().records)
-        forward = synthesize_ranges(derived, "Limb sounder")
-        backward = synthesize_ranges(list(reversed(derived)), "Limb sounder")
+        forward = _range_of(derived, "Limb sounder")
+        backward = _range_of(list(reversed(derived)), "Limb sounder")
         assert forward == backward
 
     def test_synthesize_all_covers_every_category(self):
@@ -702,7 +724,8 @@ class TestSynthesize:
 
         first_appearance = dict.fromkeys(r.category for r in records)
         expected = outcome(lambda: tuple(
-            synthesize_ranges(records, category, sig_figs) for category in first_appearance
+            bounds for category in first_appearance
+            for bounds in synthesize_all([r for r in records if r.category == category], sig_figs)
         ))
         assert outcome(lambda: synthesize_all(records, sig_figs)) == expected
 
@@ -736,7 +759,7 @@ class TestSynthesize:
             ))
             for i, (t, a) in enumerate(members)
         ]
-        bounds = synthesize_ranges(records, "random", sig_figs=None)
+        [bounds] = synthesize_all(records, sig_figs=None)
         for record in records:
             assert bounds.e_free_min <= record.e_free_vm_sqrthz <= bounds.e_free_max
 
