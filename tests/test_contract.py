@@ -6,7 +6,10 @@ documented bound, and the call must raise a ``DomainError`` that names that
 parameter.  Each float parameter also takes finite values at the edges of the
 float range, and the call must return finite numbers (non-zero where the
 result is checked > 0) or raise a ``DomainError`` that names the parameter or
-the result that left the float range.  The operations come from
+the result that left the float range.  An operation that reads the free-space
+impedance from ``RFSENSE_ETA0_OHMS`` gets the bad values through that
+variable, and must raise a ``DomainError`` that names it, and its result must
+follow a valid value of it.  The operations come from
 ``cli.OPERATION_MAP``, so a new public operation fails here until it has a
 baseline.  A record-typed argument (``ReceiverNoiseModel``, ``RadarScenario``,
 ...) contributes its float fields as parameters; an ``InstrumentRecord`` is a
@@ -336,6 +339,45 @@ def test_bad_value_is_a_domain_error_naming_the_parameter(operation, parameter):
         with pytest.raises(DomainError) as caught:
             call(**{**valid, parameter: bad})
         assert _names(str(caught.value), parameter), (bad, str(caught.value))
+
+
+# Operations that read the free-space impedance from RFSENSE_ETA0_OHMS (through
+# quantities.default_eta0) instead of taking it as an argument; nef_from_aperture
+# reads it when its eta_0 argument is left out.
+IMPEDANCE_READERS = (
+    "dataset.derive_records", "dataset.synthesize_all",
+    "fieldmetrics.enhancement_factor_cavity", "fieldmetrics.local_field_requirement",
+    "fieldmetrics.nef_from_aperture", "fieldmetrics.nef_from_gain",
+    "fieldmetrics.tsys_from_nef", "quantities.power_from_field",
+    "rydberg.compare_to_classical",
+)
+
+
+def _baseline_without_eta0(operation):
+    call, parameters = BASELINES[operation]
+    valid = {name: value for name, (value, _) in parameters.items() if name != "eta_0"}
+    return lambda: call(**valid)
+
+
+@pytest.mark.parametrize("operation", IMPEDANCE_READERS)
+def test_bad_impedance_in_the_environment_is_a_domain_error_naming_it(operation, monkeypatch):
+    call = _baseline_without_eta0(operation)
+    for bad in ("nan", "inf", "-inf", "0", "-0", "-1", "abc", ""):
+        monkeypatch.setenv(q.ETA0_ENV_VAR, bad)
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert q.ETA0_ENV_VAR in str(caught.value), (bad, str(caught.value))
+
+
+@pytest.mark.parametrize("operation", IMPEDANCE_READERS)
+def test_result_follows_the_impedance_in_the_environment(operation, monkeypatch):
+    call = _baseline_without_eta0(operation)
+    monkeypatch.delenv(q.ETA0_ENV_VAR, raising=False)
+    unset = call()
+    monkeypatch.setenv(q.ETA0_ENV_VAR, repr(q.CODATA.eta_0))
+    assert call() == unset
+    monkeypatch.setenv(q.ETA0_ENV_VAR, repr(4.0 * q.CODATA.eta_0))
+    assert call() != unset
 
 
 @pytest.mark.parametrize("operation", sorted(BASELINES))
