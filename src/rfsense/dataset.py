@@ -29,11 +29,10 @@ missing cells as empty; cells beyond the header are ignored.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import ROUND_HALF_UP, Decimal
 from operator import itemgetter
 
@@ -182,6 +181,24 @@ def _parse_cell(column: str, text: str) -> float | None:
     return value
 
 
+def _lines(document: str) -> Iterator[str]:
+    r"""The ``"\n"``-terminated lines of ``document``, as ``io.StringIO`` splits them.
+
+    Slicing the document, rather than copying it into a ``StringIO`` buffer
+    of four bytes a character, keeps a large table resident once.
+    ``str.splitlines`` would also split at ``\r``, ``\x0b``, ``\x85``,
+    ``\u2028`` and the other line boundaries ``csv`` reads inside a line.
+    """
+    start = 0
+    end = document.find("\n") + 1
+    while end:
+        yield document[start:end]
+        start = end
+        end = document.find("\n", start) + 1
+    if start < len(document):
+        yield document[start:]
+
+
 def parse_instruments(document: str) -> ParseResult:
     """Parse a dataset CSV document into instrument records.
 
@@ -189,7 +206,7 @@ def parse_instruments(document: str) -> ParseResult:
     silently dropped; a missing required column raises :class:`SchemaError`
     naming the column.
     """
-    reader = csv.reader(io.StringIO(document))
+    reader = csv.reader(_lines(document))
     header = next(reader, None)
     if header is None:
         raise SchemaError("document has no header row")
@@ -420,20 +437,27 @@ def _synthesize(
         )
         raise DomainError(f"mixed rho2 within category {category!r}: {offenders}")
 
-    t_min = min(column.t_sys_k) * LOWER_MARGIN
-    t_max = max(column.t_sys_k) * UPPER_MARGIN
-    a_min = min(column.a_e_m2) * LOWER_MARGIN
-    a_max = max(column.a_e_m2) * UPPER_MARGIN
-    bw_min = min(column.bandwidth_hz) * LOWER_MARGIN
-    bw_max = max(column.bandwidth_hz) * UPPER_MARGIN
+    # Each bound is checked where it is scaled, before the NEF bounds and the
+    # rounding, so one that leaves the float range is named with its category.
+    where = f"category {category!r}"
+    # Scaling by 1e9 is monotonic, so the extrema of f0_hz are those of f0_ghz, scaled.
+    f0_min = require(f"{where} minimum frequency", min(column.f0_ghz) * 1e9, "Hz")
+    f0_max = require(f"{where} maximum frequency", max(column.f0_ghz) * 1e9, "Hz")
+    a_min = require(f"{where} minimum effective aperture",
+                    min(column.a_e_m2) * LOWER_MARGIN, "m^2")
+    a_max = require(f"{where} maximum effective aperture",
+                    max(column.a_e_m2) * UPPER_MARGIN, "m^2")
+    t_min = require(f"{where} minimum system temperature",
+                    min(column.t_sys_k) * LOWER_MARGIN, "K")
+    t_max = require(f"{where} maximum system temperature",
+                    max(column.t_sys_k) * UPPER_MARGIN, "K")
+    bw_min = require(f"{where} minimum bandwidth", min(column.bandwidth_hz) * LOWER_MARGIN, "Hz")
+    bw_max = require(f"{where} maximum bandwidth", max(column.bandwidth_hz) * UPPER_MARGIN, "Hz")
     bounds = (a_min, a_max, t_min, t_max, bw_min, bw_max,
               nef_from_aperture(t_min, a_max, rho2, eta_0),
               nef_from_aperture(t_max, a_min, rho2, eta_0))
     if sig_figs is not None:
         bounds = [round_to_sig_figs(value, sig_figs) for value in bounds]
-    # Scaling by 1e9 is monotonic, so the extrema of f0_hz are those of f0_ghz, scaled.
-    f0_min = require(f"category {category!r} minimum frequency", min(column.f0_ghz) * 1e9, "Hz")
-    f0_max = require(f"category {category!r} maximum frequency", max(column.f0_ghz) * 1e9, "Hz")
     return CategoryRange(category, f0_min, f0_max, *bounds, len(members))
 
 

@@ -31,7 +31,9 @@ def require(name, value, unit="", low=0.0, strict=True, high=FLOAT_MAX, verbose=
     parameter: ``"<name> must be > 0 Hz"`` for a finite value outside the
     bound (``unit`` follows the bound), and ``"<name> must be finite and
     > 0 Hz, got nan"`` for a non-finite value, or for any value when
-    ``verbose`` is set.
+    ``verbose`` is set.  A per-element loop may test the bound inline and
+    call ``require`` with the same arguments only when that test fails, so
+    the message is still built here and nowhere else.
     """
     if (low < value <= high) if strict else (low <= value <= high):
         return value

@@ -104,7 +104,10 @@ def total_loss(ledger: "list[tuple[str, float]] | tuple[tuple[str, float], ...]"
     """Arithmetic dB sum of an ordered ledger of named losses."""
     sum_db = 0.0
     for name, value in ledger:
-        sum_db += require(f"loss {name!r}", value, "dB", 0.0, False)
+        # ``require``'s bound, tested inline so the name is built only to raise.
+        if not 0.0 <= value <= FLOAT_MAX:
+            require(f"loss {name!r}", value, "dB", 0.0, False)
+        sum_db += value
     return require("total loss", sum_db, "dB", 0.0, False)
 
 
@@ -146,15 +149,18 @@ class LinkBudget(ValidatedRecord, namedtuple(
         require("transmit power", self.transmit_power_dbw, "dBW", -FLOAT_MAX, False)
         require("transmit gain", self.transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
         require("transmit feeder loss", self.transmit_feeder_loss_db, "dB", 0.0, False)
+        # Inline bounds: each ledger name is built only when its entry fails.
         for name, value in self.losses_db:
-            require(f"loss {name!r}", value, "dB", 0.0, False)
+            if not 0.0 <= value <= FLOAT_MAX:
+                require(f"loss {name!r}", value, "dB", 0.0, False)
         require("receive gain", self.receive_gain_dbi, "dBi", -FLOAT_MAX, False)
         require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
         require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
         require("linear feeder loss", self.feeder_loss_linear, "", 1.0, False)
         require("data rate", self.data_rate_bps, "bit/s")
         for name, value in self.required_eb_n0_db:
-            require(f"Eb/N0 threshold {name!r}", value, "dB", -FLOAT_MAX, False)
+            if not -FLOAT_MAX <= value <= FLOAT_MAX:
+                require(f"Eb/N0 threshold {name!r}", value, "dB", -FLOAT_MAX, False)
         if self.path_length_m is not None:
             require("path length", self.path_length_m, "m")
         if self.frequency_hz is not None:
@@ -209,10 +215,12 @@ def evaluate_link(budget: LinkBudget) -> LinkReport:
     g_over_t = figure_of_merit(budget.receive_gain_dbi, t_sys)
     cn0 = c_over_n0(eirp_dbw, loss_db, g_over_t)
     ebn0 = eb_over_n0(cn0, budget.data_rate_bps)
-    margins = tuple(
-        (name, require(f"margin {name!r}", ebn0 - required, "dB", -FLOAT_MAX, False))
-        for name, required in budget.required_eb_n0_db
-    )
+    margins = []
+    for name, required in budget.required_eb_n0_db:
+        margin = ebn0 - required
+        if not -FLOAT_MAX <= margin <= FLOAT_MAX:
+            require(f"margin {name!r}", margin, "dB", -FLOAT_MAX, False)
+        margins.append((name, margin))
 
     fsl_check = None
     if budget.path_length_m is not None and budget.frequency_hz is not None:
@@ -237,6 +245,6 @@ def evaluate_link(budget: LinkBudget) -> LinkReport:
         g_over_t_db_per_k=g_over_t,
         c_over_n0_dbhz=cn0,
         eb_over_n0_db=ebn0,
-        margins_db=margins,
+        margins_db=tuple(margins),
         fsl_check=fsl_check,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import FLOAT_MAX, FLOAT_MIN, DomainError, SingularFitError, require
 from .quantities import CODATA, ValidatedRecord
@@ -61,13 +61,15 @@ class CalibrationPoint(ValidatedRecord, namedtuple(
     __slots__ = ()
 
     # A fit builds thousands of points, so this skips the generic namedtuple
-    # constructor and the ``_check`` call that the base's ``__new__`` makes.
+    # constructor and the ``_check`` call that the base's ``__new__`` makes,
+    # and tests the bound inline, calling ``require`` only to raise.
     def __new__(cls, antenna_temperature_k, output_power_w):
-        return tuple.__new__(cls, (
+        if not (0.0 <= antenna_temperature_k <= FLOAT_MAX
+                and 0.0 <= output_power_w <= FLOAT_MAX):
             require("calibration point antenna_temperature_k", antenna_temperature_k,
-                    "K", 0.0, False),
-            require("calibration point output_power_w", output_power_w, "W", 0.0, False),
-        ))
+                    "K", 0.0, False)
+            require("calibration point output_power_w", output_power_w, "W", 0.0, False)
+        return tuple.__new__(cls, (antenna_temperature_k, output_power_w))
 
 
 class CalibrationResult(namedtuple("CalibrationResult", "gain receiver_temperature_k warnings")):
@@ -145,8 +147,11 @@ def calibrate_hot_cold(
     require("bandwidth", bandwidth_hz, "Hz")
     if len(points) < 2:
         raise SingularFitError("calibration needs at least two points")
-    temperatures = [p.antenna_temperature_k for p in points]
-    powers = [p.output_power_w for p in points]
+    # One pass per column that allocates nothing per point: ``zip(*points)``
+    # makes an iterator per point, and on a fit of thousands of points those
+    # allocations set off the cyclic garbage collector.
+    temperatures = list(map(itemgetter(0), points))
+    powers = list(map(itemgetter(1), points))
     t_min = min(temperatures)
     t_span = max(temperatures) - t_min
     if t_span == 0.0:

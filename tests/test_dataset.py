@@ -351,8 +351,13 @@ _GOOD_CELLS = dict(zip(COLUMNS, (
 )))
 _NUMBERS = ["1.0", " 2.5 ", "1e6", "100", "0.5", "", "0", "-1", "abc", "nan", "inf", "1e400",
             "1e300"]
+# Every line boundary of ``str.splitlines`` but "\n"; ``io.StringIO``, which
+# the reference reads through, ends a line only at "\n".
+_LINE_BOUNDARIES = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _CELL_VALUES = {
-    **{c: ["DSN 70 m", " padded\t", "a,b", "line\nbreak", 'say "hi"', ""]
+    **{c: ["DSN 70 m", " padded\t", "a,b", "line\nbreak", 'say "hi"', "",
+           "cr\rcell", "vt\x0bff\x0ccell", "fs\x1cgs\x1drs\x1ecell", "nel\x85cell",
+           "ls\u2028ps\u2029cell"]
        for c in ("instrument", "mission", "category", "reference")},
     "coherence": ["coherent", " incoherent ", "", "laser"],
     "bandwidth_method": ["RF", "noise", " chirp", "", "guess"],
@@ -371,6 +376,8 @@ _OVERRIDE = st.sampled_from(COLUMNS + ("instrument", "mission", "reference") * 4
 _ROW = st.one_of(
     st.none(),  # a blank line
     st.tuples(st.lists(_OVERRIDE, max_size=3), st.integers(-3, 2)),  # length change
+    # An instrument cell written unquoted: a lone "\r" in it is a csv.Error.
+    st.sampled_from(_LINE_BOUNDARIES).map(lambda boundary: f"raw{boundary}cell"),
 )
 _DOCUMENT = st.tuples(
     st.booleans(),  # the optional column is present
@@ -378,18 +385,23 @@ _DOCUMENT = st.tuples(
     st.booleans(),  # padded header names
     st.sampled_from([False, False, False, True]),  # a leading blank line
     st.lists(_ROW, max_size=12),
+    st.booleans(),  # the last line has no line break
 )
 
 
 def _documents(spec) -> tuple[str, str]:
     """(document, the same with unpadded header names) from a ``_DOCUMENT`` draw."""
-    optional, order, padded, leading_blank, rows = spec
+    optional, order, padded, leading_blank, rows, unterminated = spec
     columns = [c for c in order if optional or c in REQUIRED_COLUMNS]
     body = io.StringIO()
     writer = csv.writer(body)
     for row in rows:
         if row is None:
             body.write("\n")
+            continue
+        if isinstance(row, str):
+            cells = {**_GOOD_CELLS, "instrument": row}
+            body.write(",".join(cells[c] for c in columns) + "\r\n")
             continue
         overrides, change = row
         cells = {**_GOOD_CELLS, **dict(overrides)}
@@ -398,20 +410,25 @@ def _documents(spec) -> tuple[str, str]:
     lead = "\n" if leading_blank else ""
     plain = ",".join(columns)
     header = ",".join(f" {c} " for c in columns) if padded else plain
-    return (lead + header + "\r\n" + body.getvalue(),
-            lead + plain + "\r\n" + body.getvalue())
+    end = body.getvalue()
+    if unterminated:
+        end = end.removesuffix("\n").removesuffix("\r")
+    return (lead + header + "\r\n" + end, lead + plain + "\r\n" + end)
 
 
 def _parse_or_error(parse, document):
     try:
         return parse(document)
-    except SchemaError as exc:
-        return f"SchemaError: {exc}"
+    except (SchemaError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestParserMatchesDictReader:
     @settings(max_examples=300, deadline=None)
     @given(_DOCUMENT)
+    @example((True, COLUMNS, False, False, [([], 0), "raw\rcell", ([], 0)], False))
+    @example((True, COLUMNS, False, False, [([], 0), "raw\u2028cell", ([], 0)], True))
+    @example((False, REQUIRED_COLUMNS, True, False, [([("mission", "nel\x85cell")], 0)], True))
     def test_same_records_and_diagnostics(self, spec):
         document, plain = _documents(spec)
         expected = _parse_or_error(_dictreader_parse_instruments, plain)
@@ -677,6 +694,23 @@ class TestSynthesize:
         with pytest.raises(DomainError) as caught:
             synthesize_all(records)
         assert str(caught.value) == message
+
+    # The 1.2x margin carries a field near the float maximum past it.  Each
+    # bound is named with its category before rounding, which would otherwise
+    # fail on the infinity with an unnamed error, and before the NEF bounds.
+    @pytest.mark.parametrize("sig_figs", [None, 2])
+    @pytest.mark.parametrize("field,message", [
+        ("bandwidth_hz", "maximum bandwidth must be finite and > 0 Hz, got inf"),
+        ("a_e_m2", "maximum effective aperture must be finite and > 0 m^2, got inf"),
+        ("t_sys_k", "maximum system temperature must be finite and > 0 K, got inf"),
+    ])
+    def test_margin_bound_out_of_range_is_a_domain_error_naming_it(
+            self, field, message, sig_figs):
+        derived, _ = derive_records(load_bundled_dataset().records)
+        records = (derived[0]._replace(**{field: 1.7e308}), *derived[1:])
+        with pytest.raises(DomainError) as caught:
+            synthesize_all(records, sig_figs=sig_figs)
+        assert str(caught.value) == "category 'Deep-space comm.' " + message
 
     def test_permutation_invariance(self):
         derived, _ = derive_records(load_bundled_dataset().records)

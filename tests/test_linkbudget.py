@@ -155,6 +155,36 @@ class TestTotalLoss:
             total_loss([("oops", -1.0)])
 
 
+class TestLedgerEntryMessages:
+    # The ledger, threshold and margin loops test each bound inline and build
+    # the entry's name only to raise: these pin the messages they raise.
+    @pytest.mark.parametrize("value,message", [
+        (math.nan, "loss 'rain' must be finite and >= 0 dB, got nan"),
+        (math.inf, "loss 'rain' must be finite and >= 0 dB, got inf"),
+        (-1.0, "loss 'rain' must be >= 0 dB"),
+    ])
+    def test_bad_loss_is_named_by_the_budget_and_the_sum(self, value, message):
+        ledger = (("fsl", 206.5), ("rain", value), ("atm", -1.0))
+        with pytest.raises(DomainError) as built:
+            ka_band_budget(losses_db=ledger)
+        with pytest.raises(DomainError) as summed:
+            total_loss(ledger)
+        assert str(built.value) == str(summed.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_threshold_is_named(self, value):
+        with pytest.raises(DomainError) as caught:
+            ka_band_budget(required_eb_n0_db=(("bpsk", 3.0), ("qpsk", value), ("x", math.nan)))
+        assert str(caught.value) == f"Eb/N0 threshold 'qpsk' must be finite, got {value!r}"
+
+    def test_margin_beyond_the_float_range_is_named(self):
+        budget = ka_band_budget(transmit_power_dbw=1.7e308,
+                                required_eb_n0_db=(("ok", 4.0), ("x", -1.7e308)))
+        with pytest.raises(DomainError) as caught:
+            evaluate_link(budget)
+        assert str(caught.value) == "margin 'x' must be finite, got inf"
+
+
 class TestCn0AndEbn0:
     def test_reference_chain(self):
         assert c_over_n0(63.0, 212.5, G_OVER_T_REFERENCE) == pytest.approx(

@@ -255,6 +255,21 @@ class TestCalibrationAgainstExactFit:
         assert result.receiver_temperature_k == pytest.approx(t_rx, rel=rel)
         assert type(result.gain) is float and type(result.receiver_temperature_k) is float
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=512),
+        st.floats(min_value=-200.0, max_value=200.0),  # log10 of the scale
+        st.floats(min_value=0.0, max_value=1e-2),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_matches_rational_least_squares_on_drawn_sweeps(self, n, log_scale, noise, seed):
+        points = sweep_points(n, 10.0**log_scale, noise, seed)
+        gain, t_rx = exact_fit(points, 1e9)
+        result = calibrate_hot_cold(points, 1e9)
+        rel = 1e-14 if n == 2 else 1e-12
+        assert result.gain == pytest.approx(gain, rel=rel)
+        assert result.receiver_temperature_k == pytest.approx(t_rx, rel=rel)
+
     def test_full_float_range_two_points(self):
         points = [CalibrationPoint(0.0, 0.0), CalibrationPoint(1e308, 1e308)]
         result = calibrate_hot_cold(points, 1e9)

@@ -50,6 +50,10 @@ NON_FINITE = [
     (CavityCoupling(1e10, 1e4, 0.5, 1e-6), {"mode_volume_m3": math.nan},
      "mode volume must be finite and > 0 m^3, got nan"),
     (BUDGET, {"data_rate_bps": math.nan}, "data rate must be finite and > 0 bit/s, got nan"),
+    *[(CalibrationPoint(77.0, 1e-11), {field: value},
+       f"calibration point {field} must be finite and >= 0 {unit}, got {value!r}")
+      for field, unit in (("antenna_temperature_k", "K"), ("output_power_w", "W"))
+      for value in (math.nan, math.inf)],
 ]
 
 
@@ -67,6 +71,17 @@ def test_replace_validates_like_the_constructor(record, change, message):
     # A valid change still gives a record of the same type.
     assert type(record._replace()) is type(record)
     assert record._replace() == record
+
+
+# CalibrationPoint tests its bound inline and calls ``require`` only to raise,
+# in field order, so the temperature is the field named when both are bad.
+@pytest.mark.parametrize("temperature,power", [
+    (math.nan, math.nan), (-1.0, math.inf), (math.inf, -1.0), (-1.0, -1.0),
+])
+def test_calibration_point_with_both_fields_bad_names_the_temperature(temperature, power):
+    with pytest.raises(DomainError) as caught:
+        CalibrationPoint(temperature, power)
+    assert str(caught.value).startswith("calibration point antenna_temperature_k must be ")
 
 
 def test_every_validated_record_has_a_replace_case():
