@@ -305,6 +305,17 @@ def _render_json_value(value, indent: int) -> str:
     return f"[\n{inner}{body}\n{pad}]"
 
 
+# The JSON text of a table cell, by its exact type; any other cell goes through
+# _render_json_value, which also raises for a type it cannot serialize.
+_CELL_JSON = {
+    float: format_number,
+    str: _quote,
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: str,
+}
+
+
 def _render_table(table: ReportTable, indent: int) -> str:
     """The table as a list of objects: every row fills one template in sorted key order."""
     if not table.rows:
@@ -314,11 +325,16 @@ def _render_table(table: ReportTable, indent: int) -> str:
     order = _key_order(tuple(map(str, table.columns)))
     template = "{" + ",".join(f"\n{field}{key.replace('%', '%%')}: %s" for _, key in order)
     template += f"\n{inner}}}" if order else "}"
-    body = f",\n{inner}".join([
-        template % tuple([_render_json_value(row[i], indent + 2) for i, _ in order])
-        for row in table.rows
-    ])
-    return f"[\n{inner}{body}\n{pad}]"
+    positions = [i for i, _ in order]
+    rendered = []
+    for row in table.rows:
+        cells = [row[i] for i in positions]
+        try:
+            text = [_CELL_JSON[type(cell)](cell) for cell in cells]
+        except KeyError:  # a cell of another type: the row goes the general way
+            text = [_render_json_value(cell, indent + 2) for cell in cells]
+        rendered.append(template % tuple(text))
+    return f"[\n{inner}" + f",\n{inner}".join(rendered) + f"\n{pad}]"
 
 
 def render_json(payload: dict) -> str:
@@ -359,7 +375,7 @@ def _cell_text(value) -> str:
 
 def _render_csv_rows(rows: list) -> str:
     def quote(cell: str) -> str:
-        if any(ch in cell for ch in ",\"\r\n"):
+        if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
             return '"' + cell.replace('"', '""') + '"'
         return cell
 

@@ -29,11 +29,9 @@ missing cells as empty; cells beyond the header are ignored.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from decimal import ROUND_HALF_UP, Decimal
 from operator import itemgetter
 
 # The pipeline uses none of these three.  They load here because the
@@ -161,24 +159,35 @@ class CategoryRange(ValidatedRecord, namedtuple(
 
 
 def round_to_sig_figs(value: float, figures: int = 2) -> float:
-    """Round to ``figures`` significant digits with half-up ties."""
-    require("significant figures", figures, "", 1, False)
-    if require("value", value, "", -FLOAT_MAX, False) == 0.0:
+    """Round to ``figures`` significant digits, half-up on the shortest decimal digits.
+
+    The digits are those of ``repr(value)``, the shortest decimal that reads
+    back as ``value``, and the exponent is that of their first digit.  A 5
+    followed by nothing is a tie, which rounds away from zero: 0.25 rounds to
+    0.3 at one figure although the float 0.25 holds it exactly, and 2.675 to
+    2.68 at three although the float lies just below 2.675.  Any number of
+    figures is allowed; a value whose digits already fit is returned as is.
+    """
+    if not 1 <= figures <= FLOAT_MAX:
+        require("significant figures", figures, "", 1, False)
+    if not -FLOAT_MAX <= value <= FLOAT_MAX:
+        require("value", value, "", -FLOAT_MAX, False)
+    mantissa, _, exponent = repr(value).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("-0")
+    if len(digits.rstrip("0")) <= figures:
         return value
-    exponent = math.floor(math.log10(abs(value)))
-    # repr(value) has at most 17 significant digits, so more figures change nothing.
-    quantum = Decimal(1).scaleb(exponent - min(figures, 17) + 1)
-    rounded = float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-    return require("rounded value", rounded, "", -FLOAT_MAX, False)
+    # value = int(digits) * 10**(exponent - len(fraction)); keep the first ``figures``.
+    head = int(digits[:figures]) + (digits[figures] >= "5")
+    shift = len(digits) - len(fraction) - figures + (int(exponent) if exponent else 0)
+    rounded = float(f"{'-' if value < 0.0 else ''}{head}e{shift}")
+    if not -FLOAT_MAX <= rounded <= FLOAT_MAX:
+        require("rounded value", rounded, "", -FLOAT_MAX, False)
+    return rounded
 
 
-def _parse_cell(column: str, text: str) -> float | None:
-    if not text:
-        return None
-    value = float(text)  # ValueError propagates to the row handler
-    if not math.isfinite(value):
-        raise DomainError(f"{column} must be finite, got {text!r}")
-    return value
+def _not_finite(column: str, text: str) -> DomainError:
+    return DomainError(f"{column} must be finite, got {text!r}")
 
 
 def _lines(document: str) -> Iterator[str]:
@@ -230,21 +239,27 @@ def parse_instruments(document: str) -> ParseResult:
         if len(row) != width:
             row = (row + padding)[:width]
         row.append("")
-        values = [cell.strip() for cell in cells(row)]
         try:
-            records.append(_parse_row(*values))
+            records.append(_parse_row(*map(str.strip, cells(row))))
         except (DomainError, ValueError) as exc:
-            diagnostics.append(Diagnostic(row_number, values[0] or "<unnamed>", str(exc)))
+            name = cells(row)[0].strip() or "<unnamed>"
+            diagnostics.append(Diagnostic(row_number, name, str(exc)))
     return ParseResult(tuple(records), tuple(diagnostics))
 
 
 def _parse_row(
-    instrument, mission, category, coherence, f0_ghz, bandwidth_hz, bandwidth_method,
-    aperture_method, a_e_m2, a_phys_m2, eta_ap, gain_dbi, t_a_k, t_a_flag, t_rx_k,
-    t_rx_method, nf_db, t_sys_k, t_sys_method, nedt_k, tau_s, rho2, reference,
-    e_free_reported,
+    instrument, mission, category, coherence, f0_text, bandwidth_text, bandwidth_method,
+    aperture_method, a_e_text, a_phys_text, eta_ap_text, gain_text, t_a_text, t_a_flag,
+    t_rx_text, t_rx_method, nf_text, t_sys_text, t_sys_method, nedt_text, tau_text,
+    rho2_text, reference, e_free_text,
 ) -> InstrumentRecord:
-    """One record from the stripped cells of a row, in :data:`COLUMNS` order."""
+    """One record from the stripped cells of a row, in :data:`COLUMNS` order.
+
+    An empty cell reads as ``None``.  Each numeric cell is converted and
+    checked finite in place, so the first failing check of a row, in this
+    order, gives its diagnostic; ``float`` raises ``ValueError`` on a cell
+    that is not a number.
+    """
     coherence = coherence or None
     if coherence not in COHERENCE_TAGS:
         raise DomainError(f"coherence must be one of {COHERENCE_TAGS}, got {coherence!r}")
@@ -258,23 +273,38 @@ def _parse_row(
     if t_sys_method not in T_SYS_METHODS:
         raise DomainError(f"t_sys_method must be one of {T_SYS_METHODS}, got {t_sys_method!r}")
 
-    f0_ghz = _parse_cell("f0_ghz", f0_ghz)
+    f0_ghz = float(f0_text) if f0_text else None
+    if f0_text and not -FLOAT_MAX <= f0_ghz <= FLOAT_MAX:
+        raise _not_finite("f0_ghz", f0_text)
     if f0_ghz is None or f0_ghz <= 0.0:
         raise DomainError("f0_ghz must be present and > 0")
     if f0_ghz > _F0_GHZ_MAX:
         raise DomainError(f"f0_ghz must be <= {_F0_GHZ_MAX:g} GHz")
-    bandwidth_hz = _parse_cell("bandwidth_hz", bandwidth_hz)
+    bandwidth_hz = float(bandwidth_text) if bandwidth_text else None
+    if bandwidth_text and not -FLOAT_MAX <= bandwidth_hz <= FLOAT_MAX:
+        raise _not_finite("bandwidth_hz", bandwidth_text)
     if bandwidth_hz is None or bandwidth_hz <= 0.0:
         raise DomainError("bandwidth_hz must be present and > 0")
-    rho2 = _parse_cell("rho2", rho2)
+    rho2 = float(rho2_text) if rho2_text else None
+    if rho2_text and not -FLOAT_MAX <= rho2 <= FLOAT_MAX:
+        raise _not_finite("rho2", rho2_text)
     if rho2 is None:
         rho2 = default_polarisation_coupling(coherence)
-    require("rho2", rho2, "", 0.0, True, 1.0)
+    if not 0.0 < rho2 <= 1.0:
+        require("rho2", rho2, "", 0.0, True, 1.0)
 
-    a_e = _parse_cell("a_e_m2", a_e_m2)
-    a_phys = _parse_cell("a_phys_m2", a_phys_m2)
-    eta_ap = _parse_cell("eta_ap", eta_ap)
-    gain_dbi = _parse_cell("gain_dbi", gain_dbi)
+    a_e = float(a_e_text) if a_e_text else None
+    if a_e_text and not -FLOAT_MAX <= a_e <= FLOAT_MAX:
+        raise _not_finite("a_e_m2", a_e_text)
+    a_phys = float(a_phys_text) if a_phys_text else None
+    if a_phys_text and not -FLOAT_MAX <= a_phys <= FLOAT_MAX:
+        raise _not_finite("a_phys_m2", a_phys_text)
+    eta_ap = float(eta_ap_text) if eta_ap_text else None
+    if eta_ap_text and not -FLOAT_MAX <= eta_ap <= FLOAT_MAX:
+        raise _not_finite("eta_ap", eta_ap_text)
+    gain_dbi = float(gain_text) if gain_text else None
+    if gain_text and not -FLOAT_MAX <= gain_dbi <= FLOAT_MAX:
+        raise _not_finite("gain_dbi", gain_text)
     if a_e is None:
         if aperture_method == "direct":
             raise DomainError("aperture_method 'direct' needs a_e_m2")
@@ -283,15 +313,21 @@ def _parse_row(
         if aperture_method == "gain" and gain_dbi is None:
             raise DomainError("aperture_method 'gain' needs gain_dbi (or a pre-derived a_e_m2)")
 
-    t_a = _parse_cell("t_a_k", t_a_k)
+    t_a = float(t_a_text) if t_a_text else None
+    if t_a_text and not -FLOAT_MAX <= t_a <= FLOAT_MAX:
+        raise _not_finite("t_a_k", t_a_text)
     t_a_flag = t_a_flag or None
     if t_a is not None and t_a_flag is None:
         t_a_flag = "measured"
     if t_a_flag is not None and t_a_flag not in T_A_FLAGS:
         raise DomainError(f"t_a_flag must be one of {T_A_FLAGS}, got {t_a_flag!r}")
 
-    t_rx = _parse_cell("t_rx_k", t_rx_k)
-    nf_db = _parse_cell("nf_db", nf_db)
+    t_rx = float(t_rx_text) if t_rx_text else None
+    if t_rx_text and not -FLOAT_MAX <= t_rx <= FLOAT_MAX:
+        raise _not_finite("t_rx_k", t_rx_text)
+    nf_db = float(nf_text) if nf_text else None
+    if nf_text and not -FLOAT_MAX <= nf_db <= FLOAT_MAX:
+        raise _not_finite("nf_db", nf_text)
     t_rx_method = t_rx_method or None
     if t_rx_method is None and (t_rx is not None or nf_db is not None):
         t_rx_method = "NF" if (t_rx is None and nf_db is not None) else "direct"
@@ -300,9 +336,15 @@ def _parse_row(
     if t_rx_method == "NF" and t_rx is None and nf_db is None:
         raise DomainError("t_rx_method 'NF' needs nf_db (or a pre-derived t_rx_k)")
 
-    t_sys = _parse_cell("t_sys_k", t_sys_k)
-    nedt_k = _parse_cell("nedt_k", nedt_k)
-    tau_s = _parse_cell("tau_s", tau_s)
+    t_sys = float(t_sys_text) if t_sys_text else None
+    if t_sys_text and not -FLOAT_MAX <= t_sys <= FLOAT_MAX:
+        raise _not_finite("t_sys_k", t_sys_text)
+    nedt_k = float(nedt_text) if nedt_text else None
+    if nedt_text and not -FLOAT_MAX <= nedt_k <= FLOAT_MAX:
+        raise _not_finite("nedt_k", nedt_text)
+    tau_s = float(tau_text) if tau_text else None
+    if tau_text and not -FLOAT_MAX <= tau_s <= FLOAT_MAX:
+        raise _not_finite("tau_s", tau_text)
     if t_sys is None:
         if t_sys_method == "NEDT" and (nedt_k is None or tau_s is None):
             raise DomainError("t_sys_method 'NEDT' needs nedt_k and tau_s (or a pre-derived t_sys_k)")
@@ -312,15 +354,17 @@ def _parse_row(
             if t_a is None or not t_rx_resolvable:
                 raise DomainError("t_sys_method 'sum' needs t_a_k and a resolvable t_rx")
 
-    e_free_reported = _parse_cell("e_free_reported", e_free_reported)
-    if e_free_reported is not None:
+    e_free_reported = float(e_free_text) if e_free_text else None
+    if e_free_text and not -FLOAT_MAX <= e_free_reported <= FLOAT_MAX:
+        raise _not_finite("e_free_reported", e_free_text)
+    if e_free_text and not 0.0 < e_free_reported <= FLOAT_MAX:
         require("e_free_reported", e_free_reported)
 
-    return InstrumentRecord(
+    return InstrumentRecord._make((
         instrument, mission, category, coherence, f0_ghz, bandwidth_hz, bandwidth_method,
         aperture_method, a_e, a_phys, eta_ap, gain_dbi, t_a, t_a_flag, t_rx, t_rx_method,
-        nf_db, t_sys, t_sys_method, nedt_k, tau_s, rho2, reference, e_free_reported,
-    )
+        nf_db, t_sys, t_sys_method, nedt_k, tau_s, rho2, reference, e_free_reported, None,
+    ))
 
 
 def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> InstrumentRecord:
@@ -358,11 +402,11 @@ def derive_record(record: InstrumentRecord, eta_0: float | None = None) -> Instr
         e_free = nef_from_aperture(t_sys, a_e, rho2, eta_0)
     except DomainError as exc:
         raise DomainError(f"{instrument}: {exc}") from exc
-    return InstrumentRecord(
+    return InstrumentRecord._make((
         instrument, mission, category, coherence, f0_ghz, bandwidth_hz, bandwidth_method,
         aperture_method, a_e, a_phys, eta_ap, gain_dbi, t_a, t_a_flag, t_rx, t_rx_method,
         nf_db, t_sys, t_sys_method, nedt_k, tau_s, rho2, reference, e_free_reported, e_free,
-    )
+    ))
 
 
 def derive_records(
@@ -417,6 +461,16 @@ def consistency_diagnostics(
     return tuple(diagnostics)
 
 
+# The name and unit of each CategoryRange bound, in field order.
+_BOUND_NAMES = (
+    ("minimum frequency", "Hz"), ("maximum frequency", "Hz"),
+    ("minimum effective aperture", "m^2"), ("maximum effective aperture", "m^2"),
+    ("minimum system temperature", "K"), ("maximum system temperature", "K"),
+    ("minimum bandwidth", "Hz"), ("maximum bandwidth", "Hz"),
+    ("minimum field", "V/m/sqrt(Hz)"), ("maximum field", "V/m/sqrt(Hz)"),
+)
+
+
 def _synthesize(
     category: str,
     members: list[InstrumentRecord],
@@ -437,27 +491,34 @@ def _synthesize(
         )
         raise DomainError(f"mixed rho2 within category {category!r}: {offenders}")
 
-    # Each bound is checked where it is scaled, before the NEF bounds and the
-    # rounding, so one that leaves the float range is named with its category.
-    where = f"category {category!r}"
-    # Scaling by 1e9 is monotonic, so the extrema of f0_hz are those of f0_ghz, scaled.
-    f0_min = require(f"{where} minimum frequency", min(column.f0_ghz) * 1e9, "Hz")
-    f0_max = require(f"{where} maximum frequency", max(column.f0_ghz) * 1e9, "Hz")
-    a_min = require(f"{where} minimum effective aperture",
-                    min(column.a_e_m2) * LOWER_MARGIN, "m^2")
-    a_max = require(f"{where} maximum effective aperture",
-                    max(column.a_e_m2) * UPPER_MARGIN, "m^2")
-    t_min = require(f"{where} minimum system temperature",
-                    min(column.t_sys_k) * LOWER_MARGIN, "K")
-    t_max = require(f"{where} maximum system temperature",
-                    max(column.t_sys_k) * UPPER_MARGIN, "K")
-    bw_min = require(f"{where} minimum bandwidth", min(column.bandwidth_hz) * LOWER_MARGIN, "Hz")
-    bw_max = require(f"{where} maximum bandwidth", max(column.bandwidth_hz) * UPPER_MARGIN, "Hz")
+    # The eight scaled bounds are checked in field order, before the NEF bounds
+    # and the rounding, so one that leaves the float range is named with its
+    # category; the name is formatted only then.  Scaling by 1e9 is monotonic,
+    # so the extrema of f0_hz are those of f0_ghz, scaled.
+    bounds = (
+        min(column.f0_ghz) * 1e9, max(column.f0_ghz) * 1e9,
+        min(column.a_e_m2) * LOWER_MARGIN, max(column.a_e_m2) * UPPER_MARGIN,
+        min(column.t_sys_k) * LOWER_MARGIN, max(column.t_sys_k) * UPPER_MARGIN,
+        min(column.bandwidth_hz) * LOWER_MARGIN, max(column.bandwidth_hz) * UPPER_MARGIN,
+    )
+    for value, (name, unit) in zip(bounds, _BOUND_NAMES):
+        if not 0.0 < value <= FLOAT_MAX:
+            require(f"category {category!r} {name}", value, unit)
+    f0_min, f0_max, a_min, a_max, t_min, t_max, bw_min, bw_max = bounds
     bounds = (a_min, a_max, t_min, t_max, bw_min, bw_max,
               nef_from_aperture(t_min, a_max, rho2, eta_0),
               nef_from_aperture(t_max, a_min, rho2, eta_0))
     if sig_figs is not None:
-        bounds = [round_to_sig_figs(value, sig_figs) for value in bounds]
+        rounded = []
+        # A finite bound can still round up past the largest float.
+        for value, (name, _) in zip(bounds, _BOUND_NAMES[2:]):
+            try:
+                rounded.append(round_to_sig_figs(value, sig_figs))
+            except DomainError as exc:
+                if not 1 <= sig_figs <= FLOAT_MAX:  # the figures are at fault, not the bound
+                    raise
+                raise DomainError(f"category {category!r} {name}: {exc}") from exc
+        bounds = rounded
     return CategoryRange(category, f0_min, f0_max, *bounds, len(members))
 
 

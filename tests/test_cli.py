@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,8 @@ import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, SUBCOMMANDS, ReportTable, build_parser, format_number, main, render_json,
-    render_report,
+    OPERATION_MAP, SUBCOMMANDS, ReportTable, _render_json_value, _render_table, build_parser,
+    format_number, main, render_json, render_report,
 )
 from rfsense.errors import DomainError, SchemaError
 
@@ -398,6 +399,77 @@ _TABLES = st.lists(_TEXT, min_size=1, max_size=5, unique=True).flatmap(lambda co
     st.lists(st.tuples(*[st.one_of(_TEXT, _FINITE, st.none(), st.integers(), st.booleans())]
                        * len(columns)), max_size=6),
 ))
+
+
+def _per_cell_render_table(table: ReportTable, indent: int) -> str:
+    """The table renderer that formatted each cell through ``_render_json_value``: the reference."""
+    if not table.rows:
+        return "[]"
+    pad = "  " * indent
+    inner, field = pad + "  ", pad + "    "
+    order = sorted(enumerate(map(str, table.columns)), key=itemgetter(1))
+    template = "{" + ",".join(f"\n{field}{json.dumps(key).replace('%', '%%')}: %s"
+                              for _, key in order)
+    template += f"\n{inner}}}" if order else "}"
+    body = f",\n{inner}".join([
+        template % tuple([_render_json_value(row[i], indent + 2) for i, _ in order])
+        for row in table.rows
+    ])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+class _Count(int):
+    pass
+
+
+class _Kelvin(float):
+    pass
+
+
+# Every scalar cell type, with floats on both sides of each edge of [1e-3, 1e6).
+_CELLS = st.one_of(
+    _TEXT, st.none(), st.integers(), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-3, math.nextafter(1e-3, 0.0), 1e6, math.nextafter(1e6, 0.0),
+                     -1e6, -1e-3, 5e-324, -0.0]),
+)
+# Cells of any other type: the ones _render_json_value renders, and ones it refuses.
+_OTHER_CELLS = st.sampled_from([
+    _Count(3), _Kelvin(-0.5), _Kelvin(2e6), (1.5, "a"), [None, True], {"k": 2, "j": []},
+    math.nan, -math.inf, b"x", 1j,
+])
+
+
+def _tables_of(cells):
+    return st.lists(_TEXT, max_size=5, unique=True).flatmap(lambda columns: st.tuples(
+        st.just(tuple(columns)), st.lists(st.tuples(*[cells] * len(columns)), max_size=6),
+    ))
+
+
+def _render_outcome(render, table, indent):
+    try:
+        return render(table, indent).encode()
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestRenderTable:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables_of(_CELLS), st.integers(0, 3))
+    @example(((), [(), ()]), 0)
+    @example((("a", "b%s", "\u00e9", "\ud800"), [("\ud800\u00e9", 1e-3, None, True),
+                                                   (False, -7, 999999.5, 1e300)]), 1)
+    def test_scalar_cells_match_the_per_cell_renderer_byte_for_byte(self, spec, indent):
+        table = ReportTable(*spec)
+        expected = _per_cell_render_table(table, indent).encode()
+        assert _render_table(table, indent).encode() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables_of(st.one_of(_CELLS, _OTHER_CELLS)), st.integers(0, 3))
+    def test_any_other_cell_renders_or_fails_like_the_per_cell_renderer(self, spec, indent):
+        table = ReportTable(*spec)
+        expected = _render_outcome(_per_cell_render_table, table, indent)
+        assert _render_outcome(_render_table, table, indent) == expected
 
 
 class TestRenderJson:

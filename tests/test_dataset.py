@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfsense import dataset
-from rfsense.errors import DomainError, SchemaError
+from rfsense.errors import FLOAT_MAX, DomainError, SchemaError
 from rfsense.fieldmetrics import default_polarisation_coupling
 from rfsense.dataset import (
     APERTURE_METHODS,
@@ -712,6 +713,30 @@ class TestSynthesize:
             synthesize_all(records, sig_figs=sig_figs)
         assert str(caught.value) == "category 'Deep-space comm.' " + message
 
+    # A bound inside the float range can still round up past it: 1.2 * 1.49e308
+    # is 1.788e308, which rounds to 1.8e308 at two figures.
+    @pytest.mark.parametrize("field,name", [
+        ("bandwidth_hz", "maximum bandwidth"),
+        ("a_e_m2", "maximum effective aperture"),
+        ("t_sys_k", "maximum system temperature"),
+    ])
+    def test_a_bound_that_rounds_past_the_float_range_is_named(self, field, name):
+        derived, _ = derive_records(load_bundled_dataset().records)
+        records = (derived[0]._replace(**{field: 1.49e308}), *derived[1:])
+        assert len(synthesize_all(records, sig_figs=None)) == 11
+        with pytest.raises(DomainError) as caught:
+            synthesize_all(records, sig_figs=2)
+        assert str(caught.value) == (
+            f"category 'Deep-space comm.' {name}: rounded value must be finite, got inf"
+        )
+
+    # The figures, not a bound, are at fault: the message names them alone.
+    def test_bad_figures_are_named_without_a_category(self):
+        derived, _ = derive_records(load_bundled_dataset().records)
+        with pytest.raises(DomainError) as caught:
+            synthesize_all(derived, sig_figs=0)
+        assert str(caught.value) == "significant figures must be >= 1"
+
     def test_permutation_invariance(self):
         derived, _ = derive_records(load_bundled_dataset().records)
         forward = _range_of(derived, "Limb sounder")
@@ -823,6 +848,13 @@ class TestRounding:
         with pytest.raises(DomainError):
             round_to_sig_figs(1.0, 0)
 
+    # Just below a power of ten, log10 reads the exponent one too high; the
+    # digits do not.  Each value has 16 digits, so 16 figures keep it whole.
+    @pytest.mark.parametrize("value", [999999999999999.9, 0.09999999999999999,
+                                       9.999999999999999e-244])
+    def test_sixteen_digits_just_below_a_power_of_ten_stay_whole(self, value):
+        assert round_to_sig_figs(value, 16) == value
+
     # A float has at most 17 significant digits, so from 17 figures on nothing rounds.
     @pytest.mark.parametrize("figures", range(1, 41))
     def test_any_number_of_figures_rounds(self, figures):
@@ -833,6 +865,93 @@ class TestRounding:
                 assert rounded == value
             else:
                 assert rounded == pytest.approx(value, rel=10.0 ** (1 - figures))
+
+
+def _decimal_round_to_sig_figs(value: float, figures: int) -> float:
+    """The ``Decimal`` rounding ``round_to_sig_figs`` replaced: the reference.
+
+    It quantizes ``repr(value)`` half-up, with the exponent taken from those
+    digits rather than from ``log10``, which reads one too high just below a
+    power of ten.  A result past the float range comes back as an infinity.
+    """
+    if value == 0.0:
+        return value
+    digits = Decimal(repr(value))
+    quantum = Decimal(1).scaleb(digits.adjusted() - min(figures, 17) + 1)
+    return float(digits.quantize(quantum, rounding=ROUND_HALF_UP))
+
+
+def _rounding_outcome(round_, value, figures):
+    try:
+        return round_(value, figures)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _reference_outcome(value, figures):
+    rounded = _decimal_round_to_sig_figs(value, figures)
+    return rounded if math.isfinite(rounded) else f"rounded value must be finite, got {rounded!r}"
+
+
+def _tie(figures: int, leading: int, exponent: int) -> float:
+    """The float nearest a decimal of ``figures + 1`` digits whose last is 5."""
+    smallest = 10 ** (figures - 1)  # the smallest number of ``figures`` digits
+    return float(f"{smallest + leading % (9 * smallest)}5e{exponent}")
+
+
+def _below_a_power_of_ten(spec) -> float:
+    """The float ``steps`` floats below the one nearest ``10**exponent``."""
+    exponent, steps = spec
+    value = float(f"1e{exponent}")
+    for _ in range(steps):
+        value = math.nextafter(value, 0.0)
+    return value
+
+
+def _values_to_round(figures: int):
+    return st.one_of(
+        # Log-uniform over the whole float range, subnormals and 0 included.
+        st.floats(-324.0, 308.25).map(lambda exponent: 10.0 ** exponent),
+        st.tuples(st.integers(0, 10 ** 20), st.integers(-345, 308)).map(
+            lambda spec: _tie(figures, *spec)).filter(math.isfinite),
+        # A few floats below a power of ten, whose digits are all 9s or close to it.
+        st.tuples(st.integers(-323, 308), st.integers(1, 4)).map(_below_a_power_of_ten),
+        st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+        st.sampled_from([FLOAT_MAX, math.nextafter(FLOAT_MAX, 0.0), 5e-324, 2.5e-323]),
+    )
+
+
+# (magnitude, figures): figures 1-20, with ties at the digit after the last figure.
+_ROUNDING_CASES = st.integers(1, 20).flatmap(
+    lambda figures: st.tuples(_values_to_round(figures), st.just(figures)))
+
+
+class TestRoundingMatchesDecimal:
+    @settings(max_examples=2000, deadline=None)
+    @given(_ROUNDING_CASES, st.booleans())
+    @example((0.25, 1), False)
+    @example((2.675, 3), True)
+    @example((1.49e308 * 1.2, 2), False)
+    @example((999999999999999.9, 16), False)
+    @example((0.09999999999999999, 16), False)
+    @example((9.999999999999999e-244, 16), True)
+    @example((2.0 ** -1017, 15), False)  # 7.120236347223045e-307: a tie in repr, not in the float
+    def test_same_value_or_error(self, case, negative):
+        magnitude, figures = case
+        value = -magnitude if negative else magnitude
+        expected = _reference_outcome(value, figures)
+        assert _rounding_outcome(round_to_sig_figs, value, figures) == expected
+
+    # Every power of two and of ten, and its two neighbours, at every figure count.
+    @pytest.mark.parametrize("figures", range(1, 21))
+    def test_powers_of_two_and_ten_and_their_neighbours(self, figures):
+        centres = [2.0 ** n for n in range(-1074, 1024)]
+        centres += [float(f"1e{k}") for k in range(-323, 309)]
+        values = [math.nextafter(c, toward) for c in centres for toward in (0.0, math.inf)]
+        values = [v for v in centres + values if math.isfinite(v)]
+        mismatched = [v for v in values if _rounding_outcome(round_to_sig_figs, v, figures)
+                      != _reference_outcome(v, figures)]
+        assert mismatched == []
 
 
 class TestPlotData:

@@ -107,8 +107,8 @@ def test_readme_shows_every_subcommand():
 
 
 # Standard-library modules no cold call may load: records are namedtuples,
-# and each of these costs milliseconds to import.
-_HEAVY_MODULES = "('dataclasses', 'inspect', 'typing')"
+# bounds round on their repr digits, and each of these costs milliseconds to import.
+_HEAVY_MODULES = "('dataclasses', 'decimal', 'inspect', 'typing')"
 
 
 def test_importing_the_cli_loads_no_heavy_module():
