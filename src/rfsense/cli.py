@@ -253,10 +253,8 @@ def marker_flag(text: str) -> tuple[str, float, float]:
 
 def format_number(x: float) -> str:
     """Fixed formatting: 6 significant digits; scientific outside [1e-3, 1e6)."""
-    if 1e-3 <= abs(x) < 1e6 and x is not True:  # the common case; NaN fails, True is a bool
+    if 1e-3 <= abs(x) < 1e6:  # the common case; NaN fails
         return f"{x:.6g}"
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if x != x or math.isinf(x):
         raise DomainError("cannot format a non-finite number")
     return "0" if x == 0 else f"{x:.5e}"
@@ -273,27 +271,31 @@ def _key_order(keys: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
     return tuple((i, _quote(k)) for i, k in sorted(enumerate(keys), key=itemgetter(1)))
 
 
+# The text of a scalar by its exact type: in JSON, and in a CSV or text cell,
+# where a str is unquoted and None is empty.
+_JSON_TEXT = {
+    float: format_number,
+    str: _quote,
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: str,
+}
+_CELL_TEXT = {**_JSON_TEXT, str: str, type(None): {None: ""}.__getitem__}
+
+
 def _render_json_value(value, indent: int) -> str:
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+    if type(value) in _JSON_TEXT:
+        return _JSON_TEXT[type(value)](value)
     if type(value) is ReportTable:
         return _render_table(value, indent)
     # Exact types: a record is a tuple subclass and must not render as a list.
     if type(value) not in (dict, list, tuple):
         raise DomainError(f"cannot serialize {type(value).__name__}")
     if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+        return "{}" if type(value) is dict else "[]"
     pad = "  " * indent
     inner = pad + "  "
-    if isinstance(value, dict):
+    if type(value) is dict:
         # Ordered by str(k), all the output uses, so keys 1, True and 1.0 stay apart.
         values = list(value.values())
         body = f",\n{inner}".join([
@@ -303,17 +305,6 @@ def _render_json_value(value, indent: int) -> str:
         return f"{{\n{inner}{body}\n{pad}}}"
     body = f",\n{inner}".join([_render_json_value(v, indent + 1) for v in value])
     return f"[\n{inner}{body}\n{pad}]"
-
-
-# The JSON text of a table cell, by its exact type; any other cell goes through
-# _render_json_value, which also raises for a type it cannot serialize.
-_CELL_JSON = {
-    float: format_number,
-    str: _quote,
-    type(None): {None: "null"}.__getitem__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: str,
-}
 
 
 def _render_table(table: ReportTable, indent: int) -> str:
@@ -330,7 +321,7 @@ def _render_table(table: ReportTable, indent: int) -> str:
     for row in table.rows:
         cells = [row[i] for i in positions]
         try:
-            text = [_CELL_JSON[type(cell)](cell) for cell in cells]
+            text = [_JSON_TEXT[type(cell)](cell) for cell in cells]
         except KeyError:  # a cell of another type: the row goes the general way
             text = [_render_json_value(cell, indent + 2) for cell in cells]
         rendered.append(template % tuple(text))
@@ -364,13 +355,7 @@ def _flatten(items, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_number(value)
-    return str(value)
+    return _CELL_TEXT.get(type(value), str)(value)
 
 
 def _render_csv_rows(rows: list) -> str:

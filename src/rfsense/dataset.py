@@ -158,6 +158,13 @@ class CategoryRange(ValidatedRecord, namedtuple(
                 raise DomainError(f"range bounds out of order: {low:g} > {high:g}")
 
 
+def _check_figures(figures: int) -> None:
+    if type(figures) is not int:  # a count of figures: 2.5, 2.0 and True are refused
+        raise DomainError(f"significant figures must be an integer, got {figures!r}")
+    if figures < 1:
+        raise DomainError("significant figures must be >= 1")
+
+
 def round_to_sig_figs(value: float, figures: int = 2) -> float:
     """Round to ``figures`` significant digits, half-up on the shortest decimal digits.
 
@@ -168,8 +175,7 @@ def round_to_sig_figs(value: float, figures: int = 2) -> float:
     2.68 at three although the float lies just below 2.675.  Any number of
     figures is allowed; a value whose digits already fit is returned as is.
     """
-    if not 1 <= figures <= FLOAT_MAX:
-        require("significant figures", figures, "", 1, False)
+    _check_figures(figures)
     if not -FLOAT_MAX <= value <= FLOAT_MAX:
         require("value", value, "", -FLOAT_MAX, False)
     mantissa, _, exponent = repr(value).partition("e")
@@ -509,14 +515,13 @@ def _synthesize(
               nef_from_aperture(t_min, a_max, rho2, eta_0),
               nef_from_aperture(t_max, a_min, rho2, eta_0))
     if sig_figs is not None:
+        _check_figures(sig_figs)  # bad figures are named alone, without a category
         rounded = []
         # A finite bound can still round up past the largest float.
         for value, (name, _) in zip(bounds, _BOUND_NAMES[2:]):
             try:
                 rounded.append(round_to_sig_figs(value, sig_figs))
             except DomainError as exc:
-                if not 1 <= sig_figs <= FLOAT_MAX:  # the figures are at fault, not the bound
-                    raise
                 raise DomainError(f"category {category!r} {name}: {exc}") from exc
         bounds = rounded
     return CategoryRange(category, f0_min, f0_max, *bounds, len(members))

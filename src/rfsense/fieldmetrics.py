@@ -22,7 +22,8 @@ from collections import namedtuple
 
 from .errors import DomainError, require
 from .quantities import (
-    CODATA, ValidatedRecord, db_to_linear, default_eta0, frequency_to_wavelength,
+    BOLTZMANN, REFERENCE_TEMPERATURE, VACUUM_PERMITTIVITY, ValidatedRecord, db_to_linear,
+    default_eta0, frequency_to_wavelength,
 )
 
 __all__ = [
@@ -149,7 +150,7 @@ def sefd(
     require("system temperature", system_temperature_k, "K", 0.0, False)
     require("effective aperture", effective_aperture_m2, "m^2")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    flux = CODATA.boltzmann * system_temperature_k / rho2 / effective_aperture_m2
+    flux = BOLTZMANN * system_temperature_k / rho2 / effective_aperture_m2
     return require("SEFD", flux, "W/m^2/Hz", 0.0, False)
 
 
@@ -170,7 +171,7 @@ def nef_from_aperture(
     require("effective aperture", effective_aperture_m2, "m^2")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     # One root per factor: the radicand as a whole can underflow where the NEF does not.
-    nef = (math.sqrt(CODATA.boltzmann) * math.sqrt(system_temperature_k) * math.sqrt(eta_0)
+    nef = (math.sqrt(BOLTZMANN) * math.sqrt(system_temperature_k) * math.sqrt(eta_0)
            / math.sqrt(rho2) / math.sqrt(effective_aperture_m2))
     return require("NEF", nef, "V/m/sqrt(Hz)")
 
@@ -207,7 +208,7 @@ def tsys_from_nef(
     require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     aperture = aperture_from_gain(gain, frequency_hz)
-    t_sys = nef_v_per_m_sqrt_hz * nef_v_per_m_sqrt_hz * rho2 * aperture / CODATA.boltzmann / eta_0
+    t_sys = nef_v_per_m_sqrt_hz * nef_v_per_m_sqrt_hz * rho2 * aperture / BOLTZMANN / eta_0
     return require("system temperature", t_sys, "K")
 
 
@@ -231,10 +232,9 @@ def aperture_from_diameter(
 
 def trx_from_noise_figure(noise_figure_db: float) -> float:
     """Receiver noise temperature from a noise figure:
-    ``T_Rx = (10^(NF/10) - 1) * T_0``, with T_0 = 290 K
-    (``CODATA.reference_temperature``)."""
+    ``T_Rx = (10^(NF/10) - 1) * T_0``, with T_0 = 290 K (``REFERENCE_TEMPERATURE``)."""
     require("noise figure", noise_figure_db, "dB", 0.0, False)
-    t_rx = (db_to_linear(noise_figure_db) - 1.0) * CODATA.reference_temperature
+    t_rx = (db_to_linear(noise_figure_db) - 1.0) * REFERENCE_TEMPERATURE
     return require("receiver temperature", t_rx, "K", 0.0, False)
 
 
@@ -252,7 +252,7 @@ def enhancement_factor_cavity(cavity: CavityCoupling, effective_aperture_m2: flo
         math.sqrt(cavity.rf_efficiency)
         * math.sqrt(2.0 * cavity.q_loaded / omega_0)
         * math.sqrt(
-            effective_aperture_m2 / 2.0 / eta_0 / CODATA.vacuum_permittivity
+            effective_aperture_m2 / 2.0 / eta_0 / VACUUM_PERMITTIVITY
             / cavity.mode_volume_m3
         )
     )

@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 
 from .errors import FLOAT_MAX, DomainError, require
-from .quantities import CODATA, ValidatedRecord
+from .quantities import LIGHT_SPEED, REFERENCE_TEMPERATURE, ValidatedRecord
 
 __all__ = [
     "BOLTZMANN_DB",
@@ -68,8 +68,8 @@ def system_noise_temperature(
     """Receive-chain system noise temperature at the antenna reference plane.
 
     T_sys = T_a + (L_F - 1)*T_0 + L_F*T_R: the feeder at physical temperature
-    T_0 = 290 K (``CODATA.reference_temperature``) contributes (L_F - 1)*T_0
-    and also scales the downstream receiver noise by its loss.  (The
+    T_0 = 290 K (``REFERENCE_TEMPERATURE``) contributes (L_F - 1)*T_0 and
+    also scales the downstream receiver noise by its loss.  (The
     receiver-reference alternative, which divides by L_F instead, is
     deliberately not used.)
     """
@@ -78,7 +78,7 @@ def system_noise_temperature(
     require("linear feeder loss", feeder_loss_linear, "", 1.0, False)
     t_sys = (
         antenna_temperature_k
-        + (feeder_loss_linear - 1.0) * CODATA.reference_temperature
+        + (feeder_loss_linear - 1.0) * REFERENCE_TEMPERATURE
         + feeder_loss_linear * receiver_temperature_k
     )
     return require("system temperature", t_sys, "K", 0.0, False)
@@ -97,7 +97,7 @@ def free_space_loss(distance_m: float, frequency_hz: float) -> float:
     require("frequency", frequency_hz, "Hz")
     # A sum of logarithms: the product 4*pi*d*f/c underflows to 0 for tiny inputs.
     return 20.0 * (math.log10(4.0 * math.pi) + math.log10(distance_m)
-                   + math.log10(frequency_hz) - math.log10(CODATA.light_speed))
+                   + math.log10(frequency_hz) - math.log10(LIGHT_SPEED))
 
 
 def total_loss(ledger: "list[tuple[str, float]] | tuple[tuple[str, float], ...]") -> float:

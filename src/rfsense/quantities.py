@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
 
 from .errors import FLOAT_MAX, DomainError, require
 
 __all__ = [
-    "Constants",
-    "CODATA",
+    "BOLTZMANN",
+    "ETA_0",
+    "LIGHT_SPEED",
+    "PLANCK",
+    "REDUCED_PLANCK",
+    "REFERENCE_TEMPERATURE",
+    "VACUUM_PERMITTIVITY",
     "ValidatedRecord",
     "db_to_linear",
     "default_eta0",
@@ -57,40 +61,21 @@ class ValidatedRecord(tuple):
         return cls(*values)
 
 
-class Constants(namedtuple(
-    "Constants",
-    "boltzmann planck light_speed eta_0 vacuum_permittivity reference_temperature",
-    defaults=(
-        1.380649e-23,       # J/K
-        6.62607015e-34,     # J*s
-        299792458.0,        # m/s
-        376.730313668,      # ohm
-        8.8541878128e-12,   # F/m
-        290.0,              # K
-    ),
-)):
-    """Physical constants used throughout the toolkit (SI units).
-
-    ``eta_0`` is the single source of truth for the free-space wave impedance:
-    every field-metric computation takes its impedance from one configured
-    value, never from an ad-hoc literal.
-    """
-
-    __slots__ = ()
-
-    @property
-    def reduced_planck(self) -> float:
-        return self.planck / (2.0 * math.pi)
-
-
-CODATA = Constants()
+# Physical constants (SI units).  Field metrics read ETA_0 through default_eta0().
+BOLTZMANN = 1.380649e-23                   # J/K
+PLANCK = 6.62607015e-34                    # J*s
+REDUCED_PLANCK = PLANCK / (2.0 * math.pi)  # J*s
+LIGHT_SPEED = 299792458.0                  # m/s
+ETA_0 = 376.730313668                      # ohm
+VACUUM_PERMITTIVITY = 8.8541878128e-12     # F/m
+REFERENCE_TEMPERATURE = 290.0              # K
 
 
 def default_eta0() -> float:
     """Free-space impedance in ohms, honouring the environment override."""
     raw = os.environ.get(ETA0_ENV_VAR)
     if raw is None:
-        return CODATA.eta_0
+        return ETA_0
     try:
         value = float(raw)
     except ValueError as exc:
@@ -113,7 +98,7 @@ def linear_to_db(ratio: float) -> float:
 def frequency_to_wavelength(frequency_hz: float) -> float:
     """Wavelength in metres of a wave at ``frequency_hz``."""
     require("frequency", frequency_hz, "Hz")
-    return require("wavelength", CODATA.light_speed / frequency_hz, "m")
+    return require("wavelength", LIGHT_SPEED / frequency_hz, "m")
 
 
 def power_from_field(field_v_per_m: float, aperture_m2: float) -> float:

@@ -6,7 +6,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .quantities import CODATA, ValidatedRecord
+from .quantities import BOLTZMANN, LIGHT_SPEED, ValidatedRecord
 
 __all__ = [
     "PointTarget",
@@ -128,7 +128,7 @@ def noise_power(system_temperature_k: float, bandwidth_hz: float) -> float:
     """Receiver noise power ``P_n = k_B * T_sys * B`` in W."""
     require("system temperature", system_temperature_k, "K", 0.0, False)
     require("bandwidth", bandwidth_hz, "Hz")
-    p_n = CODATA.boltzmann * system_temperature_k * bandwidth_hz
+    p_n = BOLTZMANN * system_temperature_k * bandwidth_hz
     return require("noise power", p_n, "W", 0.0, False)
 
 
@@ -175,7 +175,7 @@ def nesz_at_unit_snr(s: RadarScenario) -> float:
 def range_resolution(bandwidth_hz: float) -> float:
     """Slant-range resolution ``delta_R = c / (2B)`` in m."""
     require("bandwidth", bandwidth_hz, "Hz")
-    return require("range resolution", CODATA.light_speed / (2.0 * bandwidth_hz), "m")
+    return require("range resolution", LIGHT_SPEED / (2.0 * bandwidth_hz), "m")
 
 
 def max_range_ratio(system_temperature_1_k: float, system_temperature_2_k: float) -> float:

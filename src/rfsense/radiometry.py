@@ -8,7 +8,7 @@ from collections.abc import Sequence
 from operator import itemgetter, mul
 
 from .errors import FLOAT_MAX, FLOAT_MIN, DomainError, SingularFitError, require
-from .quantities import CODATA, ValidatedRecord
+from .quantities import BOLTZMANN, ValidatedRecord
 
 __all__ = [
     "CalibrationPoint",
@@ -115,7 +115,7 @@ def radiometer_output_power(
     require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
     require("bandwidth", bandwidth_hz, "Hz")
     t_sys = antenna_temperature_k + receiver_temperature_k
-    return require("output power", gain * CODATA.boltzmann * t_sys * bandwidth_hz, "W", 0.0, False)
+    return require("output power", gain * BOLTZMANN * t_sys * bandwidth_hz, "W", 0.0, False)
 
 
 def calibrate_hot_cold(
@@ -173,7 +173,7 @@ def calibrate_hot_cold(
         raise SingularFitError("fitted slope is non-positive; measurements are inconsistent")
     # Fitted power at the coldest load.
     cold = p_min / p_span + (y_mean - slope * x_mean)
-    gain = p_span / t_span * slope / CODATA.boltzmann / bandwidth_hz
+    gain = p_span / t_span * slope / BOLTZMANN / bandwidth_hz
     receiver_temperature = t_span * (cold / slope) - t_min
     if not (0.0 < gain < math.inf and math.isfinite(receiver_temperature)):
         raise SingularFitError(

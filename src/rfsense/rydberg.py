@@ -7,7 +7,7 @@ import math
 
 from . import fieldmetrics
 from .errors import FLOAT_MAX, DomainError, require
-from .quantities import CODATA
+from .quantities import PLANCK, REDUCED_PLANCK
 
 __all__ = [
     "ATOMIC_DIPOLE_UNIT",
@@ -42,7 +42,7 @@ def qpn_nef(dipole_moment_cm: float, atom_count: float, coherence_time_s: float)
     require("dipole moment", dipole_moment_cm, "C*m")
     require("atom count", atom_count)
     require("coherence time", coherence_time_s, "s")
-    nef = CODATA.planck / dipole_moment_cm / math.sqrt(atom_count) / math.sqrt(coherence_time_s)
+    nef = PLANCK / dipole_moment_cm / math.sqrt(atom_count) / math.sqrt(coherence_time_s)
     return require("projection-noise NEF", nef, "V/m/sqrt(Hz)")
 
 
@@ -53,7 +53,7 @@ def photon_shot_noise_nep(probe_power_w: float, probe_frequency_hz: float) -> fl
     """
     require("probe power", probe_power_w, "W", 0.0, False)
     require("probe frequency", probe_frequency_hz, "Hz")
-    nep = math.sqrt(probe_power_w * CODATA.planck * probe_frequency_hz)
+    nep = math.sqrt(probe_power_w * PLANCK * probe_frequency_hz)
     return require("shot-noise NEP", nep, "W/sqrt(Hz)", 0.0, False)
 
 
@@ -72,7 +72,7 @@ def rabi_from_field(
     require("dipole moment", dipole_moment_cm, "C*m")
     require("field amplitude", field_v_per_m, "V/m", 0.0, False)
     require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
-    rabi = dipole_moment_cm * field_v_per_m * alignment_cosine / CODATA.reduced_planck
+    rabi = dipole_moment_cm * field_v_per_m * alignment_cosine / REDUCED_PLANCK
     return require("Rabi frequency", rabi, "rad/s", -FLOAT_MAX, False)
 
 
@@ -87,7 +87,7 @@ def field_from_rabi(
     require("Rabi frequency", rabi_rad_per_s, "rad/s", 0.0, False)
     if require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0) == 0.0:
         raise DomainError("alignment cosine must be non-zero")
-    field = rabi_rad_per_s * CODATA.reduced_planck / dipole_moment_cm / alignment_cosine
+    field = rabi_rad_per_s * REDUCED_PLANCK / dipole_moment_cm / alignment_cosine
     return require("field amplitude", field, "V/m", -FLOAT_MAX, False)
 
 

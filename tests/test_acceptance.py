@@ -30,7 +30,7 @@ from rfsense.fieldmetrics import (
     tsys_from_nef,
 )
 from rfsense.linkbudget import LinkBudget, evaluate_link, free_space_loss
-from rfsense.quantities import CODATA, db_to_linear, linear_to_db
+from rfsense.quantities import BOLTZMANN, PLANCK, db_to_linear, linear_to_db
 from rfsense.radiometry import (
     CalibrationPoint,
     ReceiverNoiseModel,
@@ -276,7 +276,7 @@ def test_criterion_09_randomized_property_suites():
             failures.append("gain/aperture route disagreement")
             break
 
-    k_b = CODATA.boltzmann
+    k_b = BOLTZMANN
     for _ in range(cases):
         gain = 10.0 ** rng.uniform(3.0, 12.0)
         t_rx = rng.uniform(0.1, 1e4)
@@ -293,7 +293,7 @@ def test_criterion_09_randomized_property_suites():
             failures.append("hot/cold recovery miss")
             break
 
-    h = CODATA.planck
+    h = PLANCK
     for _ in range(cases):
         d = rng.uniform(1.0, 1e5) * ATOMIC_DIPOLE_UNIT
         atoms = 10.0 ** rng.uniform(0.0, 12.0)

@@ -55,6 +55,8 @@ ENHANCE_ARGS = [
 ]
 # The same cavity as ENHANCE_ARGS given by Q_L = f0/B = 8.4 GHz / 1 MHz.
 ENHANCE_Q_LOADED_ARGS = ENHANCE_ARGS[:3] + ["--q-loaded", "8400"] + ENHANCE_ARGS[5:]
+BUDGET_CSV_ARGS = BUDGET_ARGS + ["--format", "csv"]
+BUDGET_TEXT_ARGS = BUDGET_ARGS + ["--format", "text"]
 DERIVE_ARGS = ["dataset-derive"]
 DERIVE_CSV_ARGS = ["dataset-derive", "--format", "csv"]
 DERIVE_TEXT_ARGS = ["dataset-derive", "--format", "text"]
@@ -131,6 +133,8 @@ GOLDEN_CASES = [
     (ENHANCE_Q_FACTORS_ARGS, "enhance.json"),
     (RYDBERG_WARNING_ARGS, "rydberg_warning.json"),
     (ENHANCE_WARNING_ARGS, "enhance_warning.json"),
+    (BUDGET_CSV_ARGS, "budget.csv"),
+    (BUDGET_TEXT_ARGS, "budget.txt"),
 ]
 
 
@@ -141,7 +145,8 @@ class TestGoldenFiles:
         ids=["budget", "dataset-ranges", "enhance", "enhance-q-loaded", "dataset-derive",
              "dataset-derive-csv", "dataset-plotdata", "dataset-derive-text",
              "dataset-ranges-json", "nedt", "nedt-inverse", "nef-gain", "convert", "rydberg",
-             "enhance-q-factors", "rydberg-warning", "enhance-warning"],
+             "enhance-q-factors", "rydberg-warning", "enhance-warning", "budget-csv",
+             "budget-text"],
     )
     def test_byte_identical_across_runs_and_matches_golden(self, capsys, argv, golden):
         code1, out1, _ = run(capsys, argv)
@@ -680,7 +685,8 @@ class TestSubcommands:
         assert abs(deep_space["t_sys_max_k"] - 27.6) < 1e-9
 
     # Beyond the 17 digits a float holds, rounding leaves every bound as it is.
-    @pytest.mark.parametrize("figures", ["17", "29", "400"])
+    @pytest.mark.parametrize("figures", ["17", "29", "400", "1" + "0" * 310],
+                             ids=["17", "29", "400", "1e310"])
     def test_dataset_ranges_more_figures_than_a_float_holds(self, capsys, figures):
         unrounded = run(capsys, ["dataset-ranges", "--no-rounding"])
         assert run(capsys, ["dataset-ranges", "--sig-figs", figures]) == unrounded
@@ -703,6 +709,13 @@ class TestSubcommands:
         assert code == 0
         assert out == ""
         assert target.read_bytes() == (GOLDEN_DIR / "enhance.json").read_bytes()
+
+    def test_unwritable_output_is_one_schema_error_line(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ENHANCE_ARGS + ["--output", str(target)])
+        assert (code, out) == (3, "")
+        assert err.startswith("schema-error: cannot write output: ") and err.count("\n") == 1
+        assert not target.exists()
 
     def test_csv_format_of_flat_report(self, capsys):
         code, out, _ = run(capsys, [

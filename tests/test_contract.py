@@ -374,9 +374,9 @@ def test_result_follows_the_impedance_in_the_environment(operation, monkeypatch)
     call = _baseline_without_eta0(operation)
     monkeypatch.delenv(q.ETA0_ENV_VAR, raising=False)
     unset = call()
-    monkeypatch.setenv(q.ETA0_ENV_VAR, repr(q.CODATA.eta_0))
+    monkeypatch.setenv(q.ETA0_ENV_VAR, repr(q.ETA_0))
     assert call() == unset
-    monkeypatch.setenv(q.ETA0_ENV_VAR, repr(4.0 * q.CODATA.eta_0))
+    monkeypatch.setenv(q.ETA0_ENV_VAR, repr(4.0 * q.ETA_0))
     assert call() != unset
 
 

@@ -98,6 +98,10 @@ class TestParse:
         assert result.records == ()
         assert result.diagnostics == ()
 
+    def test_empty_document_is_schema_error(self):
+        with pytest.raises(SchemaError, match="^document has no header row$"):
+            parse_instruments("")
+
     def test_missing_column_is_schema_error(self):
         broken = HEADER.replace("t_sys_k,", "")
         with pytest.raises(SchemaError, match="t_sys_k"):
@@ -528,6 +532,19 @@ class TestDerive:
         assert derived == (derive_record(good),)
         assert diagnostics == (Diagnostic(1, "overflow", f"overflow: {message}"),)
 
+    # A record built in code can lack what its T_sys rule needs; the parser refuses such rows.
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(t_sys_k=None, t_sys_method="NEDT"), "NEDT rule needs nedt_k and tau_s"),
+        (dict(t_sys_k=None, t_sys_method="NEDT", nedt_k=0.1), "NEDT rule needs nedt_k and tau_s"),
+        (dict(t_sys_k=None, t_sys_method="NEDT", tau_s=0.1), "NEDT rule needs nedt_k and tau_s"),
+        (dict(t_sys_k=None, t_a_k=None), "cannot form T_sys = T_A + T_Rx: missing term"),
+        (dict(t_sys_k=None, t_rx_k=None), "cannot form T_sys = T_A + T_Rx: missing term"),
+    ], ids=["nedt-neither", "nedt-no-tau", "nedt-no-nedt", "sum-no-t-a", "sum-no-t-rx"])
+    def test_missing_system_temperature_term_is_named(self, overrides, message):
+        with pytest.raises(DomainError) as caught:
+            derive_record(make_record(**overrides))
+        assert str(caught.value) == f"synthetic: {message}"
+
     def test_phys_tagged_row_uses_default_efficiency(self):
         record = make_record(aperture_method="phys", a_e_m2=None, a_phys_m2=1000.0)
         assert derive_record(record).a_e_m2 == pytest.approx(650.0, rel=1e-12)
@@ -737,6 +754,12 @@ class TestSynthesize:
             synthesize_all(derived, sig_figs=0)
         assert str(caught.value) == "significant figures must be >= 1"
 
+    def test_fractional_figures_are_named_without_a_category(self):
+        derived, _ = derive_records(load_bundled_dataset().records)
+        with pytest.raises(DomainError) as caught:
+            synthesize_all(derived, sig_figs=2.5)
+        assert str(caught.value) == "significant figures must be an integer, got 2.5"
+
     def test_permutation_invariance(self):
         derived, _ = derive_records(load_bundled_dataset().records)
         forward = _range_of(derived, "Limb sounder")
@@ -847,6 +870,16 @@ class TestRounding:
     def test_invalid_figures_rejected(self):
         with pytest.raises(DomainError):
             round_to_sig_figs(1.0, 0)
+
+    @pytest.mark.parametrize("figures", [2.5, 2.0, "2", None, True])
+    def test_a_count_that_is_not_an_integer_is_a_named_domain_error(self, figures):
+        with pytest.raises(DomainError) as caught:
+            round_to_sig_figs(1.2345, figures)
+        assert str(caught.value) == f"significant figures must be an integer, got {figures!r}"
+
+    # A count above the largest float is still a count: it leaves the value as it is.
+    def test_a_count_beyond_the_float_range_keeps_every_digit(self):
+        assert round_to_sig_figs(1.2345, 10**310) == 1.2345
 
     # Just below a power of ten, log10 reads the exponent one too high; the
     # digits do not.  Each value has 16 digits, so 16 figures keep it whole.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import DomainError
-from rfsense.quantities import CODATA
+from rfsense.quantities import BOLTZMANN, ETA_0
 from rfsense.fieldmetrics import (
     CavityCoupling,
     ReceiverReference,
@@ -95,8 +95,8 @@ class TestNefFromAperture:
     )
     def test_definition_identity(self, t_sys, a_e, rho2):
         nef = nef_from_aperture(t_sys, a_e, rho2)
-        assert nef**2 * rho2 * a_e / CODATA.eta_0 == pytest.approx(
-            CODATA.boltzmann * t_sys, rel=1e-12
+        assert nef**2 * rho2 * a_e / ETA_0 == pytest.approx(
+            BOLTZMANN * t_sys, rel=1e-12
         )
 
     @settings(max_examples=250)
@@ -106,7 +106,7 @@ class TestNefFromAperture:
         st.floats(min_value=0.1, max_value=1.0),
     )
     def test_sqrt_of_sefd(self, t_sys, a_e, rho2):
-        assert math.sqrt(sefd(t_sys, a_e, rho2) * CODATA.eta_0) == pytest.approx(
+        assert math.sqrt(sefd(t_sys, a_e, rho2) * ETA_0) == pytest.approx(
             nef_from_aperture(t_sys, a_e, rho2), rel=1e-12
         )
 
@@ -124,13 +124,13 @@ class TestNefFromAperture:
     # though the NEF itself is a normal float.
     @pytest.mark.parametrize("args", [
         (23.0, 2660.0, 1.0, 1e-300),
-        (1e-10, 1e300, 1.0, CODATA.eta_0),
+        (1e-10, 1e300, 1.0, ETA_0),
     ], ids=["tiny-eta0", "huge-aperture"])
     def test_nef_whose_radicand_underflows(self, args):
         t_sys, a_e, rho2, eta_0 = args
         with localcontext() as context:
             context.prec = 60
-            reference = (Decimal(CODATA.boltzmann) * Decimal(t_sys) * Decimal(eta_0)
+            reference = (Decimal(BOLTZMANN) * Decimal(t_sys) * Decimal(eta_0)
                          / Decimal(rho2) / Decimal(a_e)).sqrt()
         assert nef_from_aperture(*args) == pytest.approx(float(reference), rel=1e-12)
 

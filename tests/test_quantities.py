@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from rfsense.errors import DomainError
 from rfsense.quantities import (
-    CODATA,
+    BOLTZMANN,
+    ETA_0,
+    LIGHT_SPEED,
+    PLANCK,
+    REDUCED_PLANCK,
+    REFERENCE_TEMPERATURE,
+    VACUUM_PERMITTIVITY,
     db_to_linear,
     default_eta0,
     frequency_to_wavelength,
@@ -75,7 +81,7 @@ class TestWavelength:
     @given(st.floats(min_value=1e3, max_value=1e15))
     def test_product_recovers_light_speed(self, f):
         assert frequency_to_wavelength(f) * f == pytest.approx(
-            CODATA.light_speed, rel=1e-15
+            LIGHT_SPEED, rel=1e-15
         )
 
 
@@ -131,11 +137,10 @@ class TestConstantsConfig:
             default_eta0()
 
     def test_constants_values(self):
-        assert CODATA.boltzmann == 1.380649e-23
-        assert CODATA.planck == 6.62607015e-34
-        assert CODATA.light_speed == 299792458.0
-        assert CODATA.vacuum_permittivity == 8.8541878128e-12
-        assert CODATA.reference_temperature == 290.0
-        assert CODATA.reduced_planck == pytest.approx(
-            6.62607015e-34 / (2 * math.pi), rel=1e-15
-        )
+        assert BOLTZMANN == 1.380649e-23
+        assert PLANCK == 6.62607015e-34
+        assert LIGHT_SPEED == 299792458.0
+        assert ETA_0 == 376.730313668
+        assert VACUUM_PERMITTIVITY == 8.8541878128e-12
+        assert REFERENCE_TEMPERATURE == 290.0
+        assert REDUCED_PLANCK == 6.62607015e-34 / (2.0 * math.pi)

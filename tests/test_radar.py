@@ -58,8 +58,9 @@ class TestReceivedPower:
 
     def test_needs_point_target(self):
         cell = reference_scenario(target=ResolutionCell(0.1, 10.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as caught:
             received_power(cell)
+        assert str(caught.value) == "received_power needs a point-target scenario (sigma form)"
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(DomainError):
@@ -101,6 +102,13 @@ class TestProcessedPower:
     def test_zero_backscatter(self):
         cell = reference_scenario(target=ResolutionCell(0.0, 20.0))
         assert processed_received_power(cell) == 0.0
+
+    def test_needs_resolution_cell(self):
+        with pytest.raises(DomainError) as caught:
+            processed_received_power(reference_scenario())
+        assert str(caught.value) == (
+            "processed_received_power needs a resolution-cell scenario (sigma0 form)"
+        )
 
     def test_processing_gain_scales_linearly(self):
         cell = reference_scenario(target=ResolutionCell(0.05, 20.0))
@@ -161,6 +169,21 @@ class TestNesz:
     )
     def test_algebraic_identity(self, sigma0, ratio):
         assert nesz(sigma0, ratio) * ratio == pytest.approx(sigma0, rel=1e-12)
+
+    def test_unit_snr_solver_needs_resolution_cell(self):
+        point = reference_scenario(system_temperature_k=606.0, bandwidth_hz=1e8)
+        with pytest.raises(DomainError) as caught:
+            nesz_at_unit_snr(point)
+        assert str(caught.value) == "nesz_at_unit_snr needs a resolution-cell scenario"
+
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(system_temperature_k=606.0), dict(bandwidth_hz=1e8),
+    ], ids=["neither", "no-bandwidth", "no-tsys"])
+    def test_unit_snr_solver_needs_tsys_and_bandwidth(self, overrides):
+        cell = reference_scenario(target=ResolutionCell(0.05, 20.0), **overrides)
+        with pytest.raises(DomainError) as caught:
+            nesz_at_unit_snr(cell)
+        assert str(caught.value) == "scenario needs system temperature and bandwidth for NESZ"
 
     def test_ratio_form_matches_unit_snr_solver(self):
         cell = reference_scenario(

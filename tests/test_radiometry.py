@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import DomainError, SingularFitError
-from rfsense.quantities import CODATA
+from rfsense.quantities import BOLTZMANN
 from rfsense.radiometry import (
     CalibrationPoint,
     ReceiverNoiseModel,
@@ -18,7 +18,7 @@ from rfsense.radiometry import (
     tsys_from_nedt,
 )
 
-K_B = CODATA.boltzmann
+K_B = BOLTZMANN
 
 # Frozen oracles (direct evaluation).
 NEDT_183GHZ_CHANNEL = 0.21983909835756393   # 850*sqrt(1/1.5e7 + (1.5e-5)^2)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rfsense.errors import DomainError
 from rfsense.fieldmetrics import nef_from_gain
-from rfsense.quantities import CODATA
+from rfsense.quantities import LIGHT_SPEED, PLANCK
 from rfsense.rydberg import (
     ATOMIC_DIPOLE_UNIT,
     ac_stark_shift,
@@ -66,7 +66,7 @@ class TestQpn:
     def test_defining_identity(self, d_multiple, atoms, tau):
         d = d_multiple * ATOMIC_DIPOLE_UNIT
         value = qpn_nef(d, atoms, tau)
-        assert value * math.sqrt(atoms * tau) * d / CODATA.planck == pytest.approx(
+        assert value * math.sqrt(atoms * tau) * d / PLANCK == pytest.approx(
             1.0, rel=1e-12
         )
 
@@ -85,13 +85,13 @@ class TestPhotonShotNoise:
         assert photon_shot_noise_nep(0.0, 3.8e14) == 0.0
 
     def test_one_milliwatt_at_780nm(self):
-        nu = CODATA.light_speed / 780e-9
+        nu = LIGHT_SPEED / 780e-9
         assert photon_shot_noise_nep(1e-3, nu) == pytest.approx(
             SHOT_NOISE_1MW_780NM, rel=1e-12
         )
 
     def test_quadrupled_power_doubles(self):
-        nu = CODATA.light_speed / 780e-9
+        nu = LIGHT_SPEED / 780e-9
         assert photon_shot_noise_nep(4e-3, nu) == pytest.approx(
             2.0 * photon_shot_noise_nep(1e-3, nu), rel=1e-12
         )
@@ -103,7 +103,7 @@ class TestPhotonShotNoise:
     )
     def test_defining_identity(self, power, nu):
         value = photon_shot_noise_nep(power, nu)
-        assert value**2 / power == pytest.approx(CODATA.planck * nu, rel=1e-12)
+        assert value**2 / power == pytest.approx(PLANCK * nu, rel=1e-12)
 
     def test_non_positive_frequency_rejected(self):
         with pytest.raises(DomainError):
