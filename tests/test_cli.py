@@ -1,3 +1,5 @@
+import codecs
+import gc
 import inspect
 import json
 import math
@@ -106,7 +108,12 @@ class TestNumberFormatting:
             (0.001, "0.001"),
             (0.0009999, "9.99900e-04"),
             (999999.4, "999999"),
+            (999999.5, "1.00000e+06"),
+            (999999.7, "1.00000e+06"),
+            (-999999.9, "-1.00000e+06"),
             (1e6, "1.00000e+06"),
+            (0.0009999994, "9.99999e-04"),
+            (0.00099999996, "0.001"),
             (6.301404134174183e-07, "6.30140e-07"),
             (-42.5, "-42.5"),
         ],
@@ -164,6 +171,29 @@ class TestGoldenFiles:
             chunks.append(out)
         combined = ("\n" + "=" * 80 + "\n").join(chunks)
         assert combined.encode() == (GOLDEN_DIR / "help.txt").read_bytes()
+
+    # Excel's "CSV UTF-8" and some editors start a file with a UTF-8 byte-order mark.
+    @pytest.mark.parametrize("argv,golden", [
+        (DERIVE_ARGS, "dataset_derive.json"),
+        (RANGES_ARGS, "dataset_ranges.csv"),
+        (PLOTDATA_ARGS, "dataset_plotdata.json"),
+    ], ids=["dataset-derive", "dataset-ranges", "dataset-plotdata"])
+    def test_bundled_table_with_a_byte_order_mark_matches_golden(
+        self, capsys, tmp_path, argv, golden
+    ):
+        path = tmp_path / "instruments.csv"
+        path.write_bytes(codecs.BOM_UTF8 + BUNDLED_CSV.read_bytes())
+        code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+
+    def test_budget_document_with_a_byte_order_mark_matches_golden(self, capsys, tmp_path):
+        path = tmp_path / "budget.json"
+        document = dict(BUDGET_DOCUMENT, distance_m=3.6e7, frequency_hz=20e9)
+        path.write_text(json.dumps(document), encoding="utf-8-sig")
+        code, out, err = run(capsys, ["budget", "--input", str(path)])
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN_DIR / "budget.json").read_bytes()
 
     def test_every_flag_help_mentions_units_or_kind(self):
         # Numeric flags must state their unit (or explicit dimensionlessness).
@@ -324,6 +354,28 @@ class TestExitCodesAndValidation:
         assert out == ""
         assert err.startswith("domain-error:") and err.count("\n") == 1
         assert named in err
+
+    @pytest.mark.parametrize("argv,code", [
+        (ENHANCE_ARGS, 0),
+        (["nef", "--tsys", "-23", "--aperture", "2660m2"], 2),
+        (["dataset-derive", "--input", "missing.csv"], 3),
+        (["nef", "--no-such-flag"], 2),
+        (["nef", "--tsys", "23", "--aperture", "2660m2"], RuntimeError),
+    ], ids=["exit-0", "domain-error", "schema-error", "usage-error", "handler-raises"])
+    def test_main_restores_the_collector(self, capsys, monkeypatch, tmp_path, argv, code):
+        monkeypatch.chdir(tmp_path)
+        assert gc.isenabled()
+        if code is RuntimeError:
+            def fail(args):
+                raise RuntimeError("handler failed")
+
+            help_line, _, flags = SUBCOMMANDS["nef"]
+            monkeypatch.setitem(SUBCOMMANDS, "nef", (help_line, fail, flags))
+            with pytest.raises(RuntimeError, match="handler failed"):
+                main(argv)
+        else:
+            assert run(capsys, argv)[0] == code
+        assert gc.isenabled()
 
     def test_no_subcommand_exits_nonzero(self, capsys):
         assert main([]) == 2

@@ -21,6 +21,7 @@ exit 0, 2 or 3 with at most one stderr line.
 """
 
 import contextlib
+import gc
 import io
 import math
 import re
@@ -462,13 +463,28 @@ EXTREMES = st.sampled_from(
 
 
 def _cli(command, changed):
-    """argv, exit code, stdout and stderr of ``command`` with the ``changed`` flag values."""
+    """argv, exit code, stdout and stderr of ``command`` with the ``changed`` flag values.
+
+    ``main`` pauses the cyclic collector, so a call that made a reference cycle would
+    keep it until the call ends. The call runs with the collector off, which ``main``
+    must leave off, and no garbage cycle may be left behind. With the collector off,
+    every object the call makes stays in the youngest generation, so collecting that
+    generation alone finds such a cycle; a full collection would also walk every
+    object of the test session, twice a call.
+    """
     argv = [command] + CLI_FIXED.get(command, [])
     for flag, (before, value, after) in CLI_FLAGS[command].items():
         argv.append(f"{flag}={before}{changed.get(flag, value)!r}{after}")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    gc.collect(0)
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert not gc.isenabled(), argv
+        assert gc.collect(0) == 0, argv
+    finally:
+        gc.enable()
     return argv, code, out.getvalue(), err.getvalue()
 
 

@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import json
 import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfsense import dataset
+from rfsense.cli import main
 from rfsense.errors import FLOAT_MAX, DomainError, SchemaError
 from rfsense.fieldmetrics import default_polarisation_coupling
 from rfsense.dataset import (
@@ -471,22 +473,35 @@ def test_each_bad_number_beside_each_other_cell_gets_the_reference_diagnostic():
     assert parse_instruments(document) == expected
 
 
-def test_rejected_rows_leave_no_reference_cycle():
-    # A cycle through a rejected row's exception would keep the parser's
-    # frames, and with them the whole document, alive until a full collection.
+def test_rejected_rows_leave_no_reference_cycle(capsys, tmp_path):
+    # main pauses the cyclic collector for the call, so a cycle through a rejected
+    # row's exception would keep the parser's frames, and with them the whole
+    # document, alive until the call ends, and be left behind as garbage.
     cells = {**_GOOD_CELLS, "t_sys_k": "", "t_sys_method": "NEDT", "nedt_k": "1"}
     rows = [{**cells, "tau_s": "abc"}, {**cells, "tau_s": "inf"},
-            {**cells, "tau_s": "abc", "coherence": "laser"}, {**cells, "tau_s": "1"}]
-    document = HEADER + ",e_free_reported\n" + "".join(
-        ",".join(row[c] for c in COLUMNS) + "\n" for row in rows)
+            {**cells, "tau_s": "abc", "coherence": "laser"},
+            {**cells, "tau_s": "1", "e_free_reported": ""},
+            # A derivation failure, then a quoted field far from the recomputed one.
+            {**_GOOD_CELLS, "t_rx_k": "", "t_rx_method": "NF", "nf_db": "4000", "t_sys_k": ""},
+            {**_GOOD_CELLS, "e_free_reported": "1e-9"}]
+    path = tmp_path / "rows.csv"
+    path.write_text(HEADER + ",e_free_reported\n" + "".join(
+        ",".join(row[c] for c in COLUMNS) + "\n" for row in rows))
     gc.collect()
     gc.disable()
     try:
-        result = parse_instruments(document)
+        code = main(["dataset-derive", "--input", str(path)])
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert [d.row for d in result.diagnostics] == [2, 3, 4] and len(result.records) == 1
+    report = json.loads(capsys.readouterr().out)
+    messages = [d["message"] for d in report["diagnostics"]]
+    assert code == 0 and report["record_count"] == 2
+    assert messages[:4] == [
+        "could not convert string to float: 'abc'", "tau_s must be finite, got 'inf'",
+        "coherence must be one of ('coherent', 'incoherent'), got 'laser'",
+        "ok: dB value must be <= 3082.55 dB"]
+    assert len(messages) == 5 and messages[4].startswith("quoted field 1e-09 V/m/sqrt(Hz)")
 
 
 class TestDerive:
