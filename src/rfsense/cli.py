@@ -288,54 +288,60 @@ _JSON_TEXT = {
 _CELL_TEXT = {**_JSON_TEXT, str: str, type(None): {None: ""}.__getitem__}
 
 
-def _render_json_value(value, indent: int) -> str:
+def _append_json(out: list, value, indent: int) -> list:
+    """``out`` with the JSON text of ``value`` appended in pieces."""
     if type(value) in _JSON_TEXT:
-        return _JSON_TEXT[type(value)](value)
-    if type(value) is ReportTable:
-        return _render_table(value, indent)
+        out.append(_JSON_TEXT[type(value)](value))
+    elif type(value) is ReportTable:
+        _append_table(out, value, indent)
     # Exact types: a record is a tuple subclass and must not render as a list.
-    if type(value) not in (dict, list, tuple):
+    elif type(value) not in (dict, list, tuple):
         raise DomainError(f"cannot serialize {type(value).__name__}")
-    if not value:
-        return "{}" if type(value) is dict else "[]"
-    pad = "  " * indent
-    inner = pad + "  "
-    if type(value) is dict:
-        # Ordered by str(k), all the output uses, so keys 1, True and 1.0 stay apart.
-        values = list(value.values())
-        body = f",\n{inner}".join([
-            f"{key}: {_render_json_value(values[i], indent + 1)}"
-            for i, key in _key_order(tuple(map(str, value)))
-        ])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    body = f",\n{inner}".join([_render_json_value(v, indent + 1) for v in value])
-    return f"[\n{inner}{body}\n{pad}]"
+    elif not value:
+        out.append("{}" if type(value) is dict else "[]")
+    else:
+        inner = "  " * indent + "  "
+        if type(value) is dict:
+            # Ordered by str(k), all the output uses, so keys 1, True and 1.0 stay apart.
+            values = list(value.values())
+            items = [(f"{key}: ", values[i]) for i, key in _key_order(tuple(map(str, value)))]
+        else:
+            items = [("", item) for item in value]
+        separator = ("{" if type(value) is dict else "[") + "\n" + inner
+        for key, item in items:
+            out.append(separator + key)
+            _append_json(out, item, indent + 1)
+            separator = ",\n" + inner
+        out.append("\n" + "  " * indent + ("}" if type(value) is dict else "]"))
+    return out
 
 
-def _render_table(table: ReportTable, indent: int) -> str:
-    """The table as a list of objects: every row fills one template in sorted key order."""
+def _append_table(out: list, table: ReportTable, indent: int) -> None:
+    """The table as a list of objects: one piece per row, its template filled in sorted key order."""
     if not table.rows:
-        return "[]"
+        out.append("[]")
+        return
     pad = "  " * indent
     inner, field = pad + "  ", pad + "    "
     order = _key_order(tuple(map(str, table.columns)))
-    template = "{" + ",".join(f"\n{field}{key.replace('%', '%%')}: %s" for _, key in order)
+    template = "%s{" + ",".join(f"\n{field}{key.replace('%', '%%')}: %s" for _, key in order)
     template += f"\n{inner}}}" if order else "}"
     positions = [i for i, _ in order]
-    rendered = []
+    separator = "[\n" + inner
     for row in table.rows:
         cells = [row[i] for i in positions]
         try:
             text = [_JSON_TEXT[type(cell)](cell) for cell in cells]
         except KeyError:  # a cell of another type: the row goes the general way
-            text = [_render_json_value(cell, indent + 2) for cell in cells]
-        rendered.append(template % tuple(text))
-    return f"[\n{inner}" + f",\n{inner}".join(rendered) + f"\n{pad}]"
+            text = ["".join(_append_json([], cell, indent + 2)) for cell in cells]
+        out.append(template % (separator, *text))
+        separator = ",\n" + inner
+    out.append(f"\n{pad}]")
 
 
 def render_json(payload: dict) -> str:
     """Deterministic JSON: sorted keys, fixed numeric formatting."""
-    return _render_json_value(payload, 0) + "\n"
+    return "".join(render_report(payload, "json"))
 
 
 def _flatten(items, prefix: str = "") -> list[tuple[str, object]]:
@@ -363,25 +369,32 @@ def _cell_text(value) -> str:
     return _CELL_TEXT.get(type(value), str)(value)
 
 
-def _render_csv_rows(rows: list) -> str:
+def _render_csv_rows(rows: list) -> list[str]:
     def quote(cell: str) -> str:
         if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
             return '"' + cell.replace('"', '""') + '"'
         return cell
 
-    return "".join(",".join(quote(c) for c in row) + "\r\n" for row in rows)
+    return [",".join(quote(c) for c in row) + "\r\n" for row in rows]
 
 
-def render_report(payload: dict, fmt: str, table: ReportTable | None = None) -> str:
+def render_report(payload: dict, fmt: str, table: ReportTable | None = None) -> list[str]:
+    """The report as pieces of text, in order: never one string, since reports can be large."""
     if fmt == "json":
-        return render_json(payload)
+        return _append_json([], payload, 0) + ["\n"]
     if fmt == "csv":
         if table is None:
             table = ReportTable(("key", "value"), _flatten(payload.items()))
         return _render_csv_rows([table.columns, *[map(_cell_text, row) for row in table.rows]])
     if fmt == "text":
-        return "".join(f"{k} = {_cell_text(v)}\n" for k, v in _flatten(payload.items()))
+        return [f"{k} = {_cell_text(v)}\n" for k, v in _flatten(payload.items())]
     raise SchemaError(f"unknown format {fmt!r}")
+
+
+def _write(handle, pieces: list[str]) -> None:
+    """Write the pieces in joined batches: few calls, and no copy of the whole report."""
+    for start in range(0, len(pieces), 256):
+        handle.write("".join(pieces[start:start + 256]))
 
 
 # ---------------------------------------------------------------------------
@@ -512,37 +525,44 @@ def _budget_fields_from_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             document = _json_module.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read budget file: {exc}") from exc
     except _json_module.JSONDecodeError as exc:
         raise SchemaError(f"budget file is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("budget document must be a JSON object")
+
+    def number(value) -> float:  # a JSON number: float() would also take "45" and true
+        kind = {str: "string", bool: "boolean", type(None): "null"}.get(type(value))
+        if kind:
+            raise ValueError(f"could not convert {kind} to float: {value!r}")
+        return float(value)
+
     try:
         losses = tuple(
-            (str(name), float(value))
+            (str(name), number(value))
             for name, value in dict(document["losses_db"]).items()
         )
         thresholds = document.get("thresholds_db")
         return dict(
-            transmit_power_dbw=float(document["tx_power_dbw"]),
-            transmit_gain_dbi=float(document["tx_gain_dbi"]),
-            transmit_feeder_loss_db=float(document.get("tx_feeder_loss_db", 0.0)),
+            transmit_power_dbw=number(document["tx_power_dbw"]),
+            transmit_gain_dbi=number(document["tx_gain_dbi"]),
+            transmit_feeder_loss_db=number(document.get("tx_feeder_loss_db", 0.0)),
             losses_db=losses,
-            receive_gain_dbi=float(document["rx_gain_dbi"]),
-            antenna_temperature_k=float(document["antenna_temp_k"]),
-            receiver_temperature_k=float(document["receiver_temp_k"]),
-            feeder_loss_linear=float(document.get("feeder_loss_linear", 1.0)),
-            data_rate_bps=float(document["data_rate_bps"]),
+            receive_gain_dbi=number(document["rx_gain_dbi"]),
+            antenna_temperature_k=number(document["antenna_temp_k"]),
+            receiver_temperature_k=number(document["receiver_temp_k"]),
+            feeder_loss_linear=number(document.get("feeder_loss_linear", 1.0)),
+            data_rate_bps=number(document["data_rate_bps"]),
             required_eb_n0_db=(
-                tuple((str(k), float(v)) for k, v in dict(thresholds).items())
+                tuple((str(k), number(v)) for k, v in dict(thresholds).items())
                 if thresholds is not None else lb.DEFAULT_EBN0_THRESHOLDS_DB
             ),
             path_length_m=(
-                float(document["distance_m"]) if "distance_m" in document else None
+                number(document["distance_m"]) if "distance_m" in document else None
             ),
             frequency_hz=(
-                float(document["frequency_hz"]) if "frequency_hz" in document else None
+                number(document["frequency_hz"]) if "frequency_hz" in document else None
             ),
         )
     except KeyError as exc:
@@ -791,7 +811,7 @@ def _load_dataset(path: str | None) -> ds.ParseResult:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read dataset: {exc}") from exc
     return ds.parse_instruments(text)
 
@@ -1158,7 +1178,7 @@ def main(argv: list[str] | None = None) -> int:
 
         try:
             payload, table = args.handler(args)
-            rendered = render_report(payload, args.format, table)
+            pieces = render_report(payload, args.format, table)
         except DomainError as exc:
             print(f"domain-error: {exc}", file=sys.stderr)
             return 2
@@ -1167,11 +1187,11 @@ def main(argv: list[str] | None = None) -> int:
             return 3
 
         if args.output is None:
-            sys.stdout.write(rendered)
+            _write(sys.stdout, pieces)
             return 0
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rendered)
+                _write(handle, pieces)
         except OSError as exc:
             print(f"schema-error: cannot write output: {exc}", file=sys.stderr)
             return 3

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from operator import itemgetter
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, SUBCOMMANDS, ReportTable, _render_json_value, _render_table, build_parser,
+    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _append_table, build_parser,
     format_number, main, render_json, render_report,
 )
 from rfsense.errors import DomainError, SchemaError
@@ -384,6 +385,23 @@ class TestExitCodesAndValidation:
         assert main(["--help"]) == 0
 
 
+def _render_json_value(value, indent: int) -> str:
+    """One value's JSON text at ``indent``: its pieces, joined."""
+    return "".join(_append_json([], value, indent))
+
+
+def _render_table(table: ReportTable, indent: int) -> str:
+    """One table's JSON text at ``indent``: its pieces, joined."""
+    pieces: list[str] = []
+    _append_table(pieces, table, indent)
+    return "".join(pieces)
+
+
+def _report(*args) -> str:
+    """``render_report``'s pieces, joined."""
+    return "".join(render_report(*args))
+
+
 def _old_render_json_value(value, indent: int) -> str:
     """The recursive renderer ``render_json`` replaced: the reference output."""
     pad = "  " * indent
@@ -557,9 +575,9 @@ class TestRenderJson:
         table = ReportTable(columns, rows)
         dicts = [dict(zip(columns, row)) for row in rows]
         for fmt in ("json", "text"):
-            assert (render_report({"t": table, "n": len(rows)}, fmt, table)
-                    == render_report({"t": dicts, "n": len(rows)}, fmt))
-        assert render_report({"t": table}, "csv", table) == _old_render_csv_table(columns, dicts)
+            assert (_report({"t": table, "n": len(rows)}, fmt, table)
+                    == _report({"t": dicts, "n": len(rows)}, fmt))
+        assert _report({"t": table}, "csv", table) == _old_render_csv_table(columns, dicts)
 
     @pytest.mark.parametrize("record", [
         rfsense.dataset.Diagnostic(3, "probe", "bad cell"),
@@ -570,8 +588,32 @@ class TestRenderJson:
             render_json({"x": [record]})
         assert str(caught.value) == f"cannot serialize {type(record).__name__}"
         # The text and CSV reports print a stray record as one cell, never item by item.
-        assert render_report({"x": record}, "text") == f"x = {record}\n"
-        assert render_report({"x": [record]}, "text") == f"x[0] = {record}\n"
+        assert _report({"x": record}, "text") == f"x = {record}\n"
+        assert _report({"x": [record]}, "text") == f"x[0] = {record}\n"
+
+
+class TestReportMemory:
+    def test_rendering_and_writing_a_report_peaks_below_twice_its_length(
+        self, monkeypatch, tmp_path
+    ):
+        """A report joined into one string and then copied for the write peaks near three
+        times its length; pieces written in joined batches stay well below twice."""
+        header, *rows = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
+        source = tmp_path / "instruments.csv"
+        source.write_text("\n".join([header] + [rows[i % len(rows)] for i in range(2000)]) + "\n")
+        args = build_parser().parse_args(["dataset-derive", "--input", str(source)])
+        result = args.handler(args)
+        help_line, _, flags = SUBCOMMANDS["dataset-derive"]
+        monkeypatch.setitem(SUBCOMMANDS, "dataset-derive", (help_line, lambda args: result, flags))
+        target = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            assert main(["dataset-derive", "--output", str(target)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        length = len(target.read_text(encoding="utf-8"))
+        assert length > 1_000_000 and peak < 2 * length, (peak, length)
 
 
 class TestSubcommands:
@@ -1173,13 +1215,61 @@ class TestErrorLines:
          "budget document has a malformed value: could not convert string to float: 'abc'"),
         ('{"tx_power_dbw": 1%s, "losses_db": {}}' % ("0" * 400),
          "budget document has a malformed value: int too large to convert to float"),
-    ], ids=["unreadable", "not-json", "not-an-object", "malformed-value", "beyond-float-range"])
+        # float() would read these as 1.0 and 45.0; only a JSON number is a number.
+        (json.dumps({**BUDGET_DOCUMENT, "tx_power_dbw": True}),
+         "budget document has a malformed value: could not convert boolean to float: True"),
+        (json.dumps({**BUDGET_DOCUMENT, "tx_gain_dbi": "45"}),
+         "budget document has a malformed value: could not convert string to float: '45'"),
+        (json.dumps({**BUDGET_DOCUMENT, "rx_gain_dbi": None}),
+         "budget document has a malformed value: could not convert null to float: None"),
+        (json.dumps({**BUDGET_DOCUMENT, "losses_db": {"fsl": "206.5"}}),
+         "budget document has a malformed value: could not convert string to float: '206.5'"),
+        (json.dumps({**BUDGET_DOCUMENT, "thresholds_db": {"qpsk": False}}),
+         "budget document has a malformed value: could not convert boolean to float: False"),
+    ], ids=["unreadable", "not-json", "not-an-object", "malformed-value", "beyond-float-range",
+            "bool-field", "string-field", "null-field", "string-loss", "bool-threshold"])
     def test_bad_budget_file_is_one_schema_error_line(self, capsys, tmp_path, document, line):
         path = tmp_path / "budget.json"
         if document is not None:
             path.write_text(document)
         code, out, err = run(capsys, ["budget", "--input", str(path)])
         assert (code, out, err) == (3, "", f"schema-error: {line.format(path=path)}\n")
+
+    @pytest.mark.parametrize("argv,what", [
+        (["dataset-derive"], "dataset"), (["budget"], "budget file"),
+    ], ids=["dataset", "budget"])
+    def test_input_that_is_not_utf8_is_one_schema_error_line(self, capsys, tmp_path, argv, what):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff")
+        line = (f"schema-error: cannot read {what}: 'utf-8' codec can't decode byte 0xff "
+                "in position 0: invalid start byte\n")
+        assert run(capsys, argv + ["--input", str(path)]) == (3, "", line)
+
+    def test_budget_document_takes_json_integers(self, capsys, tmp_path):
+        floats = json.dumps(BUDGET_DOCUMENT)
+        integers = floats.replace(".0,", ",").replace(".0}", "}")
+        assert integers.count(".") == 2 and '"data_rate_bps": 100000000}' in integers
+        reports = []
+        for name, text in (("floats.json", floats), ("integers.json", integers)):
+            (tmp_path / name).write_text(text)
+            reports.append(run(capsys, ["budget", "--input", str(tmp_path / name)]))
+        assert reports[0][0] == 0 and reports[1] == reports[0]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_render_error_writes_nothing(self, capsys, monkeypatch, tmp_path, fmt):
+        # More rows than one write batch, so a writer that wrote while rendering would show.
+        table = ReportTable(("name", "value"), [(f"row {i}", i + 0.5) for i in range(999)]
+                            + [("last", math.nan)])
+        help_line, _, flags = SUBCOMMANDS["dataset-derive"]
+        monkeypatch.setitem(SUBCOMMANDS, "dataset-derive",
+                            (help_line, lambda args: ({"records": table}, table), flags))
+        line = "domain-error: cannot format a non-finite number\n"
+        assert run(capsys, ["dataset-derive", "--format", fmt]) == (2, "", line)
+        target = tmp_path / "report"
+        target.write_bytes(b"an earlier report\r\n")
+        argv = ["dataset-derive", "--format", fmt, "--output", str(target)]
+        assert run(capsys, argv) == (2, "", line)
+        assert target.read_bytes() == b"an earlier report\r\n"
 
     def test_unknown_report_format_is_a_schema_error(self):
         with pytest.raises(SchemaError, match=r"^unknown format 'xml'$"):
