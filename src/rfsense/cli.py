@@ -12,22 +12,25 @@ Conventions at this boundary:
 - Each handler imports the engine module it calls, so a cold call loads
   only the modules its ``OPERATION_MAP`` entry names (and what they
   import), besides this one, ``errors`` and ``quantities``.
+- Only two kinds of call load the ``json`` package (and the ``re`` it
+  imports): ``budget --input``, which reads a JSON document, and a JSON
+  report that holds a table, whose string cells go through json's C
+  encoder.  Flags are parsed, and other strings quoted, without ``re``.
 - Exit codes: 0 success, 2 usage or domain error (one stderr line, e.g.
   ``domain-error: ...``), 3 schema/parse error or an unreadable input or
-  unwritable output (one stderr line, ``schema-error: ...``).
+  unwritable output (one stderr line, ``schema-error: ...``).  A failed call
+  leaves the ``--output`` file as it was.
 """
 
 from __future__ import annotations
 
 import gc
-import json as _json_module
 import math
-import re
+import os
 import sys
 import types
 from collections import namedtuple
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
 
 from .errors import DomainError, SchemaError, require
@@ -112,10 +115,6 @@ OPERATION_MAP: dict[str, tuple[str, ...]] = {
 # ---------------------------------------------------------------------------
 # Flag value parsing (magnitude + unit suffix)
 
-_QUANTITY_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-Z][a-zA-Z0-9/^]*)?$"
-)
-
 _FREQUENCY = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
 _TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _DISTANCE = {"m": 1.0, "km": 1e3, "mm": 1e-3}
@@ -126,13 +125,27 @@ _POWER = {"w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9}
 
 
 def _split_quantity(text: str) -> tuple[float, str]:
-    match = _QUANTITY_RE.match(text.strip())
-    if match is None:
-        raise ValueError(f"cannot parse quantity {text!r}")
-    value = float(match.group(1))
-    if not math.isfinite(value):
-        raise ValueError(f"value {text!r} overflows the float range")
-    return value, (match.group(2) or "").lower()
+    """(value, lower-case unit) of a number with an optional unit suffix, e.g. ``1.5e9 Hz``.
+
+    The unit starts at the first ASCII letter or, when that is the ``e`` of an exponent
+    and the number then parses, at the next one; ``float`` reads the number.
+    """
+    body = text.strip()
+    letters = [i for i, char in enumerate(body) if char.isascii() and char.isalpha()]
+    first, second = (letters + [len(body)] * 2)[:2]
+    for start in (second, first) if body[first:first + 1] in ("e", "E") else (first,):
+        number, unit = body[:start].rstrip(), body[start:]
+        symbols = unit.replace("/", "").replace("^", "")  # a unit is ASCII letters, digits, / and ^
+        if "_" in number or unit and not (symbols.isascii() and symbols.isalnum()):
+            continue  # float() would read 1_0 as 10
+        try:
+            value = float(number)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            raise ValueError(f"value {text!r} overflows the float range")
+        return value, unit.lower()
+    raise ValueError(f"cannot parse quantity {text!r}")
 
 
 def _scaled(kind: str, table: dict[str, float], require_suffix: bool):
@@ -270,6 +283,26 @@ def format_number(x: float) -> str:
 ReportTable = namedtuple("ReportTable", "columns rows")
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string in ASCII, as ``json.dumps`` writes it."""
+    pieces = []
+    for char in text:
+        code = ord(char)
+        if char in _ESCAPES:
+            pieces.append(_ESCAPES[char])
+        elif " " <= char <= "~":
+            pieces.append(char)
+        elif code > 0xFFFF:  # as a UTF-16 surrogate pair
+            code -= 0x10000
+            pieces.append("\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF))
+        else:
+            pieces.append("\\u%04x" % code)
+    return '"' + "".join(pieces) + '"'
+
+
 @lru_cache(maxsize=256)
 def _key_order(keys: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
     """(position, quoted key) of each key, in sorted order; stable for equal keys."""
@@ -321,6 +354,9 @@ def _append_table(out: list, table: ReportTable, indent: int) -> None:
     if not table.rows:
         out.append("[]")
         return
+    from json.encoder import encode_basestring_ascii  # C speed for the many string cells
+
+    text_of = {**_JSON_TEXT, str: encode_basestring_ascii}
     pad = "  " * indent
     inner, field = pad + "  ", pad + "    "
     order = _key_order(tuple(map(str, table.columns)))
@@ -331,7 +367,7 @@ def _append_table(out: list, table: ReportTable, indent: int) -> None:
     for row in table.rows:
         cells = [row[i] for i in positions]
         try:
-            text = [_JSON_TEXT[type(cell)](cell) for cell in cells]
+            text = [text_of[type(cell)](cell) for cell in cells]
         except KeyError:  # a cell of another type: the row goes the general way
             text = ["".join(_append_json([], cell, indent + 2)) for cell in cells]
         out.append(template % (separator, *text))
@@ -395,6 +431,25 @@ def _write(handle, pieces: list[str]) -> None:
     """Write the pieces in joined batches: few calls, and no copy of the whole report."""
     for start in range(0, len(pieces), 256):
         handle.write("".join(pieces[start:start + 256]))
+
+
+def _write_file(path: str, pieces: list[str]) -> None:
+    """Write the pieces to ``path`` whole or not at all: to a temporary file beside it,
+    renamed over it after the last write, so a failed write leaves ``path`` as it was."""
+    target = os.path.realpath(path)  # through a symbolic link, as opening it would
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            if os.path.exists(target):  # its permissions, as writing it in place would keep them
+                os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+            _write(handle, pieces)
+        os.replace(temporary, target)
+    except BaseException as exc:
+        if os.path.lexists(temporary):
+            os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:  # name the file asked for
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +573,29 @@ def _cmd_radar(args) -> tuple[dict, None]:
     return payload, None
 
 
+# Budget document key -> the LinkBudget field it sets. The first seven are required;
+# losses_db and thresholds_db are objects of name: dB pairs.
+_BUDGET_KEYS = {
+    "losses_db": "losses_db", "tx_power_dbw": "transmit_power_dbw",
+    "tx_gain_dbi": "transmit_gain_dbi", "rx_gain_dbi": "receive_gain_dbi",
+    "antenna_temp_k": "antenna_temperature_k", "receiver_temp_k": "receiver_temperature_k",
+    "data_rate_bps": "data_rate_bps", "tx_feeder_loss_db": "transmit_feeder_loss_db",
+    "feeder_loss_linear": "feeder_loss_linear", "thresholds_db": "required_eb_n0_db",
+    "distance_m": "path_length_m", "frequency_hz": "frequency_hz",
+}
+
+
 def _budget_fields_from_json(path: str) -> dict:
     """The ``LinkBudget`` fields of a flat JSON budget document."""
-    from . import linkbudget as lb
+    import json  # the only JSON input, so no other call loads the json package
 
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            document = _json_module.load(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read budget file: {exc}") from exc
-    except _json_module.JSONDecodeError as exc:
-        raise SchemaError(f"budget file is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SchemaError("budget document must be a JSON object")
+    def unique(pairs: list) -> dict:  # a JSON object, each of its keys given once
+        document = {}
+        for key, value in pairs:
+            if key in document:
+                raise SchemaError(f"budget document repeats key {key!r}")
+            document[key] = value
+        return document
 
     def number(value) -> float:  # a JSON number: float() would also take "45" and true
         kind = {str: "string", bool: "boolean", type(None): "null"}.get(type(value))
@@ -539,36 +604,31 @@ def _budget_fields_from_json(path: str) -> dict:
         return float(value)
 
     try:
-        losses = tuple(
-            (str(name), number(value))
-            for name, value in dict(document["losses_db"]).items()
-        )
-        thresholds = document.get("thresholds_db")
-        return dict(
-            transmit_power_dbw=number(document["tx_power_dbw"]),
-            transmit_gain_dbi=number(document["tx_gain_dbi"]),
-            transmit_feeder_loss_db=number(document.get("tx_feeder_loss_db", 0.0)),
-            losses_db=losses,
-            receive_gain_dbi=number(document["rx_gain_dbi"]),
-            antenna_temperature_k=number(document["antenna_temp_k"]),
-            receiver_temperature_k=number(document["receiver_temp_k"]),
-            feeder_loss_linear=number(document.get("feeder_loss_linear", 1.0)),
-            data_rate_bps=number(document["data_rate_bps"]),
-            required_eb_n0_db=(
-                tuple((str(k), number(v)) for k, v in dict(thresholds).items())
-                if thresholds is not None else lb.DEFAULT_EBN0_THRESHOLDS_DB
-            ),
-            path_length_m=(
-                number(document["distance_m"]) if "distance_m" in document else None
-            ),
-            frequency_hz=(
-                number(document["frequency_hz"]) if "frequency_hz" in document else None
-            ),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"budget document is missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
-        raise SchemaError(f"budget document has a malformed value: {exc}") from exc
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            document = json.load(handle, object_pairs_hook=unique)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read budget file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"budget file is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SchemaError("budget document must be a JSON object")
+    fields = {"transmit_feeder_loss_db": 0.0, "feeder_loss_linear": 1.0}  # LinkBudget has the rest
+    for key, value in document.items():
+        if key not in _BUDGET_KEYS:
+            raise SchemaError(f"budget document has unknown key {key!r}")
+        ledger = key in ("losses_db", "thresholds_db")
+        if ledger and type(value) is not dict:
+            raise SchemaError(f"budget document key {key!r} must be a JSON object")
+        try:
+            fields[_BUDGET_KEYS[key]] = (
+                tuple((name, number(v)) for name, v in value.items()) if ledger else number(value)
+            )
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
+            raise SchemaError(f"budget document has a malformed value: {exc}") from exc
+    missing = [key for key in list(_BUDGET_KEYS)[:7] if key not in document]
+    if missing:
+        raise SchemaError(f"budget document is missing key {missing[0]!r}")
+    return fields
 
 
 def _cmd_budget(args) -> tuple[dict, None]:
@@ -1009,7 +1069,12 @@ SUBCOMMANDS = {
 }
 
 
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+def _is_negative_number(token: str) -> bool:
+    """Whether ``token`` is a plain negative number, a value and never a flag: ``-`` and
+    digits, with at most one point and a digit after it (``-5``, ``-.5``, ``-1.5``), and
+    maybe a final newline."""
+    whole, point, fraction = token[1:].removesuffix("\n").partition(".")
+    return token[:1] == "-" and (whole + fraction).isdecimal() and bool(fraction or not point)
 
 
 def _fail(prog: str, message: str):
@@ -1035,7 +1100,7 @@ def _read_option(prog: str, token: str, options: dict):
         _fail(prog, f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return options[matches[0]], matches[0], value
-    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, token, None)
+    return None if _is_negative_number(token) or " " in token else (None, token, None)
 
 
 def _parse_flags(prog: str, rows: tuple, tokens: list[str]) -> tuple[dict, list[str]]:
@@ -1186,13 +1251,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"schema-error: {exc}", file=sys.stderr)
             return 3
 
-        if args.output is None:
-            _write(sys.stdout, pieces)
-            return 0
         try:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                _write(handle, pieces)
+            if args.output is None:
+                _write(sys.stdout, pieces)
+                sys.stdout.flush()
+            else:
+                _write_file(args.output, pieces)
         except OSError as exc:
+            if args.output is None:  # the text left in stdout's buffer would fail again at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
             print(f"schema-error: cannot write output: {exc}", file=sys.stderr)
             return 3
         return 0

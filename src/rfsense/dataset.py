@@ -218,8 +218,8 @@ def parse_instruments(document: str) -> ParseResult:
     """Parse a dataset CSV document into instrument records.
 
     Malformed rows are collected into the diagnostics list rather than
-    silently dropped; a missing required column raises :class:`SchemaError`
-    naming the column.
+    silently dropped; a missing, unknown or repeated column raises
+    :class:`SchemaError` naming the column.
     """
     reader = csv.reader(_lines(document))
     header = next(reader, None)
@@ -232,11 +232,14 @@ def parse_instruments(document: str) -> ParseResult:
     unknown = [name for name in names if name not in COLUMNS]
     if unknown:
         raise SchemaError(f"unknown column(s): {', '.join(unknown)}")
+    position = {name: index for index, name in enumerate(names)}  # a repeat's last
+    repeated = dict.fromkeys(name for index, name in enumerate(names) if position[name] != index)
+    if repeated:
+        raise SchemaError(f"repeated column(s): {', '.join(repeated)}")
 
     # Each row is read as exactly ``width`` cells plus one empty cell, which
     # stands in for an absent optional column.
     width = len(names)
-    position = {name: index for index, name in enumerate(names)}
     cells = itemgetter(*[position.get(name, width) for name in COLUMNS])
     padding = [""] * width
     records: list[InstrumentRecord] = []

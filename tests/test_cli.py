@@ -1,9 +1,11 @@
 import codecs
+import errno
 import gc
 import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rfsense.cli
 import rfsense.dataset
 import rfsense.fieldmetrics
 import rfsense.linkbudget
@@ -22,8 +25,8 @@ import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _append_table, build_parser,
-    format_number, main, render_json, render_report,
+    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _append_table, _is_negative_number,
+    _split_quantity, build_parser, format_number, main, render_json, render_report,
 )
 from rfsense.errors import DomainError, SchemaError
 
@@ -592,6 +595,75 @@ class TestRenderJson:
         assert _report({"x": [record]}, "text") == f"x[0] = {record}\n"
 
 
+# The regular expressions the flag grammar was first written with: the reference
+# for the parsing without ``re`` that replaced them.
+_QUANTITY_RE = re.compile(
+    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-Z][a-zA-Z0-9/^]*)?$"
+)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _regex_split_quantity(text: str) -> tuple[float, str]:
+    match = _QUANTITY_RE.match(text.strip())
+    if match is None:
+        raise ValueError(f"cannot parse quantity {text!r}")
+    value = float(match.group(1))
+    if not math.isfinite(value):
+        raise ValueError(f"value {text!r} overflows the float range")
+    return value, (match.group(2) or "").lower()
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Digits of other scripts (\d and float() take them), Unicode and ASCII whitespace
+# (\s and str.strip() take them), and every character the grammar gives a role.
+_FLAG_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789\u0663\u096d\uff17 \t\n\x0b\x1c\xa0\u2003\u3000"
+                            "eE+-./^akmzHGw_x\u00e9"), max_size=12),
+    st.text(max_size=8),
+)
+
+
+class TestFlagGrammar:
+    @settings(max_examples=2000, deadline=None)
+    @given(_FLAG_TEXT)
+    @example("8E83/7")  # the exponent backtracks: 8 with unit e83/7
+    @example("2e")
+    @example("1e3e")
+    @example("1e+x")
+    @example(" -.5E-3 \u2003GHz\n")
+    @example("\u0663.5e\u0663m")
+    @example("1e400hz")
+    @example("-.")
+    @example("1_0hz")  # float() alone would read these three
+    @example("-inf")
+    @example("nan")
+    def test_a_quantity_splits_as_the_regular_expression_reads_it(self, text):
+        assert _parse_outcome(_split_quantity, text) == _parse_outcome(_regex_split_quantity, text)
+
+    @pytest.mark.parametrize("text,split", [
+        ("8E83/7", (8.0, "e83/7")), ("2e", (2.0, "e")), ("1.5e9 Hz", (1.5e9, "hz")),
+        ("\u0663", (3.0, "")), ("+.5m^2", (0.5, "m^2")),
+    ])
+    def test_a_quantity_splits_into_its_value_and_unit(self, text, split):
+        assert _split_quantity(text) == split
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(_FLAG_TEXT, _FLAG_TEXT.map("-".__add__)))
+    @example("-5\n")  # "$" also matches before a final newline
+    @example("-5\n\n")
+    @example("-.5")
+    @example("-5.")
+    @example("-\u0663")
+    def test_a_negative_number_is_what_the_regular_expression_matches(self, token):
+        assert _is_negative_number(token) == bool(_NEGATIVE_NUMBER.match(token))
+
+
 class TestReportMemory:
     def test_rendering_and_writing_a_report_peaks_below_twice_its_length(
         self, monkeypatch, tmp_path
@@ -930,12 +1002,12 @@ RADAR_ARGS = ["radar", "--tx-power", "1e3w", "--tx-gain", "1e3lin", "--rx-gain",
               "--wavelength", "0.03m", "--sigma", "1m2"]
 
 
-def _fresh_cli(argv, **env):
+def _fresh_cli(argv, stdout=subprocess.PIPE, **env):
     """``python -m rfsense argv`` in a fresh interpreter, with extra ``env``."""
     src = Path(rfsense.dataset.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-m", "rfsense", *argv],
-        capture_output=True, text=True, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src), **env),
     )
 
@@ -1043,6 +1115,26 @@ class TestErrorContract:
     def test_fresh_interpreter_invalid_eta0(self, command):
         child = _fresh_cli([command], RFSENSE_ETA0_OHMS="abc")
         self._check(child, 2, "domain-error: RFSENSE_ETA0_OHMS must be a number, got 'abc'")
+
+    @pytest.mark.parametrize("argv", [["nef", "--tsys", "20", "--diameter", "34m"],
+                                      ["dataset-derive"]], ids=["nef", "derive"])
+    @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+    def test_a_failed_stdout_write_is_one_schema_error_line(self, argv, sink):
+        if sink == "closed-pipe":  # the reader has gone before the first write
+            read, write = os.pipe()
+            os.close(read)
+            reason = "[Errno 32] Broken pipe"
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this platform")
+            write = os.open("/dev/full", os.O_WRONLY)
+            reason = "[Errno 28] No space left on device"
+        try:
+            child = _fresh_cli(argv, stdout=write)
+        finally:
+            os.close(write)
+        assert "Traceback" not in child.stderr
+        assert (child.returncode, child.stderr) == (3, f"schema-error: cannot write output: {reason}\n")
 
     @staticmethod
     def _check(child, code, named):
@@ -1226,8 +1318,27 @@ class TestErrorLines:
          "budget document has a malformed value: could not convert string to float: '206.5'"),
         (json.dumps({**BUDGET_DOCUMENT, "thresholds_db": {"qpsk": False}}),
          "budget document has a malformed value: could not convert boolean to float: False"),
+        # No key is ignored, repeated or reshaped: each of these once ran a different link.
+        (json.dumps({**BUDGET_DOCUMENT, "tx_feeder_los_db": 30}),
+         "budget document has unknown key 'tx_feeder_los_db'"),
+        (json.dumps(BUDGET_DOCUMENT).replace('"tx_power_dbw": 20.0',
+                                             '"tx_power_dbw": 30, "tx_power_dbw": 20'),
+         "budget document repeats key 'tx_power_dbw'"),
+        (json.dumps({**BUDGET_DOCUMENT, "losses_db": {}}).replace(
+            '"losses_db": {}', '"losses_db": {"fsl": 206.5, "fsl": 1}'),
+         "budget document repeats key 'fsl'"),
+        (json.dumps({**BUDGET_DOCUMENT, "losses_db": [["fsl", 206.5]]}),
+         "budget document key 'losses_db' must be a JSON object"),
+        (json.dumps({**BUDGET_DOCUMENT, "thresholds_db": [["qpsk", 4]]}),
+         "budget document key 'thresholds_db' must be a JSON object"),
+        (json.dumps({**BUDGET_DOCUMENT, "thresholds_db": None}),
+         "budget document key 'thresholds_db' must be a JSON object"),
+        (json.dumps({key: value for key, value in BUDGET_DOCUMENT.items() if key != "rx_gain_dbi"}),
+         "budget document is missing key 'rx_gain_dbi'"),
     ], ids=["unreadable", "not-json", "not-an-object", "malformed-value", "beyond-float-range",
-            "bool-field", "string-field", "null-field", "string-loss", "bool-threshold"])
+            "bool-field", "string-field", "null-field", "string-loss", "bool-threshold",
+            "unknown-key", "repeated-key", "repeated-loss", "array-ledger", "array-thresholds",
+            "null-thresholds", "missing-key"])
     def test_bad_budget_file_is_one_schema_error_line(self, capsys, tmp_path, document, line):
         path = tmp_path / "budget.json"
         if document is not None:
@@ -1270,6 +1381,38 @@ class TestErrorLines:
         argv = ["dataset-derive", "--format", fmt, "--output", str(target)]
         assert run(capsys, argv) == (2, "", line)
         assert target.read_bytes() == b"an earlier report\r\n"
+
+    def test_a_failed_output_write_leaves_the_file_as_it_was(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"an earlier report\r\n")
+
+        def write_one_batch(handle, pieces):
+            handle.write("".join(pieces[:256]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(rfsense.cli, "_write", write_one_batch)
+        line = f"schema-error: cannot write output: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+        assert run(capsys, DERIVE_ARGS + ["--output", str(target)]) == (3, "", line)
+        assert target.read_bytes() == b"an earlier report\r\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_output_replaces_the_linked_file_and_keeps_its_permissions(self, capsys, tmp_path):
+        (tmp_path / "report.json").write_text("an earlier report\n")
+        (tmp_path / "report.json").chmod(0o600)
+        (tmp_path / "link.json").symlink_to("report.json")
+        assert run(capsys, ENHANCE_ARGS + ["--output", str(tmp_path / "link.json")])[0] == 0
+        assert (tmp_path / "link.json").is_symlink()
+        golden = (GOLDEN_DIR / "enhance.json").read_bytes()
+        assert (tmp_path / "report.json").read_bytes() == golden
+        assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o600
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+
+    def test_a_repeated_dataset_column_is_one_schema_error_line(self, capsys, tmp_path):
+        header, *rows = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "repeated.csv"
+        path.write_text("\n".join([header + ",f0_ghz"] + [row + ",999" for row in rows]) + "\n")
+        line = "schema-error: repeated column(s): f0_ghz\n"
+        assert run(capsys, ["dataset-derive", "--input", str(path)]) == (3, "", line)
 
     def test_unknown_report_format_is_a_schema_error(self):
         with pytest.raises(SchemaError, match=r"^unknown format 'xml'$"):

@@ -113,6 +113,13 @@ class TestParse:
         with pytest.raises(SchemaError, match="surprise"):
             parse_instruments(HEADER + ",surprise\n")
 
+    def test_repeated_column_is_schema_error(self):
+        # Read cell by cell, the last f0_ghz would win: every row would say 999 GHz.
+        lines = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ", f0_ghz"] + [line + ",999" for line in lines[1:]]
+        with pytest.raises(SchemaError, match="^repeated column\\(s\\): f0_ghz$"):
+            parse_instruments("\n".join(lines) + "\n")
+
     def test_gain_method_without_gain_is_diagnosed(self):
         row = ("needs-gain,m,cat,coherent,1.0,1e6,RF,gain,,,,,,,,,,100,sum,,,0.5,r")
         result = parse_instruments(HEADER + "\n" + row + "\n")

@@ -121,24 +121,45 @@ def test_importing_the_cli_loads_no_heavy_module():
     assert child.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("command", sorted(OPERATION_MAP))
-def test_a_cold_call_loads_only_the_modules_of_its_subcommand(command):
+# The README's call of each subcommand, and a budget read from a JSON document.
+_COLD_CALLS = sorted(OPERATION_MAP) + ["budget --input"]
+_TABLE_REPORTS = ("dataset-derive", "dataset-ranges")
+
+
+@pytest.mark.parametrize("call", _COLD_CALLS)
+def test_a_cold_call_loads_only_the_modules_of_its_subcommand(call, tmp_path):
+    argv = _readme_argv()[call.split()[0]]
+    if call == "budget --input":
+        document = tmp_path / "budget.json"
+        document.write_text(json.dumps({
+            "tx_power_dbw": 20, "tx_gain_dbi": 45, "losses_db": {"fsl": 206.5},
+            "rx_gain_dbi": 50, "antenna_temp_k": 100, "receiver_temp_k": 100,
+            "data_rate_bps": 1e8,
+        }))
+        argv = ["budget", "--input", str(document)]
+    # The probe prints with repr, since json is one of the modules it looks for.
     probe = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from rfsense.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('rfsense')),\n"
-        f"                  [m for m in {_HEAVY_MODULES} if m in sys.modules]]))\n"
+        "print(repr([code, sorted(m for m in sys.modules if m.startswith('rfsense')),\n"
+        f"            [m for m in {_HEAVY_MODULES} if m in sys.modules],\n"
+        "            [m for m in ('json', 're') if m in sys.modules]]))\n"
     )
-    child = python("-S", "-c", probe, *_readme_argv()[command])
+    child = python("-S", "-c", probe, *argv)
     assert child.returncode == 0, child.stderr
-    code, loaded, heavy = json.loads(child.stdout)
+    code, loaded, heavy, parsers = ast.literal_eval(child.stdout)
     assert code == 0, child.stderr
     assert heavy == []
-    entry = {operation.partition(".")[0] for operation in OPERATION_MAP[command]}
+    entry = {operation.partition(".")[0] for operation in OPERATION_MAP[argv[0]]}
     allowed = entry | {"cli", "errors", "quantities"}
     for module in entry:
         allowed |= _module_imports(module)
     loaded = {name.partition(".")[2] for name in loaded} - {""}
     assert entry <= loaded <= allowed
+    # json, and the re it imports, load only to read a budget document or to quote the
+    # string cells of a JSON report's table; csv, which reads a dataset, imports re too.
+    reads_json = (argv[0] == "budget" and "--input" in argv
+                  or argv[0] in _TABLE_REPORTS and "--format" not in argv)
+    assert parsers == (["json", "re"] if reads_json else ["re"] if "dataset" in loaded else [])
