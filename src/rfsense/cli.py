@@ -15,7 +15,8 @@ Conventions at this boundary:
 - Only two kinds of call load the ``json`` package (and the ``re`` it
   imports): ``budget --input``, which reads a JSON document, and a JSON
   report that holds a table, whose string cells go through json's C
-  encoder.  Flags are parsed, and other strings quoted, without ``re``.
+  encoder; so does a JSON key or string that needs an escape, which no
+  handler writes.  Flags are parsed without ``re``.
 - Exit codes: 0 success, 2 usage or domain error (one stderr line, e.g.
   ``domain-error: ...``), 3 schema/parse error or an unreadable input or
   unwritable output (one stderr line, ``schema-error: ...``).  A failed call
@@ -27,6 +28,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import stat
 import sys
 import types
 from collections import namedtuple
@@ -283,24 +285,13 @@ def format_number(x: float) -> str:
 ReportTable = namedtuple("ReportTable", "columns rows")
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
 def _quote(text: str) -> str:
     """``text`` as a JSON string in ASCII, as ``json.dumps`` writes it."""
-    pieces = []
-    for char in text:
-        code = ord(char)
-        if char in _ESCAPES:
-            pieces.append(_ESCAPES[char])
-        elif " " <= char <= "~":
-            pieces.append(char)
-        elif code > 0xFFFF:  # as a UTF-16 surrogate pair
-            code -= 0x10000
-            pieces.append("\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF))
-        else:
-            pieces.append("\\u%04x" % code)
-    return '"' + "".join(pieces) + '"'
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'  # nothing to escape, as in every key a handler writes
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
 
 
 @lru_cache(maxsize=256)
@@ -434,21 +425,38 @@ def _write(handle, pieces: list[str]) -> None:
 
 
 def _write_file(path: str, pieces: list[str]) -> None:
-    """Write the pieces to ``path`` whole or not at all: to a temporary file beside it,
-    renamed over it after the last write, so a failed write leaves ``path`` as it was."""
-    target = os.path.realpath(path)  # through a symbolic link, as opening it would
-    temporary = f"{target}.{os.getpid()}.tmp"
+    """Write the pieces to ``path``. A new or regular file is written whole or not at all:
+    to a new temporary file beside it, renamed over it after the last write, so a failed
+    write leaves ``path`` as it was. A device, FIFO or pipe, or a file in a directory that
+    takes no new file, is written in place."""
     try:
-        with open(temporary, "w", encoding="utf-8", newline="") as handle:
-            if os.path.exists(target):  # its permissions, as writing it in place would keep them
-                os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+        status = os.stat(path)  # through any link, as opening it would
+    except FileNotFoundError:
+        status = None
+    target = os.path.realpath(path)  # the file a symbolic link names, to rename over
+    temporary = f"{target}.{os.getpid()}.tmp"
+    handle = None
+    try:
+        if status is None or stat.S_ISREG(status.st_mode) and os.path.samestat(
+                status, os.stat(target)):  # not a link to a pipe or to a deleted file
+            handle = open(temporary, "x", encoding="utf-8", newline="")  # never an old file
+    except (PermissionError, FileNotFoundError):  # opening ``path`` names the fault, if any
+        pass
+    if handle is None:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            _write(handle, pieces)
+        return
+    try:
+        with handle:
+            if status is not None:  # its permissions, as writing it in place would keep them
+                os.chmod(temporary, status.st_mode & 0o7777)
             _write(handle, pieces)
         os.replace(temporary, target)
-    except BaseException as exc:
-        if os.path.lexists(temporary):
+    except BaseException:
+        try:
             os.remove(temporary)
-        if isinstance(exc, OSError) and exc.filename == temporary:  # name the file asked for
-            raise OSError(exc.errno, exc.strerror, path) from exc
+        except OSError:
+            pass
         raise
 
 
@@ -573,8 +581,8 @@ def _cmd_radar(args) -> tuple[dict, None]:
     return payload, None
 
 
-# Budget document key -> the LinkBudget field it sets. The first seven are required;
-# losses_db and thresholds_db are objects of name: dB pairs.
+# Budget document key -> the LinkBudget field it sets; losses_db and thresholds_db
+# are objects of name: dB pairs.
 _BUDGET_KEYS = {
     "losses_db": "losses_db", "tx_power_dbw": "transmit_power_dbw",
     "tx_gain_dbi": "transmit_gain_dbi", "rx_gain_dbi": "receive_gain_dbi",
@@ -583,6 +591,8 @@ _BUDGET_KEYS = {
     "feeder_loss_linear": "feeder_loss_linear", "thresholds_db": "required_eb_n0_db",
     "distance_m": "path_length_m", "frequency_hz": "frequency_hz",
 }
+_REQUIRED_BUDGET_KEYS = ("losses_db", "tx_power_dbw", "tx_gain_dbi", "rx_gain_dbi",
+                         "antenna_temp_k", "receiver_temp_k", "data_rate_bps")
 
 
 def _budget_fields_from_json(path: str) -> dict:
@@ -625,7 +635,7 @@ def _budget_fields_from_json(path: str) -> dict:
             )
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
             raise SchemaError(f"budget document has a malformed value: {exc}") from exc
-    missing = [key for key in list(_BUDGET_KEYS)[:7] if key not in document]
+    missing = [key for key in _REQUIRED_BUDGET_KEYS if key not in document]
     if missing:
         raise SchemaError(f"budget document is missing key {missing[0]!r}")
     return fields

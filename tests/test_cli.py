@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
@@ -1406,6 +1407,91 @@ class TestErrorLines:
         assert (tmp_path / "report.json").read_bytes() == golden
         assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o600
         assert sorted(os.listdir(tmp_path)) == ["link.json", "report.json"]
+
+    @staticmethod
+    def _no_rename(*names):
+        raise AssertionError(f"renamed {names}")
+
+    def test_output_to_a_fifo_is_written_in_place(self, capsys, monkeypatch, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        monkeypatch.setattr(os, "replace", self._no_rename)
+        assert run(capsys, ENHANCE_ARGS + ["--output", str(fifo)]) == (0, "", "")
+        reader.join(10)
+        assert received == [(GOLDEN_DIR / "enhance.json").read_bytes()]
+        assert os.listdir(tmp_path) == ["report.fifo"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_output_to_a_pipe_is_written_in_place(self, capsys, monkeypatch):
+        # As shell process substitution passes it: /dev/fd/N, a link to "pipe:[inode]".
+        read_end, write_end = os.pipe()
+        monkeypatch.setattr(os, "replace", self._no_rename)
+        try:
+            result = run(capsys, ENHANCE_ARGS + ["--output", f"/dev/fd/{write_end}"])
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert (result, pipe.read()) == ((0, "", ""), (GOLDEN_DIR / "enhance.json").read_bytes())
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_output_to_a_deleted_file_is_written_in_place(self, capsys, monkeypatch, tmp_path):
+        # /dev/fd/N of a deleted file links to "NAME (deleted)", a file that is not there.
+        with open(tmp_path / "report.json", "w+b") as handle:
+            os.remove(tmp_path / "report.json")
+            monkeypatch.setattr(os, "replace", self._no_rename)
+            result = run(capsys, ENHANCE_ARGS + ["--output", f"/dev/fd/{handle.fileno()}"])
+            assert (result, handle.read()) == ((0, "", ""), (GOLDEN_DIR / "enhance.json").read_bytes())
+        assert os.listdir(tmp_path) == []
+
+    def test_output_to_a_device_is_written_in_place(self, capsys, monkeypatch):
+        opened = []
+
+        def only_the_device(name, *args, **kwargs):  # fails before a file is made beside it
+            assert name == os.devnull, f"opened {name}"
+            opened.append(name)
+            return open(name, *args, **kwargs)
+
+        monkeypatch.setattr(rfsense.cli, "open", only_the_device, raising=False)
+        monkeypatch.setattr(os, "replace", self._no_rename)
+        assert run(capsys, ENHANCE_ARGS + ["--output", os.devnull]) == (0, "", "")
+        assert opened == [os.devnull]
+
+    @pytest.mark.parametrize("planted", ["file", "symbolic link"])
+    def test_a_taken_temporary_name_is_kept(self, capsys, tmp_path, planted):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"an earlier report\n")
+        other = tmp_path / "other"
+        other.write_bytes(b"another file\n")
+        temporary = tmp_path / f"report.json.{os.getpid()}.tmp"
+        if planted == "file":
+            temporary.write_bytes(b"another file\n")
+        else:
+            temporary.symlink_to(other)
+        code, out, err = run(capsys, ENHANCE_ARGS + ["--output", str(target)])
+        assert (code, out) == (3, "")
+        assert err.startswith("schema-error: cannot write output: [Errno 17] ") and err.count("\n") == 1
+        assert target.read_bytes() == b"an earlier report\n"
+        assert temporary.is_symlink() == (planted == "symbolic link")
+        assert temporary.read_bytes() == other.read_bytes() == b"another file\n"
+
+    def test_a_directory_that_takes_no_new_file_is_written_in_place(
+            self, capsys, monkeypatch, tmp_path):
+        # Root may make files in a read-only directory, so the refusal is simulated.
+        target = tmp_path / "report.json"
+        target.write_bytes(b"an earlier report\n")
+
+        def no_new_file(name, mode="r", *args, **kwargs):
+            if mode == "x":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+            return open(name, mode, *args, **kwargs)
+
+        monkeypatch.setattr(rfsense.cli, "open", no_new_file, raising=False)
+        assert run(capsys, ENHANCE_ARGS + ["--output", str(target)]) == (0, "", "")
+        assert target.read_bytes() == (GOLDEN_DIR / "enhance.json").read_bytes()
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_a_repeated_dataset_column_is_one_schema_error_line(self, capsys, tmp_path):
         header, *rows = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
