@@ -26,8 +26,6 @@ the header and every row that failed to parse.  A short row reads its
 missing cells as empty; cells beyond the header are ignored.
 """
 
-from __future__ import annotations
-
 import csv
 import os
 from collections import namedtuple

@@ -15,8 +15,6 @@ not unique without a coupling model, so the inverse conversions here always
 require explicit gain (or aperture), frequency, and polarisation coupling.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -5,8 +5,6 @@ budget is by construction a ledger of dB gains and losses, and keeping the
 chain in dB makes the closure identities exact.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -7,8 +7,6 @@ input/output boundaries.  Every dB value in this package is a power ratio
 engine.
 """
 
-from __future__ import annotations
-
 import math
 import os
 

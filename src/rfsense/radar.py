@@ -1,7 +1,5 @@
 """Radar link physics: received power, noise floor, SNR, NESZ, resolution."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -1,7 +1,5 @@
 """Total-power radiometer sensitivity, output power, and hot/cold calibration."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence

@@ -1,8 +1,6 @@
 """Intrinsic noise floors and field-calibration primitives of atomic
 (Rydberg-state) electric-field sensors."""
 
-from __future__ import annotations
-
 import math
 
 from . import fieldmetrics

@@ -1,6 +1,7 @@
 import codecs
 import errno
 import gc
+import importlib
 import inspect
 import json
 import math
@@ -26,9 +27,10 @@ import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _append_table, _is_negative_number,
+    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _is_negative_number,
     _split_quantity, build_parser, format_number, main, render_json, render_report,
 )
+from rfsense._cli_dataset import _append_table
 from rfsense.errors import DomainError, SchemaError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -100,6 +102,11 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def commands(command: str) -> dict:
+    """The COMMANDS table (subcommand -> handler, flag rows) of ``command``'s family module."""
+    return importlib.import_module("rfsense." + SUBCOMMANDS[command][1]).COMMANDS
 
 
 class TestNumberFormatting:
@@ -208,8 +215,8 @@ class TestGoldenFiles:
             "significant digits", "tolerance", "constant", "cosine",
             "efficiency", "coupling", "quality", "c*m", "e*a_0",
         )
-        for _, _, flags in SUBCOMMANDS.values():
-            for flag in flags:
+        for command in SUBCOMMANDS:
+            for flag in commands(command)[command][1]:
                 if not callable(flag.convert):
                     continue  # paths, switches, choices
                 text = (flag.help or "").lower()
@@ -374,8 +381,8 @@ class TestExitCodesAndValidation:
             def fail(args):
                 raise RuntimeError("handler failed")
 
-            help_line, _, flags = SUBCOMMANDS["nef"]
-            monkeypatch.setitem(SUBCOMMANDS, "nef", (help_line, fail, flags))
+            flags = commands("nef")["nef"][1]
+            monkeypatch.setitem(commands("nef"), "nef", (fail, flags))
             with pytest.raises(RuntimeError, match="handler failed"):
                 main(argv)
         else:
@@ -676,8 +683,9 @@ class TestReportMemory:
         source.write_text("\n".join([header] + [rows[i % len(rows)] for i in range(2000)]) + "\n")
         args = build_parser().parse_args(["dataset-derive", "--input", str(source)])
         result = args.handler(args)
-        help_line, _, flags = SUBCOMMANDS["dataset-derive"]
-        monkeypatch.setitem(SUBCOMMANDS, "dataset-derive", (help_line, lambda args: result, flags))
+        flags = commands("dataset-derive")["dataset-derive"][1]
+        monkeypatch.setitem(commands("dataset-derive"), "dataset-derive",
+                            (lambda args: result, flags))
         target = tmp_path / "report.json"
         tracemalloc.start()
         try:
@@ -928,6 +936,14 @@ class TestOperationCoverage:
     def test_subcommand_names_match_parser(self):
         assert set(SUBCOMMANDS) == set(OPERATION_MAP)
 
+    def test_every_subcommand_resolves_to_the_family_module_that_defines_it(self):
+        # Each family module's COMMANDS table, and each subcommand in exactly one of them.
+        defined = {}
+        for path in Path(rfsense.cli.__file__).parent.glob("_cli_*.py"):
+            for command in importlib.import_module("rfsense." + path.stem).COMMANDS:
+                defined.setdefault(command, []).append(path.stem)
+        assert defined == {command: [module] for command, (_, module) in SUBCOMMANDS.items()}
+
     def test_every_listed_operation_is_called_by_an_example_argv(self, capsys, monkeypatch):
         # The golden, README and contract-baseline argv, plus one argv for each
         # operation those leave out: the pulse-compression gain and the AC-Stark shift.
@@ -1117,8 +1133,10 @@ class TestErrorContract:
         child = _fresh_cli([command], RFSENSE_ETA0_OHMS="abc")
         self._check(child, 2, "domain-error: RFSENSE_ETA0_OHMS must be a number, got 'abc'")
 
+    # A report, and each kind of help page: the program's, a bare call's and a subcommand's.
     @pytest.mark.parametrize("argv", [["nef", "--tsys", "20", "--diameter", "34m"],
-                                      ["dataset-derive"]], ids=["nef", "derive"])
+                                      ["dataset-derive"], ["--help"], [], ["nef", "--help"]],
+                             ids=["nef", "derive", "help", "bare", "nef-help"])
     @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
     def test_a_failed_stdout_write_is_one_schema_error_line(self, argv, sink):
         if sink == "closed-pipe":  # the reader has gone before the first write
@@ -1372,9 +1390,9 @@ class TestErrorLines:
         # More rows than one write batch, so a writer that wrote while rendering would show.
         table = ReportTable(("name", "value"), [(f"row {i}", i + 0.5) for i in range(999)]
                             + [("last", math.nan)])
-        help_line, _, flags = SUBCOMMANDS["dataset-derive"]
-        monkeypatch.setitem(SUBCOMMANDS, "dataset-derive",
-                            (help_line, lambda args: ({"records": table}, table), flags))
+        flags = commands("dataset-derive")["dataset-derive"][1]
+        monkeypatch.setitem(commands("dataset-derive"), "dataset-derive",
+                            (lambda args: ({"records": table}, table), flags))
         line = "domain-error: cannot format a non-finite number\n"
         assert run(capsys, ["dataset-derive", "--format", fmt]) == (2, "", line)
         target = tmp_path / "report"

@@ -22,6 +22,7 @@ exit 0, 2 or 3 with at most one stderr line.
 
 import contextlib
 import gc
+import importlib
 import io
 import math
 import re
@@ -38,7 +39,8 @@ from rfsense import quantities as q
 from rfsense import radar as rd
 from rfsense import radiometry as rm
 from rfsense import rydberg as ry
-from rfsense.cli import OPERATION_MAP, SUBCOMMANDS, int_flag, main
+from rfsense._cli_dataset import int_flag
+from rfsense.cli import OPERATION_MAP, SUBCOMMANDS, main
 from rfsense.errors import DomainError, SingularFitError
 
 ABOVE_ONE = math.nextafter(1.0, 2.0)
@@ -492,9 +494,14 @@ def test_cli_flags_cover_every_subcommand():
     assert set(CLI_FLAGS) == set(OPERATION_MAP)
 
 
+def _rows(command):
+    """The flag rows of ``command``, from the COMMANDS table of its family module."""
+    return importlib.import_module("rfsense." + SUBCOMMANDS[command][1]).COMMANDS[command][1]
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_cli_flags_are_table_rows_and_every_numeric_row_is_driven_or_excused(command):
-    rows = SUBCOMMANDS[command][2]
+    rows = _rows(command)
     assert set(CLI_FLAGS[command]) <= {row.name for row in rows}
     numeric = {row.name for row in rows if callable(row.convert)}
     assert numeric - set(CLI_FLAGS[command]) == ALTERNATIVE_FLAGS.get(command, set())
@@ -528,7 +535,7 @@ def test_cli_ends_in_a_contract_exit_code_with_one_stderr_line(command, data):
     flags = data.draw(st.lists(st.sampled_from(sorted(CLI_FLAGS[command])),
                                max_size=3, unique=True))
     # An integer flag refuses every float repr, so it gets integers.
-    integers = {row.name for row in SUBCOMMANDS[command][2] if row.convert is int_flag}
+    integers = {row.name for row in _rows(command) if row.convert is int_flag}
     changed = {flag: data.draw(st.integers() if flag in integers
                                else st.one_of(EXTREMES, st.floats())) for flag in flags}
     argv, code, out, err = _cli(command, changed)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rfsense
-from rfsense.cli import OPERATION_MAP
+from rfsense.cli import OPERATION_MAP, SUBCOMMANDS
 
 SRC = Path(rfsense.__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -62,6 +62,15 @@ def test_python_dash_m_prints_the_golden_help():
         assert child.returncode == 0
         assert child.stdout == top_help
         assert child.stderr == ""
+
+
+@pytest.mark.parametrize("module", ["rfsense", "rfsense.cli"])
+def test_python_dash_m_renders_the_golden_table_reports(module):
+    for argv, golden in ((["dataset-derive"], "dataset_derive.json"),
+                         (["dataset-derive", "--format", "text"], "dataset_derive.txt")):
+        child = python("-m", module, *argv)
+        assert (child.returncode, child.stderr) == (0, ""), argv
+        assert child.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8"), argv
 
 
 def test_import_loads_only_the_errors_and_star_binds_every_name():
@@ -145,21 +154,42 @@ def test_a_cold_call_loads_only_the_modules_of_its_subcommand(call, tmp_path):
         "    code = main(sys.argv[1:])\n"
         "print(repr([code, sorted(m for m in sys.modules if m.startswith('rfsense')),\n"
         f"            [m for m in {_HEAVY_MODULES} if m in sys.modules],\n"
-        "            [m for m in ('json', 're') if m in sys.modules]]))\n"
+        "            [m for m in ('json', 're') if m in sys.modules],\n"
+        "            '__future__' in sys.modules]))\n"
     )
     child = python("-S", "-c", probe, *argv)
     assert child.returncode == 0, child.stderr
-    code, loaded, heavy, parsers = ast.literal_eval(child.stdout)
+    code, loaded, heavy, parsers, future = ast.literal_eval(child.stdout)
     assert code == 0, child.stderr
-    assert heavy == []
+    assert heavy == [] and not future
     entry = {operation.partition(".")[0] for operation in OPERATION_MAP[argv[0]]}
-    allowed = entry | {"cli", "errors", "quantities"}
+    family = SUBCOMMANDS[argv[0]][1]
+    allowed = entry | {"cli", "errors", "quantities", family}
     for module in entry:
         allowed |= _module_imports(module)
     loaded = {name.partition(".")[2] for name in loaded} - {""}
     assert entry <= loaded <= allowed
+    # Of the modules that hold subcommand handlers and flag rows, only its own.
+    assert [name for name in loaded if name.startswith("_cli_")] == [family]
     # json, and the re it imports, load only to read a budget document or to quote the
     # string cells of a JSON report's table; csv, which reads a dataset, imports re too.
     reads_json = (argv[0] == "budget" and "--input" in argv
                   or argv[0] in _TABLE_REPORTS and "--format" not in argv)
     assert parsers == (["json", "re"] if reads_json else ["re"] if "dataset" in loaded else [])
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["nef", "--help"], ["dataset-derive", "-h"]],
+                         ids=["help", "bare", "nef-help", "dataset-help"])
+def test_a_help_page_loads_no_engine_and_at_most_its_own_family_module(argv):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from rfsense.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(repr([code, sorted(m for m in sys.modules if m.startswith('rfsense.'))]))\n"
+    )
+    child = python("-S", "-c", probe, *argv)
+    assert child.returncode == 0, child.stderr
+    family = ["rfsense." + SUBCOMMANDS[argv[0]][1]] if argv[1:] else []
+    loaded = sorted(["rfsense.cli", "rfsense.errors", "rfsense.quantities", *family])
+    assert ast.literal_eval(child.stdout) == [0 if argv else 2, loaded]
