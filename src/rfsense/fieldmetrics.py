@@ -206,15 +206,19 @@ def tsys_from_nef(
     require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     aperture = aperture_from_gain(gain, frequency_hz)
-    t_sys = nef_v_per_m_sqrt_hz * nef_v_per_m_sqrt_hz * rho2 * aperture / BOLTZMANN / eta_0
-    return require("system temperature", t_sys, "K")
+    # The square of one root per factor: NEF*NEF alone can underflow where T_sys does not.
+    root = (nef_v_per_m_sqrt_hz * math.sqrt(aperture) * math.sqrt(rho2)
+            / math.sqrt(BOLTZMANN) / math.sqrt(eta_0))
+    return require("system temperature", root * root, "K")
 
 
 def aperture_from_gain(gain: float, frequency_hz: float) -> float:
     """Effective aperture ``A_e = G*lambda^2/(4*pi)`` in m^2."""
     require("gain", gain)
     wavelength = frequency_to_wavelength(frequency_hz)
-    return require("effective aperture", gain * (wavelength * wavelength) / (4.0 * math.pi), "m^2")
+    # The square of one root per factor: lambda*lambda alone can overflow where A_e does not.
+    root = math.sqrt(gain) * wavelength / math.sqrt(4.0 * math.pi)
+    return require("effective aperture", root * root, "m^2")
 
 
 def aperture_from_diameter(

@@ -388,6 +388,7 @@ class TestExitCodesAndValidation:
         else:
             assert run(capsys, argv)[0] == code
         assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
 
     def test_no_subcommand_exits_nonzero(self, capsys):
         assert main([]) == 2
@@ -1019,14 +1020,52 @@ RADAR_ARGS = ["radar", "--tx-power", "1e3w", "--tx-gain", "1e3lin", "--rx-gain",
               "--wavelength", "0.03m", "--sigma", "1m2"]
 
 
-def _fresh_cli(argv, stdout=subprocess.PIPE, **env):
-    """``python -m rfsense argv`` in a fresh interpreter, with extra ``env``."""
+def _fresh_python(args, stdout=subprocess.PIPE, **env):
+    """``python args`` in a fresh interpreter, with extra ``env``."""
     src = Path(rfsense.dataset.__file__).resolve().parents[1]
     return subprocess.run(
-        [sys.executable, "-m", "rfsense", *argv],
+        [sys.executable, *args],
         stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src), **env),
     )
+
+
+def _fresh_cli(argv, stdout=subprocess.PIPE, **env):
+    """``python -m rfsense argv`` in a fresh interpreter, with extra ``env``."""
+    return _fresh_python(["-m", "rfsense", *argv], stdout, **env)
+
+
+# Registered before rfsense.cli is imported, so it runs after any handler rfsense adds.
+# It prints how often gc.freeze ran and whether the collector's objects are frozen.
+_EXIT_PROBE = (
+    "import atexit, contextlib, gc, io\n"
+    "freeze, freezes = gc.freeze, []\n"
+    "gc.freeze = lambda: freezes.append(freeze())\n"
+    "atexit.register(lambda: print('at exit', len(freezes), gc.get_freeze_count() > 0))\n"
+)
+
+
+class TestExitHook:
+    """A process that ran main freezes the collector at exit, and only then."""
+
+    def test_main_freezes_the_collector_at_exit_only(self):
+        child = _fresh_python(["-c", _EXIT_PROBE + (
+            "from rfsense.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['nef', '--tsys', '20', '--diameter', '34m']) for _ in range(3)]\n"
+            "print(codes, gc.get_freeze_count())\n"
+        )])
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == "[0, 0, 0] 0\nat exit 1 True\n"
+
+    def test_importing_every_module_keeps_the_default_exit(self):
+        engines = {operation.partition(".")[0]
+                   for operations in OPERATION_MAP.values() for operation in operations}
+        families = {family for _, family in SUBCOMMANDS.values()}
+        modules = ", ".join(f"rfsense.{name}" for name in sorted({"cli"} | engines | families))
+        child = _fresh_python(["-c", _EXIT_PROBE + f"import {modules}\n"])
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == "at exit 0 False\n"
 
 
 class TestErrorContract:

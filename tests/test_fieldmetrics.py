@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import DomainError
-from rfsense.quantities import BOLTZMANN, ETA_0
+from rfsense.quantities import BOLTZMANN, ETA_0, LIGHT_SPEED
 from rfsense.fieldmetrics import (
     CavityCoupling,
     ReceiverReference,
@@ -200,6 +200,16 @@ class TestTsysFromNef:
         with pytest.raises(DomainError):
             tsys_from_nef(0.0, 1.5, 96e9, 0.5)
 
+    def test_tsys_whose_nef_squared_underflows(self):
+        nef, gain, f = 1e-170, 1e300, 1e10
+        with localcontext() as context:
+            context.prec = 60
+            wavelength = Decimal(LIGHT_SPEED) / Decimal(f)
+            aperture = Decimal(gain) * wavelength * wavelength / (4 * Decimal(math.pi))
+            reference = Decimal(nef) * Decimal(nef) * aperture / Decimal(BOLTZMANN) / Decimal(ETA_0)
+        assert float(reference) == pytest.approx(1.375047e-24, rel=1e-6)
+        assert tsys_from_nef(nef, gain, f, 1.0) == pytest.approx(float(reference), rel=1e-12)
+
 
 class TestApertures:
     def test_definitional(self):
@@ -217,6 +227,15 @@ class TestApertures:
         assert aperture_from_gain(10.0**4.5, 20e9) == pytest.approx(
             APERTURE_45DBI_20GHZ, rel=1e-12
         )
+
+    def test_aperture_whose_wavelength_squared_overflows(self):
+        gain, f = 1e-300, 1e-160
+        with localcontext() as context:
+            context.prec = 60
+            wavelength = Decimal(LIGHT_SPEED) / Decimal(f)
+            reference = Decimal(gain) * wavelength * wavelength / (4 * Decimal(math.pi))
+        assert float(reference) == pytest.approx(7.152066e35, rel=1e-6)
+        assert aperture_from_gain(gain, f) == pytest.approx(float(reference), rel=1e-12)
 
     def test_dish_aperture_default_efficiency(self):
         assert aperture_from_diameter(34.0) == pytest.approx(X_BAND_APERTURE, rel=1e-12)
