@@ -76,46 +76,42 @@ _RECORD_COLUMNS = (
 _record_row = attrgetter(*[c.replace("_v_m_", "_vm_") for c in _RECORD_COLUMNS])
 
 
-def _cmd_dataset_derive(args) -> tuple[dict, ReportTable]:
+def _cmd_dataset_derive(args) -> dict:
     from . import dataset as ds
 
     parsed = _load_dataset(args.input)
     derived, derive_diags = ds.derive_records(parsed.records)
     mismatch_diags = ds.consistency_diagnostics(derived, rel_tol=args.mismatch_tolerance)
-    table = ReportTable(_RECORD_COLUMNS, list(map(_record_row, derived)))
     diagnostics = (*parsed.diagnostics, *derive_diags, *mismatch_diags)
-    payload = {
-        "records": table,
+    return {
+        "records": ReportTable(_RECORD_COLUMNS, list(map(_record_row, derived))),
         "record_count": len(derived),
         "diagnostics": ReportTable(ds.Diagnostic._fields, diagnostics),
     }
-    return payload, table
 
 
-def _cmd_dataset_ranges(args) -> tuple[dict, ReportTable]:
+def _cmd_dataset_ranges(args) -> dict:
     from . import dataset as ds
 
     parsed = _load_dataset(args.input)
     derived, derive_diags = ds.derive_records(parsed.records)
     sig_figs = None if args.no_rounding else args.sig_figs
     ranges = ds.synthesize_all(derived, sig_figs=sig_figs)
-    table = ReportTable(ds.CategoryRange._fields, ranges)
-    payload = {
-        "ranges": table,
+    return {
+        "ranges": ReportTable(ds.CategoryRange._fields, ranges),
         "category_count": len(ranges),
         "diagnostics": ReportTable(ds.Diagnostic._fields, (*parsed.diagnostics, *derive_diags)),
     }
-    return payload, table
 
 
-def _cmd_dataset_plotdata(args) -> tuple[dict, None]:
+def _cmd_dataset_plotdata(args) -> dict:
     from . import dataset as ds
 
     parsed = _load_dataset(args.input)
     derived, _ = ds.derive_records(parsed.records)
     ranges = ds.synthesize_all(derived)
     bandwidth = args.converter_bandwidth
-    document = ds.emit_plot_data(
+    return ds.emit_plot_data(
         ranges,
         markers=tuple(args.marker or ()),
         include_converter_marker=not args.no_converter_marker,
@@ -124,7 +120,6 @@ def _cmd_dataset_plotdata(args) -> tuple[dict, None]:
         ),
         thermal_reference_field=args.thermal_line,
     )
-    return document, None
 
 
 _DATASET = Flag("--input", None, "PATH", "dataset CSV (default: the bundled instrument table)")

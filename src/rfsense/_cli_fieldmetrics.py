@@ -30,7 +30,7 @@ def _aperture_from_args(args) -> float:
     return fm.aperture_from_gain(args.gain, args.frequency)
 
 
-def _cmd_nef(args) -> tuple[dict, None]:
+def _cmd_nef(args) -> dict:
     from . import fieldmetrics as fm
 
     require("--tsys", args.tsys)
@@ -48,10 +48,10 @@ def _cmd_nef(args) -> tuple[dict, None]:
         payload["nef_gain_form_v_m_sqrthz"] = fm.nef_from_gain(
             args.tsys, args.gain, args.frequency, rho2
         )
-    return payload, None
+    return payload
 
 
-def _cmd_convert(args) -> tuple[dict, None]:
+def _cmd_convert(args) -> dict:
     from . import fieldmetrics as fm
     from .quantities import db_to_linear, frequency_to_wavelength, linear_to_db, power_from_field
 
@@ -79,10 +79,10 @@ def _cmd_convert(args) -> tuple[dict, None]:
         )
     if not payload:
         raise DomainError("nothing to convert: give at least one input flag")
-    return payload, None
+    return payload
 
 
-def _cmd_enhance(args) -> tuple[dict, None]:
+def _cmd_enhance(args) -> dict:
     from . import fieldmetrics as fm
 
     q_ways = [
@@ -134,7 +134,7 @@ def _cmd_enhance(args) -> tuple[dict, None]:
         payload["meets_reference"] = fm.meets_classical_reference(args.sensor_nef, e_local)
     if beta < 1.0:
         payload["warnings"] = [f"enhancement factor {beta:g} < 1 attenuates the field"]
-    return payload, None
+    return payload
 
 
 _APERTURE_EFFICIENCY = Flag("--aperture-efficiency", plain_flag, "ETA", "aperture efficiency used with --diameter (default 0.65)")

@@ -75,7 +75,7 @@ def _budget_fields_from_json(path: str) -> dict:
     return fields
 
 
-def _cmd_budget(args) -> tuple[dict, None]:
+def _cmd_budget(args) -> dict:
     from . import linkbudget as lb
 
     if args.input is not None:
@@ -116,7 +116,7 @@ def _cmd_budget(args) -> tuple[dict, None]:
     payload["closes"] = {name: report.closes(name) for name in payload["margins_db"]}
     if fsl_check is not None:
         payload["fsl_check"] = fsl_check._asdict()
-    return payload, None
+    return payload
 
 
 COMMANDS = {

@@ -5,7 +5,7 @@ from .cli import (Flag, area_flag, distance_flag, frequency_flag, gain_flag, pla
 from .errors import DomainError
 
 
-def _cmd_radar(args) -> tuple[dict, None]:
+def _cmd_radar(args) -> dict:
     from . import radar as rd
     from .quantities import db_to_linear, frequency_to_wavelength, linear_to_db
 
@@ -72,7 +72,7 @@ def _cmd_radar(args) -> tuple[dict, None]:
         if args.tsys is None:
             raise DomainError("--compare-tsys needs --tsys")
         payload["max_range_ratio"] = rd.max_range_ratio(args.tsys, args.compare_tsys)
-    return payload, None
+    return payload
 
 
 COMMANDS = {

@@ -15,7 +15,7 @@ def calibration_point_flag(text: str) -> tuple[float, float]:
         raise ValueError(f"cannot parse point {text!r}") from exc
 
 
-def _cmd_nedt(args) -> tuple[dict, None]:
+def _cmd_nedt(args) -> dict:
     from . import radiometry as rm
 
     require("--bandwidth", args.bandwidth)
@@ -25,7 +25,7 @@ def _cmd_nedt(args) -> tuple[dict, None]:
         t_sys = rm.tsys_from_nedt(
             args.nedt, args.bandwidth, args.integration_time, args.gain_stability
         )
-        return {"system_temperature_k": t_sys, "nedt_k": args.nedt}, None
+        return {"system_temperature_k": t_sys, "nedt_k": args.nedt}
 
     if args.antenna_temp is None or args.receiver_temp is None:
         raise DomainError("--antenna-temp and --receiver-temp are required "
@@ -45,10 +45,10 @@ def _cmd_nedt(args) -> tuple[dict, None]:
         payload["output_power_w"] = rm.radiometer_output_power(
             args.gain, args.antenna_temp, args.receiver_temp, args.bandwidth
         )
-    return payload, None
+    return payload
 
 
-def _cmd_calibrate(args) -> tuple[dict, None]:
+def _cmd_calibrate(args) -> dict:
     from . import radiometry as rm
     from .quantities import linear_to_db
 
@@ -62,7 +62,7 @@ def _cmd_calibrate(args) -> tuple[dict, None]:
         "points_used": len(points),
         "warnings": list(result.warnings),
     }
-    return payload, None
+    return payload
 
 
 _BANDWIDTH = Flag("--bandwidth", frequency_flag, "FREQ", "detection bandwidth with unit suffix (hz/khz/mhz/ghz)", kind="required")

@@ -4,7 +4,7 @@ from .cli import _RHO2, Flag, frequency_flag, gain_flag, plain_flag, power_flag,
 from .errors import DomainError, require
 
 
-def _cmd_rydberg(args) -> tuple[dict, None]:
+def _cmd_rydberg(args) -> dict:
     from . import rydberg as ry
 
     payload: dict = {}
@@ -58,7 +58,7 @@ def _cmd_rydberg(args) -> tuple[dict, None]:
         raise DomainError("nothing to compute: give at least one input group")
     if warnings:
         payload["warnings"] = warnings
-    return payload, None
+    return payload
 
 
 COMMANDS = {

@@ -24,6 +24,8 @@ Conventions at this boundary:
   ``domain-error: ...``), 3 schema/parse error or an unreadable input or
   unwritable output (one stderr line, ``schema-error: ...``).  A failed call
   leaves the ``--output`` file as it was.
+- Only ``main`` writes, once the report is complete.  A handler returns its payload alone,
+  and a call that runs no handler (a help page, a usage error) ends by raising ``_Exit``.
 - A process that has run ``main`` freezes the cyclic collector at exit (``gc.freeze()``
   from an ``atexit`` handler), so the interpreter's final collections skip every
   object still alive.  Handlers and flushes all still run; the one cost is that a
@@ -245,7 +247,7 @@ def format_number(x: float) -> str:
 
 
 # Rows of scalar cells, each a tuple in ``columns`` order: renders like a list of
-# one dict per row, and is the CSV report of a handler that returns it.
+# one dict per row, and the first in a payload is its CSV report.
 ReportTable = namedtuple("ReportTable", "columns rows")
 
 
@@ -344,13 +346,14 @@ def _render_csv_rows(rows: list) -> list[str]:
     return [",".join(quote(c) for c in row) + "\r\n" for row in rows]
 
 
-def render_report(payload: dict, fmt: str, table: ReportTable | None = None) -> list[str]:
-    """The report as pieces of text, in order: never one string, since reports can be large."""
+def render_report(payload: dict, fmt: str) -> list[str]:
+    """The report as pieces of text, in order: never one string, since reports can be large.
+    A CSV report is the payload's first ``ReportTable``, or else its flattened leaves."""
     if fmt == "json":
         return _append_json([], payload, 0) + ["\n"]
     if fmt == "csv":
-        if table is None:
-            table = ReportTable(("key", "value"), _flatten(payload.items()))
+        tables = [value for value in payload.values() if type(value) is ReportTable]
+        table = (tables or [ReportTable(("key", "value"), _flatten(payload.items()))])[0]
         return _render_csv_rows([table.columns, *[map(_cell_text, row) for row in table.rows]])
     if fmt == "text":
         return [f"{k} = {_cell_text(v)}\n" for k, v in _flatten(payload.items())]
@@ -437,7 +440,7 @@ _COMMON = (
 _RHO2 = Flag("--rho2", plain_flag, "RHO2", "polarisation power coupling in (0, 1] (default 1)", 1.0)
 
 # Subcommand -> (its line in the top-level help, its family module), whose COMMANDS maps it
-# to its handler, returning (payload, the CSV report's table or None), and its flag rows.
+# to its handler, which returns the report's payload alone, and its flag rows.
 SUBCOMMANDS = {
     "nedt": ("radiometer sensitivity (NEDT) and output power", "_cli_radiometry"),
     "calibrate": ("hot/cold calibration regression for (G, T_Rx)", "_cli_radiometry"),
@@ -461,9 +464,12 @@ def _is_negative_number(token: str) -> bool:
     return token[:1] == "-" and (whole + fraction).isdecimal() and bool(fraction or not point)
 
 
+class _Exit(Exception):
+    """A call that runs no handler: its exit code, then stdout pieces or else a stderr line."""
+
+
 def _fail(prog: str, message: str):
-    sys.stderr.write(f"{prog}: error: {message}\n")
-    raise SystemExit(2)
+    raise _Exit(2, None, f"{prog}: error: {message}")
 
 
 def _read_option(prog: str, token: str, options: dict):
@@ -511,7 +517,7 @@ def _parse_flags(prog: str, rows: tuple, tokens: list[str]) -> tuple[dict, list[
                 if left or not value:
                     _fail(prog, f"argument {row.name}: ignored explicit argument {left!r}")
             if row is _HELP:
-                raise SystemExit(_write_out([_help_page(prog, rows)]))
+                raise _Exit(0, [_help_page(prog, rows)], None)
             value = True
         else:
             if value is None:
@@ -545,7 +551,6 @@ def _parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
     else:
         i = len(argv)
     leftovers = _parse_flags("rfsense", (_HELP,), argv[:i])[1]
-    args = types.SimpleNamespace(command=None, handler=None)
     if i < len(argv):
         if argv[i] not in SUBCOMMANDS:
             _fail("rfsense", f"argument SUBCOMMAND: invalid choice: {argv[i]!r} "
@@ -555,9 +560,11 @@ def _parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
         handler, flags = family.COMMANDS[argv[i]]
         values, more = _parse_flags("rfsense " + argv[i], _COMMON + flags, argv[i + 1:])
         leftovers += more
-        args = types.SimpleNamespace(command=argv[i], handler=handler, **values)
+        args = types.SimpleNamespace(handler=handler, **values)
     if leftovers:
         _fail("rfsense", "unrecognized arguments: " + " ".join(leftovers))
+    if i == len(argv):  # no subcommand: the program's help page, and exit 2
+        raise _Exit(2, [_help_page("rfsense", (_HELP,))], None)
     return args
 
 
@@ -599,9 +606,8 @@ def _help_page(prog: str, rows: tuple) -> str:
 
 
 def build_parser() -> types.SimpleNamespace:
-    """The command line: ``parse_args(argv)`` and the program's ``format_help()``."""
-    return types.SimpleNamespace(parse_args=_parse_args,
-                                 format_help=lambda: _help_page("rfsense", (_HELP,)))
+    """The command line: ``parse_args(argv)`` returns the flag values and the ``handler``."""
+    return types.SimpleNamespace(parse_args=_parse_args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -626,28 +632,21 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code
-        if args.handler is None:
-            return _write_out([parser.format_help()]) or 2
-
-        try:
-            payload, table = args.handler(args)
-            pieces = render_report(payload, args.format, table)
-        except DomainError as exc:
-            print(f"domain-error: {exc}", file=sys.stderr)
-            return 2
-        except SchemaError as exc:
-            print(f"schema-error: {exc}", file=sys.stderr)
-            return 3
-
-        return _write_out(pieces, args.output)
+        args = build_parser().parse_args(argv)
+        return _write_out(render_report(args.handler(args), args.format), args.output)
+    except _Exit as end:
+        code, pieces, line = end.args
+    except DomainError as exc:
+        code, pieces, line = 2, None, f"domain-error: {exc}"
+    except SchemaError as exc:
+        code, pieces, line = 3, None, f"schema-error: {exc}"
     finally:
         if collecting:
             gc.enable()
+    if line is None:
+        return _write_out(pieces) or code
+    sys.stderr.write(line + "\n")
+    return code
 
 
 if __name__ == "__main__":  # run rfsense.cli, the module whose types the handlers use

@@ -20,8 +20,8 @@ from collections import namedtuple
 
 from .errors import DomainError, require
 from .quantities import (
-    BOLTZMANN, REFERENCE_TEMPERATURE, VACUUM_PERMITTIVITY, ValidatedRecord, db_to_linear,
-    default_eta0, frequency_to_wavelength,
+    BOLTZMANN, LIGHT_SPEED, REFERENCE_TEMPERATURE, VACUUM_PERMITTIVITY, ValidatedRecord,
+    db_to_linear, default_eta0,
 )
 
 __all__ = [
@@ -205,19 +205,22 @@ def tsys_from_nef(
     eta_0 = default_eta0()
     require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
     require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    aperture = aperture_from_gain(gain, frequency_hz)
-    # The square of one root per factor: NEF*NEF alone can underflow where T_sys does not.
-    root = (nef_v_per_m_sqrt_hz * math.sqrt(aperture) * math.sqrt(rho2)
+    # The square of one root per factor: NEF*NEF or A_e alone can leave the float range.
+    root = (nef_v_per_m_sqrt_hz * _aperture_root(gain, frequency_hz) * math.sqrt(rho2)
             / math.sqrt(BOLTZMANN) / math.sqrt(eta_0))
     return require("system temperature", root * root, "K")
 
 
+def _aperture_root(gain: float, frequency_hz: float) -> float:
+    """sqrt(A_e) = sqrt(G)*(c/sqrt(4*pi))/f, with no wavelength: c/f alone can overflow."""
+    require("gain", gain)
+    require("frequency", frequency_hz, "Hz")
+    return math.sqrt(gain) * (LIGHT_SPEED / math.sqrt(4.0 * math.pi)) / frequency_hz
+
+
 def aperture_from_gain(gain: float, frequency_hz: float) -> float:
     """Effective aperture ``A_e = G*lambda^2/(4*pi)`` in m^2."""
-    require("gain", gain)
-    wavelength = frequency_to_wavelength(frequency_hz)
-    # The square of one root per factor: lambda*lambda alone can overflow where A_e does not.
-    root = math.sqrt(gain) * wavelength / math.sqrt(4.0 * math.pi)
+    root = _aperture_root(gain, frequency_hz)
     return require("effective aperture", root * root, "m^2")
 
 

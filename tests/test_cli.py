@@ -27,7 +27,7 @@ import rfsense.radar
 import rfsense.radiometry
 import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _is_negative_number,
+    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _Exit, _is_negative_number,
     _split_quantity, build_parser, format_number, main, render_json, render_report,
 )
 from rfsense._cli_dataset import _append_table
@@ -175,8 +175,9 @@ class TestGoldenFiles:
         assert out1.encode() == (GOLDEN_DIR / golden).read_bytes()
 
     def test_help_matches_golden(self, capsys):
-        parser = build_parser()
-        chunks = [parser.format_help()]
+        code, out, _ = run(capsys, [])
+        assert code == 2
+        chunks = [out]
         for name in OPERATION_MAP:
             code, out, _ = run(capsys, [name, "--help"])
             assert code == 0
@@ -373,7 +374,10 @@ class TestExitCodesAndValidation:
         (["dataset-derive", "--input", "missing.csv"], 3),
         (["nef", "--no-such-flag"], 2),
         (["nef", "--tsys", "23", "--aperture", "2660m2"], RuntimeError),
-    ], ids=["exit-0", "domain-error", "schema-error", "usage-error", "handler-raises"])
+        (["--help"], 0),
+        ([], 2),
+    ], ids=["exit-0", "domain-error", "schema-error", "usage-error", "handler-raises", "help",
+            "no-subcommand"])
     def test_main_restores_the_collector(self, capsys, monkeypatch, tmp_path, argv, code):
         monkeypatch.chdir(tmp_path)
         assert gc.isenabled()
@@ -396,6 +400,22 @@ class TestExitCodesAndValidation:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    # Parsing writes nothing: a call that runs no handler ends in _Exit, which main writes.
+    @pytest.mark.parametrize("argv,code,writes_stdout", [
+        (["-h"], 0, True),
+        (["nef", "--help"], 0, True),
+        ([], 2, True),
+        (["nef", "--no-such-flag"], 2, False),
+    ], ids=["help", "subcommand-help", "no-subcommand", "unknown-flag"])
+    def test_parsing_raises_exit_and_writes_nothing(self, capsys, argv, code, writes_stdout):
+        with pytest.raises(_Exit) as caught:
+            build_parser().parse_args(argv)
+        assert capsys.readouterr() == ("", "")
+        exit_code, pieces, line = caught.value.args
+        assert (exit_code, pieces is not None, line is None) == (code, writes_stdout, writes_stdout)
+        out, err = ("".join(pieces), "") if writes_stdout else ("", line + "\n")
+        assert run(capsys, argv) == (code, out, err)
+
 
 def _render_json_value(value, indent: int) -> str:
     """One value's JSON text at ``indent``: its pieces, joined."""
@@ -409,9 +429,9 @@ def _render_table(table: ReportTable, indent: int) -> str:
     return "".join(pieces)
 
 
-def _report(*args) -> str:
+def _report(payload, fmt: str) -> str:
     """``render_report``'s pieces, joined."""
-    return "".join(render_report(*args))
+    return "".join(render_report(payload, fmt))
 
 
 def _old_render_json_value(value, indent: int) -> str:
@@ -558,6 +578,16 @@ class TestRenderTable:
         expected = _render_outcome(_per_cell_render_table, table, indent)
         assert _render_outcome(_render_table, table, indent) == expected
 
+    # The CSV report is the payload's first table, or else its flattened leaves.
+    @pytest.mark.parametrize("payload,csv", [
+        ({"t": ReportTable(("a",), [(1,)]), "n": 1}, "a\r\n1\r\n"),
+        ({"n": 1, "t": ReportTable(("a", "b"), [(1, "x,y")])}, 'a,b\r\n1,"x,y"\r\n'),
+        ({"t": ReportTable(("a",), [(1,)]), "u": ReportTable(("b",), [(2,)])}, "a\r\n1\r\n"),
+        ({"n": 1, "x": {"y": 2.5}}, "key,value\r\nn,1\r\nx.y,2.5\r\n"),
+    ], ids=["table-first", "table-after-a-scalar", "two-tables", "no-table"])
+    def test_a_csv_report_is_the_first_table_or_the_flattened_payload(self, payload, csv):
+        assert _report(payload, "csv") == csv
+
 
 class TestRenderJson:
     @settings(max_examples=150, deadline=None)
@@ -587,9 +617,9 @@ class TestRenderJson:
         table = ReportTable(columns, rows)
         dicts = [dict(zip(columns, row)) for row in rows]
         for fmt in ("json", "text"):
-            assert (_report({"t": table, "n": len(rows)}, fmt, table)
+            assert (_report({"t": table, "n": len(rows)}, fmt)
                     == _report({"t": dicts, "n": len(rows)}, fmt))
-        assert _report({"t": table}, "csv", table) == _old_render_csv_table(columns, dicts)
+        assert _report({"t": table}, "csv") == _old_render_csv_table(columns, dicts)
 
     @pytest.mark.parametrize("record", [
         rfsense.dataset.Diagnostic(3, "probe", "bad cell"),
@@ -1431,7 +1461,7 @@ class TestErrorLines:
                             + [("last", math.nan)])
         flags = commands("dataset-derive")["dataset-derive"][1]
         monkeypatch.setitem(commands("dataset-derive"), "dataset-derive",
-                            (lambda args: ({"records": table}, table), flags))
+                            (lambda args: {"records": table}, flags))
         line = "domain-error: cannot format a non-finite number\n"
         assert run(capsys, ["dataset-derive", "--format", fmt]) == (2, "", line)
         target = tmp_path / "report"

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -210,6 +211,17 @@ class TestTsysFromNef:
         assert float(reference) == pytest.approx(1.375047e-24, rel=1e-6)
         assert tsys_from_nef(nef, gain, f, 1.0) == pytest.approx(float(reference), rel=1e-12)
 
+    def test_tsys_whose_aperture_overflows(self):
+        nef, gain, f = 1e-200, 1e300, 1e-100
+        with localcontext() as context:
+            context.prec = 60
+            wavelength = Decimal(LIGHT_SPEED) / Decimal(f)
+            aperture = Decimal(gain) * wavelength * wavelength / (4 * Decimal(math.pi))
+            reference = Decimal(nef) * Decimal(nef) * aperture / Decimal(BOLTZMANN) / Decimal(ETA_0)
+        assert aperture > Decimal(sys.float_info.max)
+        assert float(reference) == pytest.approx(1.375047e136, rel=1e-6)
+        assert tsys_from_nef(nef, gain, f, 1.0) == pytest.approx(float(reference), rel=1e-12)
+
 
 class TestApertures:
     def test_definitional(self):
@@ -235,6 +247,16 @@ class TestApertures:
             wavelength = Decimal(LIGHT_SPEED) / Decimal(f)
             reference = Decimal(gain) * wavelength * wavelength / (4 * Decimal(math.pi))
         assert float(reference) == pytest.approx(7.152066e35, rel=1e-6)
+        assert aperture_from_gain(gain, f) == pytest.approx(float(reference), rel=1e-12)
+
+    def test_aperture_whose_wavelength_overflows(self):
+        gain, f = 1e-310, 1e-300
+        with localcontext() as context:
+            context.prec = 60
+            wavelength = Decimal(LIGHT_SPEED) / Decimal(f)
+            reference = Decimal(gain) * wavelength * wavelength / (4 * Decimal(math.pi))
+        assert wavelength > Decimal(sys.float_info.max)
+        assert float(reference) == pytest.approx(7.152066e305, rel=1e-6)
         assert aperture_from_gain(gain, f) == pytest.approx(float(reference), rel=1e-12)
 
     def test_dish_aperture_default_efficiency(self):
