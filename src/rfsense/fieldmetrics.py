@@ -18,7 +18,7 @@ require explicit gain (or aperture), frequency, and polarisation coupling.
 import math
 from collections import namedtuple
 
-from .errors import DomainError, require
+from .errors import FLOAT_MAX, DomainError, require
 from .quantities import (
     BOLTZMANN, LIGHT_SPEED, REFERENCE_TEMPERATURE, VACUUM_PERMITTIVITY, ValidatedRecord,
     db_to_linear, default_eta0,
@@ -77,9 +77,12 @@ class ReceiverReference(ValidatedRecord, namedtuple(
     __slots__ = ()
 
     def _check(self):
-        require("system temperature", self.system_temperature_k, "K")
-        require("effective aperture", self.effective_aperture_m2, "m^2")
-        require("polarisation coupling rho^2", self.rho2, "", 0.0, True, 1.0)
+        if not (0.0 < self.system_temperature_k <= FLOAT_MAX
+                and 0.0 < self.effective_aperture_m2 <= FLOAT_MAX
+                and 0.0 < self.rho2 <= 1.0):
+            require("system temperature", self.system_temperature_k, "K")
+            require("effective aperture", self.effective_aperture_m2, "m^2")
+            require("polarisation coupling rho^2", self.rho2, "", 0.0, True, 1.0)
 
 
 class CavityCoupling(ValidatedRecord, namedtuple(
@@ -96,10 +99,14 @@ class CavityCoupling(ValidatedRecord, namedtuple(
     __slots__ = ()
 
     def _check(self):
-        require("centre frequency", self.frequency_hz, "Hz")
-        require("loaded quality factor", self.q_loaded)
-        require("RF transfer efficiency", self.rf_efficiency, "", 0.0, True, 1.0)
-        require("mode volume", self.mode_volume_m3, "m^3")
+        if not (0.0 < self.frequency_hz <= FLOAT_MAX
+                and 0.0 < self.q_loaded <= FLOAT_MAX
+                and 0.0 < self.rf_efficiency <= 1.0
+                and 0.0 < self.mode_volume_m3 <= FLOAT_MAX):
+            require("centre frequency", self.frequency_hz, "Hz")
+            require("loaded quality factor", self.q_loaded)
+            require("RF transfer efficiency", self.rf_efficiency, "", 0.0, True, 1.0)
+            require("mode volume", self.mode_volume_m3, "m^3")
 
     @classmethod
     def from_quality_factors(
@@ -111,8 +118,10 @@ class CavityCoupling(ValidatedRecord, namedtuple(
         mode_volume_m3: float,
     ) -> "CavityCoupling":
         """Combine Q_e and Q_i into the loaded Q, 1/Q_L = 1/Q_e + 1/Q_i."""
-        q_loaded = 1.0 / (1.0 / require("external quality factor", q_external)
-                          + 1.0 / require("internal quality factor", q_internal))
+        if not (0.0 < q_external <= FLOAT_MAX and 0.0 < q_internal <= FLOAT_MAX):
+            require("external quality factor", q_external)
+            require("internal quality factor", q_internal)
+        q_loaded = 1.0 / (1.0 / q_external + 1.0 / q_internal)
         return cls(frequency_hz, q_loaded, rf_efficiency, mode_volume_m3)
 
     @classmethod
@@ -124,14 +133,18 @@ class CavityCoupling(ValidatedRecord, namedtuple(
         mode_volume_m3: float,
     ) -> "CavityCoupling":
         """Choose Q_L = f_0/B so the linewidth admits the signal bandwidth."""
-        require("admitted bandwidth", admitted_bandwidth_hz, "Hz")
+        if not 0.0 < admitted_bandwidth_hz <= FLOAT_MAX:
+            require("admitted bandwidth", admitted_bandwidth_hz, "Hz")
         return cls(frequency_hz, frequency_hz / admitted_bandwidth_hz,
                    rf_efficiency, mode_volume_m3)
 
     @property
     def linewidth_hz(self) -> float:
         """Cavity linewidth f_0/Q_L."""
-        return require("cavity linewidth", self.frequency_hz / self.q_loaded, "Hz")
+        linewidth = self.frequency_hz / self.q_loaded
+        if not 0.0 < linewidth <= FLOAT_MAX:
+            require("cavity linewidth", linewidth, "Hz")
+        return linewidth
 
 
 def sefd(
@@ -145,11 +158,16 @@ def sefd(
     unpolarised signal on one linear polarisation (rho^2 = 1/2) this reduces
     to the common form 2*k_B*T_sys/A_e.
     """
-    require("system temperature", system_temperature_k, "K", 0.0, False)
-    require("effective aperture", effective_aperture_m2, "m^2")
-    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
+    if not (0.0 <= system_temperature_k <= FLOAT_MAX
+            and 0.0 < effective_aperture_m2 <= FLOAT_MAX
+            and 0.0 < rho2 <= 1.0):
+        require("system temperature", system_temperature_k, "K", 0.0, False)
+        require("effective aperture", effective_aperture_m2, "m^2")
+        require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     flux = BOLTZMANN * system_temperature_k / rho2 / effective_aperture_m2
-    return require("SEFD", flux, "W/m^2/Hz", 0.0, False)
+    if not 0.0 <= flux <= FLOAT_MAX:
+        require("SEFD", flux, "W/m^2/Hz", 0.0, False)
+    return flux
 
 
 def nef_from_aperture(
@@ -164,14 +182,17 @@ def nef_from_aperture(
     V/m/sqrt(Hz).  ``eta_0`` defaults to the configured impedance
     (:func:`rfsense.quantities.default_eta0`).
     """
-    eta_0 = default_eta0() if eta_0 is None else require("eta_0", eta_0, "ohm")
-    require("system temperature", system_temperature_k, "K")
-    require("effective aperture", effective_aperture_m2, "m^2")
-    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
-    # One root per factor: the radicand as a whole can underflow where the NEF does not.
-    nef = (math.sqrt(BOLTZMANN) * math.sqrt(system_temperature_k) * math.sqrt(eta_0)
-           / math.sqrt(rho2) / math.sqrt(effective_aperture_m2))
-    return require("NEF", nef, "V/m/sqrt(Hz)")
+    if eta_0 is None:
+        eta_0 = default_eta0()
+    if not (0.0 < eta_0 <= FLOAT_MAX
+            and 0.0 < system_temperature_k <= FLOAT_MAX
+            and 0.0 < effective_aperture_m2 <= FLOAT_MAX
+            and 0.0 < rho2 <= 1.0):
+        require("eta_0", eta_0, "ohm")
+        require("system temperature", system_temperature_k, "K")
+        require("effective aperture", effective_aperture_m2, "m^2")
+        require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
+    return _nef(system_temperature_k, math.sqrt(effective_aperture_m2), rho2, eta_0)
 
 
 def nef_from_gain(
@@ -187,7 +208,24 @@ def nef_from_gain(
     for rho^2 = 1/2 this is the 8*pi form, a factor sqrt(2) above the
     polarisation-matched value.
     """
-    return nef_from_aperture(system_temperature_k, aperture_from_gain(gain, frequency_hz), rho2)
+    # Divided by sqrt(A_e), never forming A_e, which can leave the float range.
+    aperture_root = _aperture_root(gain, frequency_hz)
+    eta_0 = default_eta0()
+    if not (0.0 < system_temperature_k <= FLOAT_MAX and 0.0 < rho2 <= 1.0):
+        require("system temperature", system_temperature_k, "K")
+        require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
+    return _nef(system_temperature_k, aperture_root, rho2, eta_0)
+
+
+def _nef(system_temperature_k, aperture_root, rho2, eta_0):
+    """sqrt(k_B*T_sys*eta_0/rho^2)/sqrt(A_e), one root per factor: the
+    radicand as a whole can underflow where the NEF does not.  A root that
+    underflowed to 0 gives +inf, as IEEE division does."""
+    nef = (math.sqrt(BOLTZMANN) * math.sqrt(system_temperature_k) * math.sqrt(eta_0)
+           / math.sqrt(rho2) / aperture_root) if aperture_root else math.inf
+    if not 0.0 < nef <= FLOAT_MAX:
+        require("NEF", nef, "V/m/sqrt(Hz)")
+    return nef
 
 
 def tsys_from_nef(
@@ -203,25 +241,33 @@ def tsys_from_nef(
     bare NEF does not determine (T_sys, A_e) uniquely.
     """
     eta_0 = default_eta0()
-    require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
-    require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
+    if not (0.0 < nef_v_per_m_sqrt_hz <= FLOAT_MAX and 0.0 < rho2 <= 1.0):
+        require("NEF", nef_v_per_m_sqrt_hz, "V/m/sqrt(Hz)")
+        require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
     # The square of one root per factor: NEF*NEF or A_e alone can leave the float range.
     root = (nef_v_per_m_sqrt_hz * _aperture_root(gain, frequency_hz) * math.sqrt(rho2)
             / math.sqrt(BOLTZMANN) / math.sqrt(eta_0))
-    return require("system temperature", root * root, "K")
+    t_sys = root * root
+    if not 0.0 < t_sys <= FLOAT_MAX:
+        require("system temperature", t_sys, "K")
+    return t_sys
 
 
 def _aperture_root(gain: float, frequency_hz: float) -> float:
     """sqrt(A_e) = sqrt(G)*(c/sqrt(4*pi))/f, with no wavelength: c/f alone can overflow."""
-    require("gain", gain)
-    require("frequency", frequency_hz, "Hz")
+    if not (0.0 < gain <= FLOAT_MAX and 0.0 < frequency_hz <= FLOAT_MAX):
+        require("gain", gain)
+        require("frequency", frequency_hz, "Hz")
     return math.sqrt(gain) * (LIGHT_SPEED / math.sqrt(4.0 * math.pi)) / frequency_hz
 
 
 def aperture_from_gain(gain: float, frequency_hz: float) -> float:
     """Effective aperture ``A_e = G*lambda^2/(4*pi)`` in m^2."""
     root = _aperture_root(gain, frequency_hz)
-    return require("effective aperture", root * root, "m^2")
+    aperture = root * root
+    if not 0.0 < aperture <= FLOAT_MAX:
+        require("effective aperture", aperture, "m^2")
+    return aperture
 
 
 def aperture_from_diameter(
@@ -229,18 +275,25 @@ def aperture_from_diameter(
     aperture_efficiency: float = DEFAULT_APERTURE_EFFICIENCY,
 ) -> float:
     """Effective aperture of a circular dish: ``eta_ap * pi * (D/2)^2``."""
-    require("diameter", diameter_m, "m")
-    require("aperture efficiency", aperture_efficiency, "", 0.0, True, 1.0)
+    if not (0.0 < diameter_m <= FLOAT_MAX and 0.0 < aperture_efficiency <= 1.0):
+        require("diameter", diameter_m, "m")
+        require("aperture efficiency", aperture_efficiency, "", 0.0, True, 1.0)
     radius = diameter_m / 2.0
-    return require("effective aperture", aperture_efficiency * math.pi * (radius * radius), "m^2")
+    aperture = aperture_efficiency * math.pi * (radius * radius)
+    if not 0.0 < aperture <= FLOAT_MAX:
+        require("effective aperture", aperture, "m^2")
+    return aperture
 
 
 def trx_from_noise_figure(noise_figure_db: float) -> float:
     """Receiver noise temperature from a noise figure:
     ``T_Rx = (10^(NF/10) - 1) * T_0``, with T_0 = 290 K (``REFERENCE_TEMPERATURE``)."""
-    require("noise figure", noise_figure_db, "dB", 0.0, False)
+    if not 0.0 <= noise_figure_db <= FLOAT_MAX:
+        require("noise figure", noise_figure_db, "dB", 0.0, False)
     t_rx = (db_to_linear(noise_figure_db) - 1.0) * REFERENCE_TEMPERATURE
-    return require("receiver temperature", t_rx, "K", 0.0, False)
+    if not 0.0 <= t_rx <= FLOAT_MAX:
+        require("receiver temperature", t_rx, "K", 0.0, False)
+    return t_rx
 
 
 def enhancement_factor_cavity(cavity: CavityCoupling, effective_aperture_m2: float) -> float:
@@ -251,7 +304,8 @@ def enhancement_factor_cavity(cavity: CavityCoupling, effective_aperture_m2: flo
     incident free-space field at the aperture.
     """
     eta_0 = default_eta0()
-    require("effective aperture", effective_aperture_m2, "m^2")
+    if not 0.0 < effective_aperture_m2 <= FLOAT_MAX:
+        require("effective aperture", effective_aperture_m2, "m^2")
     omega_0 = 2.0 * math.pi * cavity.frequency_hz
     beta = (
         math.sqrt(cavity.rf_efficiency)
@@ -261,7 +315,9 @@ def enhancement_factor_cavity(cavity: CavityCoupling, effective_aperture_m2: flo
             / cavity.mode_volume_m3
         )
     )
-    return require("enhancement factor", beta)
+    if not 0.0 < beta <= FLOAT_MAX:
+        require("enhancement factor", beta)
+    return beta
 
 
 def local_field_requirement(reference: ReceiverReference, enhancement: float) -> float:
@@ -272,11 +328,15 @@ def local_field_requirement(reference: ReceiverReference, enhancement: float) ->
     allowed, though the point of the structure is to relax the sensor's
     local requirement.
     """
-    require("enhancement factor", enhancement)
+    if not 0.0 < enhancement <= FLOAT_MAX:
+        require("enhancement factor", enhancement)
     free = nef_from_aperture(
         reference.system_temperature_k, reference.effective_aperture_m2, reference.rho2
     )
-    return require("local field requirement", enhancement * free, "V/m/sqrt(Hz)")
+    local = enhancement * free
+    if not 0.0 < local <= FLOAT_MAX:
+        require("local field requirement", local, "V/m/sqrt(Hz)")
+    return local
 
 
 def meets_classical_reference(
@@ -284,6 +344,9 @@ def meets_classical_reference(
     local_field_requirement_value: float,
 ) -> bool:
     """True when the sensor's local NEF meets or beats the local requirement."""
-    require("sensor local NEF", sensor_local_nef, "V/m/sqrt(Hz)")
-    require("local field requirement value", local_field_requirement_value, "V/m/sqrt(Hz)")
+    if not (0.0 < sensor_local_nef <= FLOAT_MAX
+            and 0.0 < local_field_requirement_value <= FLOAT_MAX):
+        require("sensor local NEF", sensor_local_nef, "V/m/sqrt(Hz)")
+        require("local field requirement value", local_field_requirement_value,
+                "V/m/sqrt(Hz)")
     return sensor_local_nef <= local_field_requirement_value

@@ -51,11 +51,16 @@ FSL_FLAG_THRESHOLD_DB = 0.5
 
 def eirp(transmit_power_dbw: float, transmit_gain_dbi: float, feeder_loss_db: float) -> float:
     """Effective isotropic radiated power: ``P_T + G_T - L_FTx`` in dBW."""
-    require("transmit power", transmit_power_dbw, "dBW", -FLOAT_MAX, False)
-    require("transmit gain", transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
-    require("feeder loss", feeder_loss_db, "dB", -FLOAT_MAX, False)
+    if not (-FLOAT_MAX <= transmit_power_dbw <= FLOAT_MAX
+            and -FLOAT_MAX <= transmit_gain_dbi <= FLOAT_MAX
+            and -FLOAT_MAX <= feeder_loss_db <= FLOAT_MAX):
+        require("transmit power", transmit_power_dbw, "dBW", -FLOAT_MAX, False)
+        require("transmit gain", transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
+        require("feeder loss", feeder_loss_db, "dB", -FLOAT_MAX, False)
     eirp_dbw = transmit_power_dbw + transmit_gain_dbi - feeder_loss_db
-    return require("EIRP", eirp_dbw, "dBW", -FLOAT_MAX, False)
+    if not -FLOAT_MAX <= eirp_dbw <= FLOAT_MAX:
+        require("EIRP", eirp_dbw, "dBW", -FLOAT_MAX, False)
+    return eirp_dbw
 
 
 def system_noise_temperature(
@@ -71,28 +76,36 @@ def system_noise_temperature(
     receiver-reference alternative, which divides by L_F instead, is
     deliberately not used.)
     """
-    require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
-    require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
-    require("linear feeder loss", feeder_loss_linear, "", 1.0, False)
+    if not (0.0 <= antenna_temperature_k <= FLOAT_MAX
+            and 0.0 <= receiver_temperature_k <= FLOAT_MAX
+            and 1.0 <= feeder_loss_linear <= FLOAT_MAX):
+        require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
+        require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
+        require("linear feeder loss", feeder_loss_linear, "", 1.0, False)
     t_sys = (
         antenna_temperature_k
         + (feeder_loss_linear - 1.0) * REFERENCE_TEMPERATURE
         + feeder_loss_linear * receiver_temperature_k
     )
-    return require("system temperature", t_sys, "K", 0.0, False)
+    if not 0.0 <= t_sys <= FLOAT_MAX:
+        require("system temperature", t_sys, "K", 0.0, False)
+    return t_sys
 
 
 def figure_of_merit(receive_gain_dbi: float, system_temperature_k: float) -> float:
     """Receiver figure of merit ``G/T = G_R - 10*log10(T_sys)`` in dB/K."""
-    require("receive gain", receive_gain_dbi, "dBi", -FLOAT_MAX, False)
-    require("system temperature", system_temperature_k, "K")
+    if not (-FLOAT_MAX <= receive_gain_dbi <= FLOAT_MAX
+            and 0.0 < system_temperature_k <= FLOAT_MAX):
+        require("receive gain", receive_gain_dbi, "dBi", -FLOAT_MAX, False)
+        require("system temperature", system_temperature_k, "K")
     return receive_gain_dbi - 10.0 * math.log10(system_temperature_k)
 
 
 def free_space_loss(distance_m: float, frequency_hz: float) -> float:
     """Free-space path loss ``20*log10(4*pi*d/lambda)`` in dB."""
-    require("distance", distance_m, "m")
-    require("frequency", frequency_hz, "Hz")
+    if not (0.0 < distance_m <= FLOAT_MAX and 0.0 < frequency_hz <= FLOAT_MAX):
+        require("distance", distance_m, "m")
+        require("frequency", frequency_hz, "Hz")
     # A sum of logarithms: the product 4*pi*d*f/c underflows to 0 for tiny inputs.
     return 20.0 * (math.log10(4.0 * math.pi) + math.log10(distance_m)
                    + math.log10(frequency_hz) - math.log10(LIGHT_SPEED))
@@ -102,26 +115,33 @@ def total_loss(ledger: "list[tuple[str, float]] | tuple[tuple[str, float], ...]"
     """Arithmetic dB sum of an ordered ledger of named losses."""
     sum_db = 0.0
     for name, value in ledger:
-        # ``require``'s bound, tested inline so the name is built only to raise.
         if not 0.0 <= value <= FLOAT_MAX:
             require(f"loss {name!r}", value, "dB", 0.0, False)
         sum_db += value
-    return require("total loss", sum_db, "dB", 0.0, False)
+    if not 0.0 <= sum_db <= FLOAT_MAX:
+        require("total loss", sum_db, "dB", 0.0, False)
+    return sum_db
 
 
 def c_over_n0(eirp_dbw: float, loss_db: float, g_over_t_db: float) -> float:
     """Carrier-to-noise spectral density: EIRP - L + G/T + 228.6, in dBHz."""
-    require("EIRP", eirp_dbw, "dBW", -FLOAT_MAX, False)
-    require("loss", loss_db, "dB", -FLOAT_MAX, False)
-    require("G/T", g_over_t_db, "dB/K", -FLOAT_MAX, False)
+    if not (-FLOAT_MAX <= eirp_dbw <= FLOAT_MAX
+            and -FLOAT_MAX <= loss_db <= FLOAT_MAX
+            and -FLOAT_MAX <= g_over_t_db <= FLOAT_MAX):
+        require("EIRP", eirp_dbw, "dBW", -FLOAT_MAX, False)
+        require("loss", loss_db, "dB", -FLOAT_MAX, False)
+        require("G/T", g_over_t_db, "dB/K", -FLOAT_MAX, False)
     cn0 = eirp_dbw - loss_db + g_over_t_db + BOLTZMANN_DB
-    return require("C/N0", cn0, "dBHz", -FLOAT_MAX, False)
+    if not -FLOAT_MAX <= cn0 <= FLOAT_MAX:
+        require("C/N0", cn0, "dBHz", -FLOAT_MAX, False)
+    return cn0
 
 
 def eb_over_n0(c_over_n0_dbhz: float, data_rate_bps: float) -> float:
     """Energy per bit to noise density: ``C/N0 - 10*log10(R)`` in dB."""
-    require("C/N0", c_over_n0_dbhz, "dBHz", -FLOAT_MAX, False)
-    require("data rate", data_rate_bps, "bit/s")
+    if not (-FLOAT_MAX <= c_over_n0_dbhz <= FLOAT_MAX and 0.0 < data_rate_bps <= FLOAT_MAX):
+        require("C/N0", c_over_n0_dbhz, "dBHz", -FLOAT_MAX, False)
+        require("data rate", data_rate_bps, "bit/s")
     return c_over_n0_dbhz - 10.0 * math.log10(data_rate_bps)
 
 
@@ -144,25 +164,34 @@ class LinkBudget(ValidatedRecord, namedtuple(
     __slots__ = ()
 
     def _check(self):
-        require("transmit power", self.transmit_power_dbw, "dBW", -FLOAT_MAX, False)
-        require("transmit gain", self.transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
-        require("transmit feeder loss", self.transmit_feeder_loss_db, "dB", 0.0, False)
-        # Inline bounds: each ledger name is built only when its entry fails.
+        if not (-FLOAT_MAX <= self.transmit_power_dbw <= FLOAT_MAX
+                and -FLOAT_MAX <= self.transmit_gain_dbi <= FLOAT_MAX
+                and 0.0 <= self.transmit_feeder_loss_db <= FLOAT_MAX):
+            require("transmit power", self.transmit_power_dbw, "dBW", -FLOAT_MAX, False)
+            require("transmit gain", self.transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
+            require("transmit feeder loss", self.transmit_feeder_loss_db, "dB", 0.0, False)
         for name, value in self.losses_db:
             if not 0.0 <= value <= FLOAT_MAX:
                 require(f"loss {name!r}", value, "dB", 0.0, False)
-        require("receive gain", self.receive_gain_dbi, "dBi", -FLOAT_MAX, False)
-        require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
-        require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
-        require("linear feeder loss", self.feeder_loss_linear, "", 1.0, False)
-        require("data rate", self.data_rate_bps, "bit/s")
+        if not (-FLOAT_MAX <= self.receive_gain_dbi <= FLOAT_MAX
+                and 0.0 <= self.antenna_temperature_k <= FLOAT_MAX
+                and 0.0 <= self.receiver_temperature_k <= FLOAT_MAX
+                and 1.0 <= self.feeder_loss_linear <= FLOAT_MAX
+                and 0.0 < self.data_rate_bps <= FLOAT_MAX):
+            require("receive gain", self.receive_gain_dbi, "dBi", -FLOAT_MAX, False)
+            require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
+            require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
+            require("linear feeder loss", self.feeder_loss_linear, "", 1.0, False)
+            require("data rate", self.data_rate_bps, "bit/s")
         for name, value in self.required_eb_n0_db:
             if not -FLOAT_MAX <= value <= FLOAT_MAX:
                 require(f"Eb/N0 threshold {name!r}", value, "dB", -FLOAT_MAX, False)
         if self.path_length_m is not None:
-            require("path length", self.path_length_m, "m")
+            if not 0.0 < self.path_length_m <= FLOAT_MAX:
+                require("path length", self.path_length_m, "m")
         if self.frequency_hz is not None:
-            require("frequency", self.frequency_hz, "Hz")
+            if not 0.0 < self.frequency_hz <= FLOAT_MAX:
+                require("frequency", self.frequency_hz, "Hz")
 
 
 class FslCheck(namedtuple("FslCheck", "ledger_db recomputed_db difference_db flagged")):

@@ -78,25 +78,36 @@ def default_eta0() -> float:
         value = float(raw)
     except ValueError as exc:
         raise DomainError(f"{ETA0_ENV_VAR} must be a number, got {raw!r}") from exc
-    return require(ETA0_ENV_VAR, value, "ohm")
+    if not 0.0 < value <= FLOAT_MAX:
+        require(ETA0_ENV_VAR, value, "ohm")
+    return value
 
 
 def db_to_linear(x: float) -> float:
     """Convert a power-dB value to a linear ratio, ``10**(x/10)``."""
-    require("dB value", x, "dB", -FLOAT_MAX, False, DB_MAX)
-    return require("linear ratio", 10.0 ** (x / 10.0))
+    if not -FLOAT_MAX <= x <= DB_MAX:
+        require("dB value", x, "dB", -FLOAT_MAX, False, DB_MAX)
+    ratio = 10.0 ** (x / 10.0)
+    if not 0.0 < ratio <= FLOAT_MAX:
+        require("linear ratio", ratio)
+    return ratio
 
 
 def linear_to_db(ratio: float) -> float:
     """Convert a positive linear power ratio to dB, ``10*log10(ratio)``."""
-    require("linear ratio", ratio, verbose=True)
+    if not 0.0 < ratio <= FLOAT_MAX:
+        require("linear ratio", ratio, verbose=True)
     return 10.0 * math.log10(ratio)
 
 
 def frequency_to_wavelength(frequency_hz: float) -> float:
     """Wavelength in metres of a wave at ``frequency_hz``."""
-    require("frequency", frequency_hz, "Hz")
-    return require("wavelength", LIGHT_SPEED / frequency_hz, "m")
+    if not 0.0 < frequency_hz <= FLOAT_MAX:
+        require("frequency", frequency_hz, "Hz")
+    wavelength = LIGHT_SPEED / frequency_hz
+    if not 0.0 < wavelength <= FLOAT_MAX:
+        require("wavelength", wavelength, "m")
+    return wavelength
 
 
 def power_from_field(field_v_per_m: float, aperture_m2: float) -> float:
@@ -110,7 +121,10 @@ def power_from_field(field_v_per_m: float, aperture_m2: float) -> float:
     :mod:`rfsense.fieldmetrics`.
     """
     eta_0 = default_eta0()
-    require("aperture", aperture_m2, "m^2")
-    require("field amplitude", field_v_per_m, "V/m", 0.0, False)
+    if not (0.0 < aperture_m2 <= FLOAT_MAX and 0.0 <= field_v_per_m <= FLOAT_MAX):
+        require("aperture", aperture_m2, "m^2")
+        require("field amplitude", field_v_per_m, "V/m", 0.0, False)
     power = aperture_m2 * (field_v_per_m * field_v_per_m) / (2.0 * eta_0)
-    return require("collected power", power, "W", 0.0, False)
+    if not 0.0 <= power <= FLOAT_MAX:
+        require("collected power", power, "W", 0.0, False)
+    return power

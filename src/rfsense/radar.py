@@ -3,7 +3,7 @@
 import math
 from collections import namedtuple
 
-from .errors import DomainError, require
+from .errors import FLOAT_MAX, DomainError, require
 from .quantities import BOLTZMANN, LIGHT_SPEED, ValidatedRecord
 
 __all__ = [
@@ -30,7 +30,8 @@ class PointTarget(ValidatedRecord, namedtuple("PointTarget", "cross_section_m2")
     __slots__ = ()
 
     def _check(self):
-        require("radar cross section", self.cross_section_m2, "m^2", 0.0, False)
+        if not 0.0 <= self.cross_section_m2 <= FLOAT_MAX:
+            require("radar cross section", self.cross_section_m2, "m^2", 0.0, False)
 
 
 class ResolutionCell(ValidatedRecord, namedtuple("ResolutionCell", "sigma0 cell_area_m2")):
@@ -42,8 +43,9 @@ class ResolutionCell(ValidatedRecord, namedtuple("ResolutionCell", "sigma0 cell_
     __slots__ = ()
 
     def _check(self):
-        require("sigma0", self.sigma0, "", 0.0, False)
-        require("resolution cell area", self.cell_area_m2, "m^2")
+        if not (0.0 <= self.sigma0 <= FLOAT_MAX and 0.0 < self.cell_area_m2 <= FLOAT_MAX):
+            require("sigma0", self.sigma0, "", 0.0, False)
+            require("resolution cell area", self.cell_area_m2, "m^2")
 
     @property
     def cross_section_m2(self) -> float:
@@ -67,18 +69,28 @@ class RadarScenario(ValidatedRecord, namedtuple(
     __slots__ = ()
 
     def _check(self):
-        require("transmit power", self.transmit_power_w, "W")
-        require("transmit gain", self.transmit_gain)
-        require("receive gain", self.receive_gain)
-        require("wavelength", self.wavelength_m, "m")
-        require("range", self.range_m, "m")
-        require("system loss", self.system_loss, "", 1.0, False)
-        require("propagation loss", self.propagation_loss, "", 1.0, False)
-        require("processing gain", self.processing_gain, "", 1.0, False)
+        if not (0.0 < self.transmit_power_w <= FLOAT_MAX
+                and 0.0 < self.transmit_gain <= FLOAT_MAX
+                and 0.0 < self.receive_gain <= FLOAT_MAX
+                and 0.0 < self.wavelength_m <= FLOAT_MAX
+                and 0.0 < self.range_m <= FLOAT_MAX
+                and 1.0 <= self.system_loss <= FLOAT_MAX
+                and 1.0 <= self.propagation_loss <= FLOAT_MAX
+                and 1.0 <= self.processing_gain <= FLOAT_MAX):
+            require("transmit power", self.transmit_power_w, "W")
+            require("transmit gain", self.transmit_gain)
+            require("receive gain", self.receive_gain)
+            require("wavelength", self.wavelength_m, "m")
+            require("range", self.range_m, "m")
+            require("system loss", self.system_loss, "", 1.0, False)
+            require("propagation loss", self.propagation_loss, "", 1.0, False)
+            require("processing gain", self.processing_gain, "", 1.0, False)
         if self.system_temperature_k is not None:
-            require("system temperature", self.system_temperature_k, "K", 0.0, False)
+            if not 0.0 <= self.system_temperature_k <= FLOAT_MAX:
+                require("system temperature", self.system_temperature_k, "K", 0.0, False)
         if self.bandwidth_hz is not None:
-            require("bandwidth", self.bandwidth_hz, "Hz")
+            if not 0.0 < self.bandwidth_hz <= FLOAT_MAX:
+                require("bandwidth", self.bandwidth_hz, "Hz")
 
 
 def _one_way_factor(s: RadarScenario) -> float:
@@ -99,7 +111,9 @@ def received_power(s: RadarScenario) -> float:
     if not isinstance(s.target, PointTarget):
         raise DomainError("received_power needs a point-target scenario (sigma form)")
     p_r = _one_way_factor(s) * s.target.cross_section_m2
-    return require("received power", p_r, "W", 0.0, False)
+    if not 0.0 <= p_r <= FLOAT_MAX:
+        require("received power", p_r, "W", 0.0, False)
+    return p_r
 
 
 def processed_received_power(s: RadarScenario) -> float:
@@ -112,29 +126,42 @@ def processed_received_power(s: RadarScenario) -> float:
             "processed_received_power needs a resolution-cell scenario (sigma0 form)"
         )
     p_r = _one_way_factor(s) * s.target.cross_section_m2 * s.processing_gain
-    return require("processed received power", p_r, "W", 0.0, False)
+    if not 0.0 <= p_r <= FLOAT_MAX:
+        require("processed received power", p_r, "W", 0.0, False)
+    return p_r
 
 
 def processing_gain_from_pulse(bandwidth_hz: float, pulse_width_s: float) -> float:
     """Pulse-compression gain as the time-bandwidth product B*tau_p."""
-    require("bandwidth", bandwidth_hz, "Hz")
-    require("pulse width", pulse_width_s, "s")
-    return require("processing gain", bandwidth_hz * pulse_width_s)
+    if not (0.0 < bandwidth_hz <= FLOAT_MAX and 0.0 < pulse_width_s <= FLOAT_MAX):
+        require("bandwidth", bandwidth_hz, "Hz")
+        require("pulse width", pulse_width_s, "s")
+    gain = bandwidth_hz * pulse_width_s
+    if not 0.0 < gain <= FLOAT_MAX:
+        require("processing gain", gain)
+    return gain
 
 
 def noise_power(system_temperature_k: float, bandwidth_hz: float) -> float:
     """Receiver noise power ``P_n = k_B * T_sys * B`` in W."""
-    require("system temperature", system_temperature_k, "K", 0.0, False)
-    require("bandwidth", bandwidth_hz, "Hz")
+    if not (0.0 <= system_temperature_k <= FLOAT_MAX and 0.0 < bandwidth_hz <= FLOAT_MAX):
+        require("system temperature", system_temperature_k, "K", 0.0, False)
+        require("bandwidth", bandwidth_hz, "Hz")
     p_n = BOLTZMANN * system_temperature_k * bandwidth_hz
-    return require("noise power", p_n, "W", 0.0, False)
+    if not 0.0 <= p_n <= FLOAT_MAX:
+        require("noise power", p_n, "W", 0.0, False)
+    return p_n
 
 
 def snr(received_power_w: float, noise_power_w: float) -> float:
     """Signal-to-noise ratio P_r / P_n (linear)."""
-    require("noise power", noise_power_w, "W")
-    require("received power", received_power_w, "W", 0.0, False)
-    return require("SNR", received_power_w / noise_power_w, "", 0.0, False)
+    if not (0.0 < noise_power_w <= FLOAT_MAX and 0.0 <= received_power_w <= FLOAT_MAX):
+        require("noise power", noise_power_w, "W")
+        require("received power", received_power_w, "W", 0.0, False)
+    ratio = received_power_w / noise_power_w
+    if not 0.0 <= ratio <= FLOAT_MAX:
+        require("SNR", ratio, "", 0.0, False)
+    return ratio
 
 
 def nesz(sigma0: float, snr_linear: float) -> float:
@@ -144,9 +171,13 @@ def nesz(sigma0: float, snr_linear: float) -> float:
     at that sigma0.  Under the linear radar model this coincides with solving
     for the sigma0 that yields unit SNR (see :func:`nesz_at_unit_snr`).
     """
-    require("linear SNR", snr_linear)
-    require("sigma0", sigma0, "", 0.0, False)
-    return require("NESZ", sigma0 / snr_linear, "", 0.0, False)
+    if not (0.0 < snr_linear <= FLOAT_MAX and 0.0 <= sigma0 <= FLOAT_MAX):
+        require("linear SNR", snr_linear)
+        require("sigma0", sigma0, "", 0.0, False)
+    ratio = sigma0 / snr_linear
+    if not 0.0 <= ratio <= FLOAT_MAX:
+        require("NESZ", ratio, "", 0.0, False)
+    return ratio
 
 
 def nesz_at_unit_snr(s: RadarScenario) -> float:
@@ -167,13 +198,19 @@ def nesz_at_unit_snr(s: RadarScenario) -> float:
         / s.receive_gain / s.wavelength_m / s.wavelength_m / s.target.cell_area_m2
         / s.processing_gain
     )
-    return require("NESZ", sigma0, "", 0.0, False)
+    if not 0.0 <= sigma0 <= FLOAT_MAX:
+        require("NESZ", sigma0, "", 0.0, False)
+    return sigma0
 
 
 def range_resolution(bandwidth_hz: float) -> float:
     """Slant-range resolution ``delta_R = c / (2B)`` in m."""
-    require("bandwidth", bandwidth_hz, "Hz")
-    return require("range resolution", LIGHT_SPEED / (2.0 * bandwidth_hz), "m")
+    if not 0.0 < bandwidth_hz <= FLOAT_MAX:
+        require("bandwidth", bandwidth_hz, "Hz")
+    resolution = LIGHT_SPEED / (2.0 * bandwidth_hz)
+    if not 0.0 < resolution <= FLOAT_MAX:
+        require("range resolution", resolution, "m")
+    return resolution
 
 
 def max_range_ratio(system_temperature_1_k: float, system_temperature_2_k: float) -> float:
@@ -181,7 +218,11 @@ def max_range_ratio(system_temperature_1_k: float, system_temperature_2_k: float
 
     R_max scales as T_sys^(-1/4), so the ratio is (T1/T2)^(1/4).
     """
-    require("system temperature 1", system_temperature_1_k, "K")
-    require("system temperature 2", system_temperature_2_k, "K")
+    if not (0.0 < system_temperature_1_k <= FLOAT_MAX
+            and 0.0 < system_temperature_2_k <= FLOAT_MAX):
+        require("system temperature 1", system_temperature_1_k, "K")
+        require("system temperature 2", system_temperature_2_k, "K")
     ratio = (system_temperature_1_k / system_temperature_2_k) ** 0.25
-    return require("maximum-range ratio", ratio)
+    if not 0.0 < ratio <= FLOAT_MAX:
+        require("maximum-range ratio", ratio)
+    return ratio

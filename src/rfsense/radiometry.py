@@ -39,11 +39,16 @@ class ReceiverNoiseModel(ValidatedRecord, namedtuple(
     __slots__ = ()
 
     def _check(self):
-        require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
-        require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
-        require("bandwidth", self.bandwidth_hz, "Hz")
-        require("integration time", self.integration_time_s, "s")
-        require("gain stability", self.gain_stability, "", 0.0, False)
+        if not (0.0 <= self.antenna_temperature_k <= FLOAT_MAX
+                and 0.0 <= self.receiver_temperature_k <= FLOAT_MAX
+                and 0.0 < self.bandwidth_hz <= FLOAT_MAX
+                and 0.0 < self.integration_time_s <= FLOAT_MAX
+                and 0.0 <= self.gain_stability <= FLOAT_MAX):
+            require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
+            require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
+            require("bandwidth", self.bandwidth_hz, "Hz")
+            require("integration time", self.integration_time_s, "s")
+            require("gain stability", self.gain_stability, "", 0.0, False)
 
     @property
     def system_temperature_k(self) -> float:
@@ -59,8 +64,7 @@ class CalibrationPoint(ValidatedRecord, namedtuple(
     __slots__ = ()
 
     # A fit builds thousands of points, so this skips the generic namedtuple
-    # constructor and the ``_check`` call that the base's ``__new__`` makes,
-    # and tests the bound inline, calling ``require`` only to raise.
+    # constructor and the ``_check`` call that the base's ``__new__`` makes.
     def __new__(cls, antenna_temperature_k, output_power_w):
         if not (0.0 <= antenna_temperature_k <= FLOAT_MAX
                 and 0.0 <= output_power_w <= FLOAT_MAX):
@@ -98,7 +102,10 @@ def nedt(model: ReceiverNoiseModel) -> float:
     factor = _radiometric_factor(
         model.bandwidth_hz, model.integration_time_s, model.gain_stability
     )
-    return require("NEDT", model.system_temperature_k * factor, "K", 0.0, False)
+    nedt_k = model.system_temperature_k * factor
+    if not 0.0 <= nedt_k <= FLOAT_MAX:
+        require("NEDT", nedt_k, "K", 0.0, False)
+    return nedt_k
 
 
 def radiometer_output_power(
@@ -108,12 +115,19 @@ def radiometer_output_power(
     bandwidth_hz: float,
 ) -> float:
     """Detected output power ``P_out = G * k_B * (T_A + T_Rx) * B_w`` in W."""
-    require("gain", gain)
-    require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
-    require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
-    require("bandwidth", bandwidth_hz, "Hz")
+    if not (0.0 < gain <= FLOAT_MAX
+            and 0.0 <= antenna_temperature_k <= FLOAT_MAX
+            and 0.0 <= receiver_temperature_k <= FLOAT_MAX
+            and 0.0 < bandwidth_hz <= FLOAT_MAX):
+        require("gain", gain)
+        require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
+        require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
+        require("bandwidth", bandwidth_hz, "Hz")
     t_sys = antenna_temperature_k + receiver_temperature_k
-    return require("output power", gain * BOLTZMANN * t_sys * bandwidth_hz, "W", 0.0, False)
+    power = gain * BOLTZMANN * t_sys * bandwidth_hz
+    if not 0.0 <= power <= FLOAT_MAX:
+        require("output power", power, "W", 0.0, False)
+    return power
 
 
 def calibrate_hot_cold(
@@ -142,7 +156,8 @@ def calibrate_hot_cold(
             floating-point range.
         DomainError: non-positive or non-finite bandwidth.
     """
-    require("bandwidth", bandwidth_hz, "Hz")
+    if not 0.0 < bandwidth_hz <= FLOAT_MAX:
+        require("bandwidth", bandwidth_hz, "Hz")
     if len(points) < 2:
         raise SingularFitError("calibration needs at least two points")
     # One pass per column that allocates nothing per point: ``zip(*points)``
@@ -198,9 +213,15 @@ def tsys_from_nedt(
     term defaults to zero, the convention used when inferring T_sys from
     published radiometer sensitivities.
     """
-    require("NEDT", nedt_k, "K")
-    require("bandwidth", bandwidth_hz, "Hz")
-    require("integration time", integration_time_s, "s")
-    require("gain stability", gain_stability, "", 0.0, False)
+    if not (0.0 < nedt_k <= FLOAT_MAX
+            and 0.0 < bandwidth_hz <= FLOAT_MAX
+            and 0.0 < integration_time_s <= FLOAT_MAX
+            and 0.0 <= gain_stability <= FLOAT_MAX):
+        require("NEDT", nedt_k, "K")
+        require("bandwidth", bandwidth_hz, "Hz")
+        require("integration time", integration_time_s, "s")
+        require("gain stability", gain_stability, "", 0.0, False)
     t_sys = nedt_k / _radiometric_factor(bandwidth_hz, integration_time_s, gain_stability)
-    return require("system temperature", t_sys, "K")
+    if not 0.0 < t_sys <= FLOAT_MAX:
+        require("system temperature", t_sys, "K")
+    return t_sys

@@ -25,8 +25,12 @@ ATOMIC_DIPOLE_UNIT = 1.602176634e-19 * 5.29177210903e-11
 
 def dipole_moment(multiple_of_e_a0: float) -> float:
     """Dipole moment in C*m from a multiple of e*a_0."""
-    require("dipole moment multiple of e*a_0", multiple_of_e_a0)
-    return require("dipole moment", multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT, "C*m")
+    if not 0.0 < multiple_of_e_a0 <= FLOAT_MAX:
+        require("dipole moment multiple of e*a_0", multiple_of_e_a0)
+    moment = multiple_of_e_a0 * ATOMIC_DIPOLE_UNIT
+    if not 0.0 < moment <= FLOAT_MAX:
+        require("dipole moment", moment, "C*m")
+    return moment
 
 
 def qpn_nef(dipole_moment_cm: float, atom_count: float, coherence_time_s: float) -> float:
@@ -37,11 +41,16 @@ def qpn_nef(dipole_moment_cm: float, atom_count: float, coherence_time_s: float)
     coherence time; a shorter integration makes the expression underestimate
     the floor.
     """
-    require("dipole moment", dipole_moment_cm, "C*m")
-    require("atom count", atom_count)
-    require("coherence time", coherence_time_s, "s")
+    if not (0.0 < dipole_moment_cm <= FLOAT_MAX
+            and 0.0 < atom_count <= FLOAT_MAX
+            and 0.0 < coherence_time_s <= FLOAT_MAX):
+        require("dipole moment", dipole_moment_cm, "C*m")
+        require("atom count", atom_count)
+        require("coherence time", coherence_time_s, "s")
     nef = PLANCK / dipole_moment_cm / math.sqrt(atom_count) / math.sqrt(coherence_time_s)
-    return require("projection-noise NEF", nef, "V/m/sqrt(Hz)")
+    if not 0.0 < nef <= FLOAT_MAX:
+        require("projection-noise NEF", nef, "V/m/sqrt(Hz)")
+    return nef
 
 
 def photon_shot_noise_nep(probe_power_w: float, probe_frequency_hz: float) -> float:
@@ -49,10 +58,13 @@ def photon_shot_noise_nep(probe_power_w: float, probe_frequency_hz: float) -> fl
 
     P_SN = sqrt(P_probe * h * nu_p) for detected average probe power P_probe.
     """
-    require("probe power", probe_power_w, "W", 0.0, False)
-    require("probe frequency", probe_frequency_hz, "Hz")
+    if not (0.0 <= probe_power_w <= FLOAT_MAX and 0.0 < probe_frequency_hz <= FLOAT_MAX):
+        require("probe power", probe_power_w, "W", 0.0, False)
+        require("probe frequency", probe_frequency_hz, "Hz")
     nep = math.sqrt(probe_power_w * PLANCK * probe_frequency_hz)
-    return require("shot-noise NEP", nep, "W/sqrt(Hz)", 0.0, False)
+    if not 0.0 <= nep <= FLOAT_MAX:
+        require("shot-noise NEP", nep, "W/sqrt(Hz)", 0.0, False)
+    return nep
 
 
 def rabi_from_field(
@@ -67,11 +79,16 @@ def rabi_from_field(
     external standard.  ``alignment_cosine`` scales the scalar product for a
     field not aligned with the dipole.
     """
-    require("dipole moment", dipole_moment_cm, "C*m")
-    require("field amplitude", field_v_per_m, "V/m", 0.0, False)
-    require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
+    if not (0.0 < dipole_moment_cm <= FLOAT_MAX
+            and 0.0 <= field_v_per_m <= FLOAT_MAX
+            and -1.0 <= alignment_cosine <= 1.0):
+        require("dipole moment", dipole_moment_cm, "C*m")
+        require("field amplitude", field_v_per_m, "V/m", 0.0, False)
+        require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
     rabi = dipole_moment_cm * field_v_per_m * alignment_cosine / REDUCED_PLANCK
-    return require("Rabi frequency", rabi, "rad/s", -FLOAT_MAX, False)
+    if not -FLOAT_MAX <= rabi <= FLOAT_MAX:
+        require("Rabi frequency", rabi, "rad/s", -FLOAT_MAX, False)
+    return rabi
 
 
 def field_from_rabi(
@@ -81,12 +98,18 @@ def field_from_rabi(
 ) -> float:
     """Field amplitude from a measured Rabi frequency; inverse of
     :func:`rabi_from_field`."""
-    require("dipole moment", dipole_moment_cm, "C*m")
-    require("Rabi frequency", rabi_rad_per_s, "rad/s", 0.0, False)
-    if require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0) == 0.0:
+    if not (0.0 < dipole_moment_cm <= FLOAT_MAX
+            and 0.0 <= rabi_rad_per_s <= FLOAT_MAX
+            and -1.0 <= alignment_cosine <= 1.0):
+        require("dipole moment", dipole_moment_cm, "C*m")
+        require("Rabi frequency", rabi_rad_per_s, "rad/s", 0.0, False)
+        require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
+    if alignment_cosine == 0.0:
         raise DomainError("alignment cosine must be non-zero")
     field = rabi_rad_per_s * REDUCED_PLANCK / dipole_moment_cm / alignment_cosine
-    return require("field amplitude", field, "V/m", -FLOAT_MAX, False)
+    if not -FLOAT_MAX <= field <= FLOAT_MAX:
+        require("field amplitude", field, "V/m", -FLOAT_MAX, False)
+    return field
 
 
 def ac_stark_shift(
@@ -101,12 +124,18 @@ def ac_stark_shift(
     two-level far-detuned convention, supplied as a convention rather than a
     measured constant, and callers should override it for their own system.
     """
-    require("Rabi frequency", rabi_rad_per_s, "rad/s", -FLOAT_MAX, False)
-    if require("detuning", detuning_rad_per_s, "rad/s", -FLOAT_MAX, False) == 0.0:
+    if not (-FLOAT_MAX <= rabi_rad_per_s <= FLOAT_MAX
+            and -FLOAT_MAX <= detuning_rad_per_s <= FLOAT_MAX):
+        require("Rabi frequency", rabi_rad_per_s, "rad/s", -FLOAT_MAX, False)
+        require("detuning", detuning_rad_per_s, "rad/s", -FLOAT_MAX, False)
+    if detuning_rad_per_s == 0.0:
         raise DomainError("detuning must be non-zero (resonant case has no Stark shift)")
-    require("Stark proportionality constant", proportionality, "", -FLOAT_MAX, False)
+    if not -FLOAT_MAX <= proportionality <= FLOAT_MAX:
+        require("Stark proportionality constant", proportionality, "", -FLOAT_MAX, False)
     shift = proportionality * (rabi_rad_per_s * rabi_rad_per_s) / detuning_rad_per_s
-    return require("AC Stark shift", shift, "rad/s", -FLOAT_MAX, False)
+    if not -FLOAT_MAX <= shift <= FLOAT_MAX:
+        require("AC Stark shift", shift, "rad/s", -FLOAT_MAX, False)
+    return shift
 
 
 def compare_to_classical(

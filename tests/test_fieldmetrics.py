@@ -172,6 +172,23 @@ class TestNefFromGain:
             math.sqrt(2.0) * nef_from_gain(7000.0, 1.5, 96e9, 1.0), rel=1e-12
         )
 
+    def test_nef_whose_aperture_overflows(self):
+        t_sys, gain, f = 1e300, 1e10, 1e-160
+        with localcontext() as context:
+            context.prec = 60
+            wavelength = Decimal(LIGHT_SPEED) / Decimal(f)
+            aperture = Decimal(gain) * wavelength * wavelength / (4 * Decimal(math.pi))
+            reference = (Decimal(BOLTZMANN) * Decimal(t_sys) * Decimal(ETA_0) / aperture).sqrt()
+        assert aperture > Decimal(sys.float_info.max)
+        assert float(reference) == pytest.approx(8.527881e-34, rel=1e-6)
+        assert nef_from_gain(t_sys, gain, f, 1.0) == pytest.approx(float(reference), rel=1e-12)
+
+    def test_nef_whose_aperture_root_underflows_is_a_named_overflow(self):
+        # sqrt(A_e) is about 1.9e-384 and the NEF about 1e376.
+        with pytest.raises(DomainError) as caught:
+            nef_from_gain(7000.0, 5e-324, 1e300)
+        assert str(caught.value) == "NEF must be finite and > 0 V/m/sqrt(Hz), got inf"
+
 
 class TestTsysFromNef:
     def test_96ghz_dipole_coupled_inverse(self):
