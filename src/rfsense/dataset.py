@@ -143,17 +143,22 @@ class CategoryRange(ValidatedRecord, namedtuple(
 
     __slots__ = ()
 
-    def _check(self):
+    def __new__(cls, category, f0_min_hz, f0_max_hz, a_e_min_m2, a_e_max_m2, t_sys_min_k,
+                t_sys_max_k, bandwidth_min_hz, bandwidth_max_hz, e_free_min, e_free_max, members):
         pairs = (
-            (self.f0_min_hz, self.f0_max_hz),
-            (self.a_e_min_m2, self.a_e_max_m2),
-            (self.t_sys_min_k, self.t_sys_max_k),
-            (self.bandwidth_min_hz, self.bandwidth_max_hz),
-            (self.e_free_min, self.e_free_max),
+            (f0_min_hz, f0_max_hz),
+            (a_e_min_m2, a_e_max_m2),
+            (t_sys_min_k, t_sys_max_k),
+            (bandwidth_min_hz, bandwidth_max_hz),
+            (e_free_min, e_free_max),
         )
         for low, high in pairs:
             if low > high:
                 raise DomainError(f"range bounds out of order: {low:g} > {high:g}")
+        return tuple.__new__(cls, (
+            category, f0_min_hz, f0_max_hz, a_e_min_m2, a_e_max_m2, t_sys_min_k, t_sys_max_k,
+            bandwidth_min_hz, bandwidth_max_hz, e_free_min, e_free_max, members,
+        ))
 
 
 def _check_figures(figures: int) -> None:

@@ -31,12 +31,13 @@ def require(name, value, unit="", low=0.0, strict=True, high=FLOAT_MAX, verbose=
     parameter: ``"<name> must be > 0 Hz"`` for a finite value outside the
     bound (``unit`` follows the bound), and ``"<name> must be finite and
     > 0 Hz, got nan"`` for a non-finite value, or for any value when
-    ``verbose`` is set.  Every caller tests the bound inline and calls
-    ``require`` with the same arguments only when that test fails: a run of
-    checks sits behind one ``if not (...)`` of their bounds in the same
-    order, and a checked result is bound to a name, tested and returned.  So
-    a passing check costs its comparisons, the message is still built here
-    and nowhere else, and the first failing check is still the one raised.
+    ``verbose`` is set.  Every caller, an engine function or a record's
+    ``__new__`` alike, tests the bound inline and calls ``require`` with the
+    same arguments only when that test fails: a run of checks sits behind
+    one ``if not (...)`` of their bounds in the same order, and a checked
+    result is bound to a name, tested and returned.  So a passing check
+    costs its comparisons, the message is still built here and nowhere
+    else, and the first failing check is still the one raised.
     """
     if (low < value <= high) if strict else (low <= value <= high):
         return value

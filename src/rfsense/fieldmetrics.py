@@ -64,7 +64,6 @@ def default_polarisation_coupling(coherence: str) -> float:
 class ReceiverReference(ValidatedRecord, namedtuple(
     "ReceiverReference",
     "system_temperature_k effective_aperture_m2 rho2",
-    defaults=(1.0,),
 )):
     """A classical receiver reference: T_sys, effective aperture and rho^2.
 
@@ -76,13 +75,14 @@ class ReceiverReference(ValidatedRecord, namedtuple(
 
     __slots__ = ()
 
-    def _check(self):
-        if not (0.0 < self.system_temperature_k <= FLOAT_MAX
-                and 0.0 < self.effective_aperture_m2 <= FLOAT_MAX
-                and 0.0 < self.rho2 <= 1.0):
-            require("system temperature", self.system_temperature_k, "K")
-            require("effective aperture", self.effective_aperture_m2, "m^2")
-            require("polarisation coupling rho^2", self.rho2, "", 0.0, True, 1.0)
+    def __new__(cls, system_temperature_k, effective_aperture_m2, rho2=1.0):
+        if not (0.0 < system_temperature_k <= FLOAT_MAX
+                and 0.0 < effective_aperture_m2 <= FLOAT_MAX
+                and 0.0 < rho2 <= 1.0):
+            require("system temperature", system_temperature_k, "K")
+            require("effective aperture", effective_aperture_m2, "m^2")
+            require("polarisation coupling rho^2", rho2, "", 0.0, True, 1.0)
+        return tuple.__new__(cls, (system_temperature_k, effective_aperture_m2, rho2))
 
 
 class CavityCoupling(ValidatedRecord, namedtuple(
@@ -98,15 +98,16 @@ class CavityCoupling(ValidatedRecord, namedtuple(
 
     __slots__ = ()
 
-    def _check(self):
-        if not (0.0 < self.frequency_hz <= FLOAT_MAX
-                and 0.0 < self.q_loaded <= FLOAT_MAX
-                and 0.0 < self.rf_efficiency <= 1.0
-                and 0.0 < self.mode_volume_m3 <= FLOAT_MAX):
-            require("centre frequency", self.frequency_hz, "Hz")
-            require("loaded quality factor", self.q_loaded)
-            require("RF transfer efficiency", self.rf_efficiency, "", 0.0, True, 1.0)
-            require("mode volume", self.mode_volume_m3, "m^3")
+    def __new__(cls, frequency_hz, q_loaded, rf_efficiency, mode_volume_m3):
+        if not (0.0 < frequency_hz <= FLOAT_MAX
+                and 0.0 < q_loaded <= FLOAT_MAX
+                and 0.0 < rf_efficiency <= 1.0
+                and 0.0 < mode_volume_m3 <= FLOAT_MAX):
+            require("centre frequency", frequency_hz, "Hz")
+            require("loaded quality factor", q_loaded)
+            require("RF transfer efficiency", rf_efficiency, "", 0.0, True, 1.0)
+            require("mode volume", mode_volume_m3, "m^3")
+        return tuple.__new__(cls, (frequency_hz, q_loaded, rf_efficiency, mode_volume_m3))
 
     @classmethod
     def from_quality_factors(

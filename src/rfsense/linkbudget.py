@@ -150,7 +150,6 @@ class LinkBudget(ValidatedRecord, namedtuple(
     "transmit_power_dbw transmit_gain_dbi transmit_feeder_loss_db losses_db receive_gain_dbi"
     " antenna_temperature_k receiver_temperature_k feeder_loss_linear data_rate_bps"
     " required_eb_n0_db path_length_m frequency_hz",
-    defaults=(DEFAULT_EBN0_THRESHOLDS_DB, None, None),
 )):
     """Inputs of a one-way communication link.
 
@@ -163,35 +162,43 @@ class LinkBudget(ValidatedRecord, namedtuple(
 
     __slots__ = ()
 
-    def _check(self):
-        if not (-FLOAT_MAX <= self.transmit_power_dbw <= FLOAT_MAX
-                and -FLOAT_MAX <= self.transmit_gain_dbi <= FLOAT_MAX
-                and 0.0 <= self.transmit_feeder_loss_db <= FLOAT_MAX):
-            require("transmit power", self.transmit_power_dbw, "dBW", -FLOAT_MAX, False)
-            require("transmit gain", self.transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
-            require("transmit feeder loss", self.transmit_feeder_loss_db, "dB", 0.0, False)
-        for name, value in self.losses_db:
+    def __new__(cls, transmit_power_dbw, transmit_gain_dbi, transmit_feeder_loss_db, losses_db,
+                receive_gain_dbi, antenna_temperature_k, receiver_temperature_k,
+                feeder_loss_linear, data_rate_bps, required_eb_n0_db=DEFAULT_EBN0_THRESHOLDS_DB,
+                path_length_m=None, frequency_hz=None):
+        if not (-FLOAT_MAX <= transmit_power_dbw <= FLOAT_MAX
+                and -FLOAT_MAX <= transmit_gain_dbi <= FLOAT_MAX
+                and 0.0 <= transmit_feeder_loss_db <= FLOAT_MAX):
+            require("transmit power", transmit_power_dbw, "dBW", -FLOAT_MAX, False)
+            require("transmit gain", transmit_gain_dbi, "dBi", -FLOAT_MAX, False)
+            require("transmit feeder loss", transmit_feeder_loss_db, "dB", 0.0, False)
+        for name, value in losses_db:
             if not 0.0 <= value <= FLOAT_MAX:
                 require(f"loss {name!r}", value, "dB", 0.0, False)
-        if not (-FLOAT_MAX <= self.receive_gain_dbi <= FLOAT_MAX
-                and 0.0 <= self.antenna_temperature_k <= FLOAT_MAX
-                and 0.0 <= self.receiver_temperature_k <= FLOAT_MAX
-                and 1.0 <= self.feeder_loss_linear <= FLOAT_MAX
-                and 0.0 < self.data_rate_bps <= FLOAT_MAX):
-            require("receive gain", self.receive_gain_dbi, "dBi", -FLOAT_MAX, False)
-            require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
-            require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
-            require("linear feeder loss", self.feeder_loss_linear, "", 1.0, False)
-            require("data rate", self.data_rate_bps, "bit/s")
-        for name, value in self.required_eb_n0_db:
+        if not (-FLOAT_MAX <= receive_gain_dbi <= FLOAT_MAX
+                and 0.0 <= antenna_temperature_k <= FLOAT_MAX
+                and 0.0 <= receiver_temperature_k <= FLOAT_MAX
+                and 1.0 <= feeder_loss_linear <= FLOAT_MAX
+                and 0.0 < data_rate_bps <= FLOAT_MAX):
+            require("receive gain", receive_gain_dbi, "dBi", -FLOAT_MAX, False)
+            require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
+            require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
+            require("linear feeder loss", feeder_loss_linear, "", 1.0, False)
+            require("data rate", data_rate_bps, "bit/s")
+        for name, value in required_eb_n0_db:
             if not -FLOAT_MAX <= value <= FLOAT_MAX:
                 require(f"Eb/N0 threshold {name!r}", value, "dB", -FLOAT_MAX, False)
-        if self.path_length_m is not None:
-            if not 0.0 < self.path_length_m <= FLOAT_MAX:
-                require("path length", self.path_length_m, "m")
-        if self.frequency_hz is not None:
-            if not 0.0 < self.frequency_hz <= FLOAT_MAX:
-                require("frequency", self.frequency_hz, "Hz")
+        if path_length_m is not None:
+            if not 0.0 < path_length_m <= FLOAT_MAX:
+                require("path length", path_length_m, "m")
+        if frequency_hz is not None:
+            if not 0.0 < frequency_hz <= FLOAT_MAX:
+                require("frequency", frequency_hz, "Hz")
+        return tuple.__new__(cls, (
+            transmit_power_dbw, transmit_gain_dbi, transmit_feeder_loss_db, losses_db,
+            receive_gain_dbi, antenna_temperature_k, receiver_temperature_k, feeder_loss_linear,
+            data_rate_bps, required_eb_n0_db, path_length_m, frequency_hz,
+        ))
 
 
 class FslCheck(namedtuple("FslCheck", "ledger_db recomputed_db difference_db flagged")):

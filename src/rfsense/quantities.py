@@ -41,18 +41,16 @@ class ValidatedRecord(tuple):
     """Base of a record that checks its fields when built and in ``_replace``.
 
     Every record type is a namedtuple subclass with ``__slots__ = ()``.  One
-    that validates its fields lists this base before its namedtuple and
-    defines ``_check(self)``, which raises on a bad field.  ``_replace``
+    that validates its fields lists this base before its namedtuple and is
+    built one way, by its own ``__new__(cls, <its fields, in order>)``,
+    whose signature is the one owner of the defaults.  That ``__new__``
+    tests each bound inline on the arguments, calls ``require`` only to
+    raise, and returns ``tuple.__new__(cls, (<its fields>))``.  ``_replace``
     builds through ``_make``, which for a bare namedtuple is
     ``tuple.__new__`` and would skip the checks; here it is the constructor.
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
 
     @classmethod
     def _make(cls, values):
@@ -124,7 +122,9 @@ def power_from_field(field_v_per_m: float, aperture_m2: float) -> float:
     if not (0.0 < aperture_m2 <= FLOAT_MAX and 0.0 <= field_v_per_m <= FLOAT_MAX):
         require("aperture", aperture_m2, "m^2")
         require("field amplitude", field_v_per_m, "V/m", 0.0, False)
-    power = aperture_m2 * (field_v_per_m * field_v_per_m) / (2.0 * eta_0)
+    # One root per factor: A*E*E overflows, or E*E underflows, where the power does not.
+    root = math.sqrt(aperture_m2) * field_v_per_m / math.sqrt(2.0 * eta_0)
+    power = root * root
     if not 0.0 <= power <= FLOAT_MAX:
         require("collected power", power, "W", 0.0, False)
     return power

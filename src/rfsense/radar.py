@@ -29,9 +29,10 @@ class PointTarget(ValidatedRecord, namedtuple("PointTarget", "cross_section_m2")
 
     __slots__ = ()
 
-    def _check(self):
-        if not 0.0 <= self.cross_section_m2 <= FLOAT_MAX:
-            require("radar cross section", self.cross_section_m2, "m^2", 0.0, False)
+    def __new__(cls, cross_section_m2):
+        if not 0.0 <= cross_section_m2 <= FLOAT_MAX:
+            require("radar cross section", cross_section_m2, "m^2", 0.0, False)
+        return tuple.__new__(cls, (cross_section_m2,))
 
 
 class ResolutionCell(ValidatedRecord, namedtuple("ResolutionCell", "sigma0 cell_area_m2")):
@@ -42,10 +43,11 @@ class ResolutionCell(ValidatedRecord, namedtuple("ResolutionCell", "sigma0 cell_
 
     __slots__ = ()
 
-    def _check(self):
-        if not (0.0 <= self.sigma0 <= FLOAT_MAX and 0.0 < self.cell_area_m2 <= FLOAT_MAX):
-            require("sigma0", self.sigma0, "", 0.0, False)
-            require("resolution cell area", self.cell_area_m2, "m^2")
+    def __new__(cls, sigma0, cell_area_m2):
+        if not (0.0 <= sigma0 <= FLOAT_MAX and 0.0 < cell_area_m2 <= FLOAT_MAX):
+            require("sigma0", sigma0, "", 0.0, False)
+            require("resolution cell area", cell_area_m2, "m^2")
+        return tuple.__new__(cls, (sigma0, cell_area_m2))
 
     @property
     def cross_section_m2(self) -> float:
@@ -56,7 +58,6 @@ class RadarScenario(ValidatedRecord, namedtuple(
     "RadarScenario",
     "transmit_power_w transmit_gain receive_gain wavelength_m target range_m system_loss"
     " propagation_loss processing_gain system_temperature_k bandwidth_hz",
-    defaults=(1.0, 1.0, 1.0, None, None),
 )):
     """One radar link.
 
@@ -68,29 +69,35 @@ class RadarScenario(ValidatedRecord, namedtuple(
 
     __slots__ = ()
 
-    def _check(self):
-        if not (0.0 < self.transmit_power_w <= FLOAT_MAX
-                and 0.0 < self.transmit_gain <= FLOAT_MAX
-                and 0.0 < self.receive_gain <= FLOAT_MAX
-                and 0.0 < self.wavelength_m <= FLOAT_MAX
-                and 0.0 < self.range_m <= FLOAT_MAX
-                and 1.0 <= self.system_loss <= FLOAT_MAX
-                and 1.0 <= self.propagation_loss <= FLOAT_MAX
-                and 1.0 <= self.processing_gain <= FLOAT_MAX):
-            require("transmit power", self.transmit_power_w, "W")
-            require("transmit gain", self.transmit_gain)
-            require("receive gain", self.receive_gain)
-            require("wavelength", self.wavelength_m, "m")
-            require("range", self.range_m, "m")
-            require("system loss", self.system_loss, "", 1.0, False)
-            require("propagation loss", self.propagation_loss, "", 1.0, False)
-            require("processing gain", self.processing_gain, "", 1.0, False)
-        if self.system_temperature_k is not None:
-            if not 0.0 <= self.system_temperature_k <= FLOAT_MAX:
-                require("system temperature", self.system_temperature_k, "K", 0.0, False)
-        if self.bandwidth_hz is not None:
-            if not 0.0 < self.bandwidth_hz <= FLOAT_MAX:
-                require("bandwidth", self.bandwidth_hz, "Hz")
+    def __new__(cls, transmit_power_w, transmit_gain, receive_gain, wavelength_m, target,
+                range_m, system_loss=1.0, propagation_loss=1.0, processing_gain=1.0,
+                system_temperature_k=None, bandwidth_hz=None):
+        if not (0.0 < transmit_power_w <= FLOAT_MAX
+                and 0.0 < transmit_gain <= FLOAT_MAX
+                and 0.0 < receive_gain <= FLOAT_MAX
+                and 0.0 < wavelength_m <= FLOAT_MAX
+                and 0.0 < range_m <= FLOAT_MAX
+                and 1.0 <= system_loss <= FLOAT_MAX
+                and 1.0 <= propagation_loss <= FLOAT_MAX
+                and 1.0 <= processing_gain <= FLOAT_MAX):
+            require("transmit power", transmit_power_w, "W")
+            require("transmit gain", transmit_gain)
+            require("receive gain", receive_gain)
+            require("wavelength", wavelength_m, "m")
+            require("range", range_m, "m")
+            require("system loss", system_loss, "", 1.0, False)
+            require("propagation loss", propagation_loss, "", 1.0, False)
+            require("processing gain", processing_gain, "", 1.0, False)
+        if system_temperature_k is not None:
+            if not 0.0 <= system_temperature_k <= FLOAT_MAX:
+                require("system temperature", system_temperature_k, "K", 0.0, False)
+        if bandwidth_hz is not None:
+            if not 0.0 < bandwidth_hz <= FLOAT_MAX:
+                require("bandwidth", bandwidth_hz, "Hz")
+        return tuple.__new__(cls, (
+            transmit_power_w, transmit_gain, receive_gain, wavelength_m, target, range_m,
+            system_loss, propagation_loss, processing_gain, system_temperature_k, bandwidth_hz,
+        ))
 
 
 def _one_way_factor(s: RadarScenario) -> float:

@@ -23,7 +23,6 @@ class ReceiverNoiseModel(ValidatedRecord, namedtuple(
     "ReceiverNoiseModel",
     "antenna_temperature_k receiver_temperature_k bandwidth_hz integration_time_s"
     " gain_stability",
-    defaults=(0.0,),
 )):
     """Noise description of a total-power radiometer channel.
 
@@ -38,17 +37,20 @@ class ReceiverNoiseModel(ValidatedRecord, namedtuple(
 
     __slots__ = ()
 
-    def _check(self):
-        if not (0.0 <= self.antenna_temperature_k <= FLOAT_MAX
-                and 0.0 <= self.receiver_temperature_k <= FLOAT_MAX
-                and 0.0 < self.bandwidth_hz <= FLOAT_MAX
-                and 0.0 < self.integration_time_s <= FLOAT_MAX
-                and 0.0 <= self.gain_stability <= FLOAT_MAX):
-            require("antenna temperature", self.antenna_temperature_k, "K", 0.0, False)
-            require("receiver temperature", self.receiver_temperature_k, "K", 0.0, False)
-            require("bandwidth", self.bandwidth_hz, "Hz")
-            require("integration time", self.integration_time_s, "s")
-            require("gain stability", self.gain_stability, "", 0.0, False)
+    def __new__(cls, antenna_temperature_k, receiver_temperature_k, bandwidth_hz,
+                integration_time_s, gain_stability=0.0):
+        if not (0.0 <= antenna_temperature_k <= FLOAT_MAX
+                and 0.0 <= receiver_temperature_k <= FLOAT_MAX
+                and 0.0 < bandwidth_hz <= FLOAT_MAX
+                and 0.0 < integration_time_s <= FLOAT_MAX
+                and 0.0 <= gain_stability <= FLOAT_MAX):
+            require("antenna temperature", antenna_temperature_k, "K", 0.0, False)
+            require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
+            require("bandwidth", bandwidth_hz, "Hz")
+            require("integration time", integration_time_s, "s")
+            require("gain stability", gain_stability, "", 0.0, False)
+        return tuple.__new__(cls, (antenna_temperature_k, receiver_temperature_k, bandwidth_hz,
+                                   integration_time_s, gain_stability))
 
     @property
     def system_temperature_k(self) -> float:
@@ -63,8 +65,6 @@ class CalibrationPoint(ValidatedRecord, namedtuple(
 
     __slots__ = ()
 
-    # A fit builds thousands of points, so this skips the generic namedtuple
-    # constructor and the ``_check`` call that the base's ``__new__`` makes.
     def __new__(cls, antenna_temperature_k, output_power_w):
         if not (0.0 <= antenna_temperature_k <= FLOAT_MAX
                 and 0.0 <= output_power_w <= FLOAT_MAX):

@@ -61,7 +61,8 @@ def photon_shot_noise_nep(probe_power_w: float, probe_frequency_hz: float) -> fl
     if not (0.0 <= probe_power_w <= FLOAT_MAX and 0.0 < probe_frequency_hz <= FLOAT_MAX):
         require("probe power", probe_power_w, "W", 0.0, False)
         require("probe frequency", probe_frequency_hz, "Hz")
-    nep = math.sqrt(probe_power_w * PLANCK * probe_frequency_hz)
+    # One root per factor: the radicand P*h*nu can overflow where its root does not.
+    nep = math.sqrt(probe_power_w) * math.sqrt(PLANCK) * math.sqrt(probe_frequency_hz)
     if not 0.0 <= nep <= FLOAT_MAX:
         require("shot-noise NEP", nep, "W/sqrt(Hz)", 0.0, False)
     return nep

@@ -91,6 +91,13 @@ RYDBERG_WARNING_ARGS = ["rydberg", "--dipole-ea0", "3000", "--atoms", "1e6",
                         "--coherence-time", "10us", "--integration-time", "1us"]
 ENHANCE_WARNING_ARGS = ["enhance", "--f0", "10ghz", "--q-loaded", "1", "--rf-efficiency", "0.5",
                         "--mode-volume", "1", "--tsys", "50", "--aperture", "1e-6"]
+# A point target, and an imaging cell with every optional radar output.
+RADAR_GOLDEN_ARGS = ["radar", "--tx-power", "1e3w", "--tx-gain", "1e3lin", "--rx-gain", "1e3lin",
+                     "--wavelength", "0.03m", "--sigma", "1m2", "--range", "100km"]
+RADAR_CELL_ARGS = ["radar", "--tx-power", "2000w", "--tx-gain", "40dbi", "--rx-gain", "40dbi",
+                   "--frequency", "10ghz", "--sigma0", "0.05", "--cell-area", "100m2",
+                   "--range", "800km", "--pulse-width", "10us", "--tsys", "500",
+                   "--bandwidth", "20mhz", "--compare-tsys", "300"]
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +161,8 @@ GOLDEN_CASES = [
     (ENHANCE_WARNING_ARGS, "enhance_warning.json"),
     (BUDGET_CSV_ARGS, "budget.csv"),
     (BUDGET_TEXT_ARGS, "budget.txt"),
+    (RADAR_GOLDEN_ARGS, "radar.json"),
+    (RADAR_CELL_ARGS, "radar_cell.json"),
 ]
 
 
@@ -165,7 +174,7 @@ class TestGoldenFiles:
              "dataset-derive-csv", "dataset-plotdata", "dataset-derive-text",
              "dataset-ranges-json", "nedt", "nedt-inverse", "nef-gain", "convert", "rydberg",
              "enhance-q-factors", "rydberg-warning", "enhance-warning", "budget-csv",
-             "budget-text"],
+             "budget-text", "radar", "radar-cell"],
     )
     def test_byte_identical_across_runs_and_matches_golden(self, capsys, argv, golden):
         code1, out1, _ = run(capsys, argv)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,23 @@ class TestPowerFromField:
     def test_non_positive_aperture_rejected(self):
         with pytest.raises(DomainError):
             power_from_field(1.0, 0.0)
+
+    # A*E*E underflows or overflows where the power does not: one root per factor.
+    @pytest.mark.parametrize("field,aperture,expected", [
+        (1e200, 1e-300, 1.3272093639924966e97),
+        (1e5, 1e300, 1.3272093639924967e307),
+    ])
+    def test_power_whose_product_leaves_the_float_range(self, field, aperture, expected):
+        with localcontext() as context:
+            context.prec = 60
+            reference = Decimal(aperture) * Decimal(field) * Decimal(field) / (2 * Decimal(ETA_0))
+        assert float(reference) == pytest.approx(expected, rel=1e-15)
+        assert power_from_field(field, aperture) == pytest.approx(float(reference), rel=1e-12)
+
+    def test_power_beyond_the_float_range_is_named(self):
+        with pytest.raises(DomainError) as caught:
+            power_from_field(1e300, 1e300)
+        assert str(caught.value) == "collected power must be finite and >= 0 W, got inf"
 
     @settings(max_examples=250)
     @given(

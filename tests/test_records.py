@@ -1,10 +1,12 @@
+import inspect
 import math
+import sys
 
 import pytest
 
 # With rydberg, every engine module and dataset is imported here, so every
 # subclass of ValidatedRecord is defined.
-from rfsense import rydberg  # noqa: F401
+from rfsense import errors, rydberg  # noqa: F401
 from rfsense.dataset import CategoryRange
 from rfsense.errors import DomainError
 from rfsense.fieldmetrics import CavityCoupling, ReceiverReference
@@ -92,3 +94,41 @@ def test_every_validated_record_has_a_replace_case():
 
     covered = {type(record) for record, _, _ in VALIDATED}
     assert set(subclasses(ValidatedRecord)) <= covered
+
+
+# Each record is built one way, by its own ``__new__``: its parameters are its
+# fields in order, and its signature is the one owner of the defaults.
+@pytest.mark.parametrize("record", [r for r, _, _ in VALIDATED],
+                         ids=[type(r).__name__ for r, _, _ in VALIDATED])
+def test_each_record_new_takes_its_fields_with_their_defaults(record):
+    cls = type(record)
+    assert "__new__" in vars(cls)
+    parameters = list(inspect.signature(cls.__new__).parameters.values())[1:]
+    assert tuple(parameter.name for parameter in parameters) == cls._fields
+    assert {parameter.kind for parameter in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = tuple(p.default for p in parameters if p.default is not p.empty)
+    required = len(parameters) - len(defaults)
+    assert cls._field_defaults == {}
+    assert cls(*record[:required])[required:] == defaults
+
+
+@pytest.mark.parametrize("record, change", [(r, c) for r, c, _ in VALIDATED],
+                         ids=[type(r).__name__ for r, _, _ in VALIDATED])
+def test_a_valid_construction_makes_no_require_call(record, change, monkeypatch):
+    names = []
+
+    def counting(*args, **kwargs):
+        names.append(args[0])
+        return errors.require(*args, **kwargs)
+
+    module = sys.modules[type(record).__module__]
+    monkeypatch.setattr(module, "require", counting)
+    type(record)(*record)
+    type(record)(**record._asdict())
+    record._replace()
+    assert names == []
+    # The wrapper sees the bound that fails, so the count above is not vacuous.
+    # CategoryRange's order test raises its DomainError without ``require``.
+    with pytest.raises(DomainError):
+        record._replace(**change)
+    assert names or type(record) is CategoryRange

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,14 @@ class TestPhotonShotNoise:
     def test_non_positive_frequency_rejected(self):
         with pytest.raises(DomainError):
             photon_shot_noise_nep(1e-3, 0.0)
+
+    def test_nep_whose_radicand_overflows(self):
+        # P*h*nu is about 6.6e266 beyond the largest float; its root is not.
+        with localcontext() as context:
+            context.prec = 60
+            reference = (Decimal(1e300) * Decimal(PLANCK) * Decimal(1e300)).sqrt()
+        assert float(reference) == pytest.approx(2.574115411165552e283, rel=1e-15)
+        assert photon_shot_noise_nep(1e300, 1e300) == pytest.approx(float(reference), rel=1e-12)
 
 
 class TestRabiCalibration:
