@@ -2,7 +2,7 @@
 
 from .cli import (_RHO2, Flag, area_flag, distance_flag, frequency_flag, gain_flag, plain_flag,
                   ratio_db_flag, temperature_flag, volume_flag)
-from .errors import DomainError, require
+from .errors import FLOAT_MAX, DomainError, require
 
 
 def _aperture_from_args(args) -> float:
@@ -33,7 +33,8 @@ def _aperture_from_args(args) -> float:
 def _cmd_nef(args) -> dict:
     from . import fieldmetrics as fm
 
-    require("--tsys", args.tsys)
+    if not 0.0 < args.tsys <= FLOAT_MAX:
+        require("--tsys", args.tsys)
     aperture = _aperture_from_args(args)
     rho2 = args.rho2
     if rho2 is None:
@@ -111,7 +112,8 @@ def _cmd_enhance(args) -> dict:
             args.rf_efficiency, args.mode_volume,
         )
 
-    require("--tsys", args.tsys)
+    if not 0.0 < args.tsys <= FLOAT_MAX:
+        require("--tsys", args.tsys)
     aperture = _aperture_from_args(args)
     reference = fm.ReceiverReference(
         system_temperature_k=args.tsys,

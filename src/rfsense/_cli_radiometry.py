@@ -1,7 +1,7 @@
 """The ``nedt`` and ``calibrate`` subcommands: radiometer sensitivity and calibration."""
 
 from .cli import Flag, frequency_flag, plain_flag, temperature_flag, time_flag
-from .errors import DomainError, require
+from .errors import FLOAT_MAX, DomainError, require
 
 
 def calibration_point_flag(text: str) -> tuple[float, float]:
@@ -18,10 +18,12 @@ def calibration_point_flag(text: str) -> tuple[float, float]:
 def _cmd_nedt(args) -> dict:
     from . import radiometry as rm
 
-    require("--bandwidth", args.bandwidth)
-    require("--integration-time", args.integration_time)
+    if not (0.0 < args.bandwidth <= FLOAT_MAX and 0.0 < args.integration_time <= FLOAT_MAX):
+        require("--bandwidth", args.bandwidth)
+        require("--integration-time", args.integration_time)
     if args.nedt is not None:
-        require("--nedt", args.nedt)
+        if not 0.0 < args.nedt <= FLOAT_MAX:
+            require("--nedt", args.nedt)
         t_sys = rm.tsys_from_nedt(
             args.nedt, args.bandwidth, args.integration_time, args.gain_stability
         )
@@ -52,7 +54,8 @@ def _cmd_calibrate(args) -> dict:
     from . import radiometry as rm
     from .quantities import linear_to_db
 
-    require("--bandwidth", args.bandwidth)
+    if not 0.0 < args.bandwidth <= FLOAT_MAX:
+        require("--bandwidth", args.bandwidth)
     points = [rm.CalibrationPoint(t, p) for t, p in args.point]
     result = rm.calibrate_hot_cold(points, args.bandwidth)
     payload = {

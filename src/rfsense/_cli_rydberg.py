@@ -1,7 +1,7 @@
 """The ``rydberg`` subcommand: atomic-sensor noise floors and field calibration."""
 
 from .cli import _RHO2, Flag, frequency_flag, gain_flag, plain_flag, power_flag, time_flag
-from .errors import DomainError, require
+from .errors import FLOAT_MAX, DomainError, require
 
 
 def _cmd_rydberg(args) -> dict:
@@ -28,7 +28,8 @@ def _cmd_rydberg(args) -> dict:
             warnings.append("integration time is below the coherence time; the projection-noise "
                             "expression assumes integration over at least one coherence time")
     if args.integration_time is not None:
-        require("integration time", args.integration_time, "s")
+        if not 0.0 < args.integration_time <= FLOAT_MAX:
+            require("integration time", args.integration_time, "s")
     if args.probe_power is not None or args.probe_frequency is not None:
         if args.probe_power is None or args.probe_frequency is None:
             raise DomainError("shot noise needs --probe-power and --probe-frequency")

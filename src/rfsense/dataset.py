@@ -369,8 +369,9 @@ def _parse_row(
     e_free_reported = float(e_free_text) if e_free_text else None
     if e_free_text and not -FLOAT_MAX <= e_free_reported <= FLOAT_MAX:
         raise _not_finite("e_free_reported", e_free_text)
-    if e_free_text and not 0.0 < e_free_reported <= FLOAT_MAX:
-        require("e_free_reported", e_free_reported)
+    if e_free_reported is not None:
+        if not 0.0 < e_free_reported <= FLOAT_MAX:
+            require("e_free_reported", e_free_reported)
 
     return InstrumentRecord._make((
         instrument, mission, category, coherence, f0_ghz, bandwidth_hz, bandwidth_method,
@@ -451,7 +452,8 @@ def consistency_diagnostics(
     reported as dataset diagnostics.  These mark internal inconsistencies of
     the source table, not pipeline failures, and must stay visible.
     """
-    require("rel_tol", rel_tol, "", 0.0, False)
+    if not 0.0 <= rel_tol <= FLOAT_MAX:
+        require("rel_tol", rel_tol, "", 0.0, False)
     diagnostics: list[Diagnostic] = []
     for index, record in enumerate(records, start=1):
         # Two field reads into locals: faster here than unpacking all 25 fields.
@@ -586,11 +588,13 @@ def emit_plot_data(
     ]
     marker_rows = []
     for name, bandwidth_hz, e_field in markers:
-        require(f"marker {name!r} bandwidth", bandwidth_hz, verbose=True)
-        require(f"marker {name!r} field", e_field, verbose=True)
+        if not (0.0 < bandwidth_hz <= FLOAT_MAX and 0.0 < e_field <= FLOAT_MAX):
+            require(f"marker {name!r} bandwidth", bandwidth_hz, verbose=True)
+            require(f"marker {name!r} field", e_field, verbose=True)
         marker_rows.append({"name": name, "bandwidth": bandwidth_hz, "e_field": e_field})
     if include_converter_marker:
-        require("converter marker bandwidth", converter_bandwidth_hz, verbose=True)
+        if not 0.0 < converter_bandwidth_hz <= FLOAT_MAX:
+            require("converter marker bandwidth", converter_bandwidth_hz, verbose=True)
         marker_rows.append({
             "name": CONVERTER_MARKER_NAME,
             "bandwidth": converter_bandwidth_hz,
@@ -598,7 +602,8 @@ def emit_plot_data(
         })
     document = {"rectangles": rectangles, "markers": marker_rows}
     if thermal_reference_field is not None:
-        require("thermal reference field", thermal_reference_field)
+        if not 0.0 < thermal_reference_field <= FLOAT_MAX:
+            require("thermal reference field", thermal_reference_field)
         document["reference_lines"] = [
             {"name": "thermal-290K", "e_field": thermal_reference_field}
         ]

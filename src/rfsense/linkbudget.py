@@ -258,27 +258,15 @@ def evaluate_link(budget: LinkBudget) -> LinkReport:
 
     fsl_check = None
     if budget.path_length_m is not None and budget.frequency_hz is not None:
-        ledger_fsl = next(
-            (value for name, value in budget.losses_db if name.lower() in _FSL_NAMES),
-            None,
-        )
+        ledger_fsl = None
+        for name, value in budget.losses_db:
+            if name.lower() in _FSL_NAMES:
+                ledger_fsl = value
+                break
         if ledger_fsl is not None:
             recomputed = free_space_loss(budget.path_length_m, budget.frequency_hz)
             difference = recomputed - ledger_fsl
-            fsl_check = FslCheck(
-                ledger_db=ledger_fsl,
-                recomputed_db=recomputed,
-                difference_db=difference,
-                flagged=abs(difference) > FSL_FLAG_THRESHOLD_DB,
-            )
+            fsl_check = FslCheck(ledger_fsl, recomputed, difference,
+                                 abs(difference) > FSL_FLAG_THRESHOLD_DB)
 
-    return LinkReport(
-        eirp_dbw=eirp_dbw,
-        total_loss_db=loss_db,
-        system_temperature_k=t_sys,
-        g_over_t_db_per_k=g_over_t,
-        c_over_n0_dbhz=cn0,
-        eb_over_n0_db=ebn0,
-        margins_db=tuple(margins),
-        fsl_check=fsl_check,
-    )
+    return LinkReport(eirp_dbw, loss_db, t_sys, g_over_t, cn0, ebn0, tuple(margins), fsl_check)

@@ -32,6 +32,10 @@ __all__ = [
 # receiver tables were evidently computed with the textbook-rounded 377.0;
 # set RFSENSE_ETA0_OHMS=377 to match them at their own precision.
 ETA0_ENV_VAR = "RFSENSE_ETA0_OHMS"
+# The dict that os.environ keeps in step with the process environment, and
+# the variable's key in it; see default_eta0.
+_ENVIRON = os.environ._data
+_ETA0_KEY = os.environ.encodekey(ETA0_ENV_VAR)
 
 # The largest dB value whose linear ratio is a finite float.
 DB_MAX = math.nextafter(10.0 * math.log10(FLOAT_MAX), 0.0)
@@ -68,10 +72,17 @@ REFERENCE_TEMPERATURE = 290.0              # K
 
 
 def default_eta0() -> float:
-    """Free-space impedance in ohms, honouring the environment override."""
-    raw = os.environ.get(ETA0_ENV_VAR)
-    if raw is None:
+    """Free-space impedance in ohms, honouring the environment override.
+
+    The variable is read on every call, so any in-place change to
+    ``os.environ`` reaches the next one.  Whether it is set is one lookup in
+    the dict that ``os.environ`` keeps: ``os.environ.get`` on an unset
+    variable raises and handles two ``KeyError`` on the way, which costs
+    more than the rest of a field metric.
+    """
+    if _ENVIRON.get(_ETA0_KEY) is None:
         return ETA_0
+    raw = os.environ[ETA0_ENV_VAR]
     try:
         value = float(raw)
     except ValueError as exc:

@@ -1,9 +1,10 @@
 """Radar link physics: received power, noise floor, SNR, NESZ, resolution."""
 
 import math
+import sys
 from collections import namedtuple
 
-from .errors import FLOAT_MAX, DomainError, require
+from .errors import FLOAT_MAX, FLOAT_MIN, DomainError, require
 from .quantities import BOLTZMANN, LIGHT_SPEED, ValidatedRecord
 
 __all__ = [
@@ -109,6 +110,30 @@ def _one_way_factor(s: RadarScenario) -> float:
     )
 
 
+def _scaled_ratio(numerators, denominators) -> float:
+    """``prod(numerators) / prod(denominators)`` with the binary exponents summed apart.
+
+    The inline forms of the radar equation can overflow or underflow on the
+    way to a result that a float can hold; each caller recomputes with this
+    only when its inline result is not a normal float, so ordinary inputs
+    keep their bits.  Every factor is finite and no denominator is 0.  A
+    result beyond the float range is ``inf``, and one below it rounds to a
+    subnormal or 0.
+    """
+    mantissa, exponent = 1.0, 0
+    for x in numerators:
+        m, e = math.frexp(x)
+        mantissa *= m
+        exponent += e
+    for x in denominators:
+        m, e = math.frexp(x)
+        mantissa /= m
+        exponent -= e
+    mantissa, e = math.frexp(mantissa)
+    exponent += e
+    return math.ldexp(mantissa, exponent) if exponent <= sys.float_info.max_exp else math.inf
+
+
 def received_power(s: RadarScenario) -> float:
     """Received power from the radar equation, in W.
 
@@ -118,8 +143,15 @@ def received_power(s: RadarScenario) -> float:
     if not isinstance(s.target, PointTarget):
         raise DomainError("received_power needs a point-target scenario (sigma form)")
     p_r = _one_way_factor(s) * s.target.cross_section_m2
-    if not 0.0 <= p_r <= FLOAT_MAX:
-        require("received power", p_r, "W", 0.0, False)
+    if not FLOAT_MIN <= p_r <= FLOAT_MAX:
+        r = s.range_m
+        p_r = _scaled_ratio(
+            (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m,
+             s.wavelength_m, s.target.cross_section_m2),
+            (FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
+        )
+        if not 0.0 <= p_r <= FLOAT_MAX:
+            require("received power", p_r, "W", 0.0, False)
     return p_r
 
 
@@ -133,8 +165,15 @@ def processed_received_power(s: RadarScenario) -> float:
             "processed_received_power needs a resolution-cell scenario (sigma0 form)"
         )
     p_r = _one_way_factor(s) * s.target.cross_section_m2 * s.processing_gain
-    if not 0.0 <= p_r <= FLOAT_MAX:
-        require("processed received power", p_r, "W", 0.0, False)
+    if not FLOAT_MIN <= p_r <= FLOAT_MAX:
+        r = s.range_m
+        p_r = _scaled_ratio(
+            (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m,
+             s.wavelength_m, s.target.sigma0, s.target.cell_area_m2, s.processing_gain),
+            (FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
+        )
+        if not 0.0 <= p_r <= FLOAT_MAX:
+            require("processed received power", p_r, "W", 0.0, False)
     return p_r
 
 
@@ -199,14 +238,21 @@ def nesz_at_unit_snr(s: RadarScenario) -> float:
         raise DomainError("scenario needs system temperature and bandwidth for NESZ")
     # The radar equation solved for sigma0, dividing by one input at a time.
     r = s.range_m
+    p_n = noise_power(s.system_temperature_k, s.bandwidth_hz)
     sigma0 = (
-        noise_power(s.system_temperature_k, s.bandwidth_hz) * FOUR_PI_CUBED * r * r * r * r
+        p_n * FOUR_PI_CUBED * r * r * r * r
         * s.system_loss * s.propagation_loss / s.transmit_power_w / s.transmit_gain
         / s.receive_gain / s.wavelength_m / s.wavelength_m / s.target.cell_area_m2
         / s.processing_gain
     )
-    if not 0.0 <= sigma0 <= FLOAT_MAX:
-        require("NESZ", sigma0, "", 0.0, False)
+    if not FLOAT_MIN <= sigma0 <= FLOAT_MAX:
+        sigma0 = _scaled_ratio(
+            (p_n, FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
+            (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m,
+             s.wavelength_m, s.target.cell_area_m2, s.processing_gain),
+        )
+        if not 0.0 <= sigma0 <= FLOAT_MAX:
+            require("NESZ", sigma0, "", 0.0, False)
     return sigma0
 
 

@@ -217,6 +217,18 @@ class TestGoldenFiles:
         assert (code, err) == (0, "")
         assert out.encode() == (GOLDEN_DIR / "budget.json").read_bytes()
 
+    # The impedance override, in this process and in a fresh one.
+    def test_impedance_from_the_environment_matches_golden(self, capsys, monkeypatch):
+        monkeypatch.setenv("RFSENSE_ETA0_OHMS", "377")
+        code, out, err = run(capsys, NEF_GAIN_ARGS)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN_DIR / "nef_gain_eta377.json").read_bytes()
+
+    def test_impedance_from_a_fresh_environment_matches_golden(self):
+        child = _fresh_cli(NEF_GAIN_ARGS, RFSENSE_ETA0_OHMS="377")
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.encode() == (GOLDEN_DIR / "nef_gain_eta377.json").read_bytes()
+
     def test_every_flag_help_mentions_units_or_kind(self):
         # Numeric flags must state their unit (or explicit dimensionlessness).
         unit_words = (

@@ -1,5 +1,7 @@
 import math
+import os
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from rfsense.errors import DomainError
 from rfsense.quantities import (
     BOLTZMANN,
+    ETA0_ENV_VAR,
     ETA_0,
     LIGHT_SPEED,
     PLANCK,
@@ -131,7 +134,53 @@ class TestPowerFromField:
         assert power_from_field(e, s * a) == pytest.approx(s * base, rel=1e-9)
 
 
+def _set_item():
+    os.environ[ETA0_ENV_VAR] = "377"
+
+
+def _del_item():
+    del os.environ[ETA0_ENV_VAR]
+
+
+def _update():
+    os.environ.update({ETA0_ENV_VAR: "377"})
+
+
+def _pop():
+    os.environ.pop(ETA0_ENV_VAR)
+
+
+def _setdefault():
+    os.environ.setdefault(ETA0_ENV_VAR, "377")
+
+
+_PATCH_DICT = mock.patch.dict(os.environ, {ETA0_ENV_VAR: "377"})
+
+# Each way to set the variable to 377 in os.environ, and to remove it again.
+IN_PLACE_EDITS = {
+    "item-assignment-and-del": (_set_item, _del_item),
+    "update-and-pop": (_update, _pop),
+    "setdefault-and-del": (_setdefault, _del_item),
+    "item-assignment-and-pop": (_set_item, _pop),
+    "patch-dict": (_PATCH_DICT.start, _PATCH_DICT.stop),
+}
+
+
 class TestConstantsConfig:
+    @pytest.mark.parametrize("edit", sorted(IN_PLACE_EDITS))
+    def test_each_in_place_change_to_the_environment_reaches_the_next_call(
+        self, monkeypatch, edit
+    ):
+        monkeypatch.delenv(ETA0_ENV_VAR, raising=False)
+        set_it, remove_it = IN_PLACE_EDITS[edit]
+        assert default_eta0() == ETA_0
+        set_it()
+        try:
+            assert default_eta0() == 377.0
+        finally:
+            remove_it()
+        assert default_eta0() == ETA_0
+
     def test_default_is_codata(self, monkeypatch):
         monkeypatch.delenv("RFSENSE_ETA0_OHMS", raising=False)
         assert default_eta0() == 376.730313668

@@ -1,11 +1,14 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import DomainError
+from rfsense.quantities import BOLTZMANN
 from rfsense.radar import (
+    FOUR_PI_CUBED,
     PointTarget,
     RadarScenario,
     ResolutionCell,
@@ -243,3 +246,51 @@ class TestSystemTemperatureImprovement:
             k, rel=1e-9
         )
         assert max_range_ratio(t_hot, t_cold) == pytest.approx(k**0.25, rel=1e-9)
+
+
+def _exact(numerators, denominators) -> float:
+    """The float nearest ``prod(numerators) / prod(denominators)``, each float taken exactly."""
+    with localcontext() as context:
+        context.prec = 60
+        value = Decimal(1)
+        for x in numerators:
+            value *= Decimal(x)
+        for x in denominators:
+            value /= Decimal(x)
+    return float(value)
+
+
+class TestResultsWhoseInlineFormOverflows:
+    """P_t*G_t*G_r*lambda^2, or R^4, leaves the float range; the result does not."""
+
+    def test_received_power(self):
+        s = RadarScenario(1e300, 1e10, 1.0, 1.0, PointTarget(1.0), 1e3)
+        reference = _exact((1e300, 1e10), (FOUR_PI_CUBED, 1e3, 1e3, 1e3, 1e3))
+        assert reference == 5.039302255187421e294
+        assert received_power(s) == pytest.approx(reference, rel=1e-15)
+
+    def test_processed_received_power(self):
+        s = RadarScenario(1e300, 1e10, 1.0, 1.0, ResolutionCell(1.0, 1.0), 1e3)
+        reference = _exact((1e300, 1e10), (FOUR_PI_CUBED, 1e3, 1e3, 1e3, 1e3))
+        assert processed_received_power(s) == pytest.approx(reference, rel=1e-15)
+
+    def test_nesz_at_unit_snr(self):
+        s = RadarScenario(1e300, 1e10, 1e10, 1.0, ResolutionCell(1.0, 1.0), 1e80,
+                          system_temperature_k=300.0, bandwidth_hz=1e6)
+        reference = _exact((BOLTZMANN, 300.0, 1e6, FOUR_PI_CUBED, 1e80, 1e80, 1e80, 1e80),
+                           (1e300, 1e10, 1e10))
+        assert reference == 8.219286699336818e-12
+        assert nesz_at_unit_snr(s) == pytest.approx(reference, rel=1e-15)
+
+    def test_zero_cross_section_behind_an_overflow_is_zero(self):
+        # The inline form is inf * 0, a NaN.
+        assert received_power(RadarScenario(1e300, 1e10, 1.0, 1.0, PointTarget(0.0), 1e3)) == 0.0
+
+    def test_result_beyond_the_float_range_is_still_refused(self):
+        s = RadarScenario(1e300, 1e300, 1.0, 1.0, PointTarget(1.0), 1.0)
+        with pytest.raises(DomainError) as caught:
+            received_power(s)
+        assert str(caught.value) == "received power must be finite and >= 0 W, got inf"
+
+    def test_result_below_the_float_range_is_zero(self):
+        assert received_power(reference_scenario(range_m=1e300)) == 0.0
