@@ -78,7 +78,9 @@ def default_eta0() -> float:
     ``os.environ`` reaches the next one.  Whether it is set is one lookup in
     the dict that ``os.environ`` keeps: ``os.environ.get`` on an unset
     variable raises and handles two ``KeyError`` on the way, which costs
-    more than the rest of a field metric.
+    more than the rest of a field metric.  That dict is the one of the
+    ``os.environ`` object that exists at import: a change made to that
+    object is seen, but rebinding ``os.environ`` to another mapping is not.
     """
     if _ENVIRON.get(_ETA0_KEY) is None:
         return ETA_0

@@ -110,6 +110,15 @@ def _one_way_factor(s: RadarScenario) -> float:
     )
 
 
+def _one_way_terms(s: RadarScenario):
+    """The factors of :func:`_one_way_factor`, as (numerators, denominators)."""
+    r = s.range_m
+    return (
+        (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m, s.wavelength_m),
+        (FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
+    )
+
+
 def _scaled_ratio(numerators, denominators) -> float:
     """``prod(numerators) / prod(denominators)`` with the binary exponents summed apart.
 
@@ -117,6 +126,7 @@ def _scaled_ratio(numerators, denominators) -> float:
     way to a result that a float can hold; each caller recomputes with this
     only when its inline result is not a normal float, so ordinary inputs
     keep their bits.  Every factor is finite and no denominator is 0.  A
+    zero numerator gives 0, whatever the other exponents sum to; any other
     result beyond the float range is ``inf``, and one below it rounds to a
     subnormal or 0.
     """
@@ -129,6 +139,8 @@ def _scaled_ratio(numerators, denominators) -> float:
         m, e = math.frexp(x)
         mantissa /= m
         exponent -= e
+    if mantissa == 0.0:
+        return 0.0
     mantissa, e = math.frexp(mantissa)
     exponent += e
     return math.ldexp(mantissa, exponent) if exponent <= sys.float_info.max_exp else math.inf
@@ -144,12 +156,8 @@ def received_power(s: RadarScenario) -> float:
         raise DomainError("received_power needs a point-target scenario (sigma form)")
     p_r = _one_way_factor(s) * s.target.cross_section_m2
     if not FLOAT_MIN <= p_r <= FLOAT_MAX:
-        r = s.range_m
-        p_r = _scaled_ratio(
-            (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m,
-             s.wavelength_m, s.target.cross_section_m2),
-            (FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
-        )
+        numerators, denominators = _one_way_terms(s)
+        p_r = _scaled_ratio(numerators + (s.target.cross_section_m2,), denominators)
         if not 0.0 <= p_r <= FLOAT_MAX:
             require("received power", p_r, "W", 0.0, False)
     return p_r
@@ -166,11 +174,10 @@ def processed_received_power(s: RadarScenario) -> float:
         )
     p_r = _one_way_factor(s) * s.target.cross_section_m2 * s.processing_gain
     if not FLOAT_MIN <= p_r <= FLOAT_MAX:
-        r = s.range_m
+        numerators, denominators = _one_way_terms(s)
         p_r = _scaled_ratio(
-            (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m,
-             s.wavelength_m, s.target.sigma0, s.target.cell_area_m2, s.processing_gain),
-            (FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
+            numerators + (s.target.sigma0, s.target.cell_area_m2, s.processing_gain),
+            denominators,
         )
         if not 0.0 <= p_r <= FLOAT_MAX:
             require("processed received power", p_r, "W", 0.0, False)
@@ -246,10 +253,11 @@ def nesz_at_unit_snr(s: RadarScenario) -> float:
         / s.processing_gain
     )
     if not FLOAT_MIN <= sigma0 <= FLOAT_MAX:
+        # The one-way factor's terms, turned upside down.
+        numerators, denominators = _one_way_terms(s)
         sigma0 = _scaled_ratio(
-            (p_n, FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
-            (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m,
-             s.wavelength_m, s.target.cell_area_m2, s.processing_gain),
+            (p_n,) + denominators,
+            numerators + (s.target.cell_area_m2, s.processing_gain),
         )
         if not 0.0 <= sigma0 <= FLOAT_MAX:
             require("NESZ", sigma0, "", 0.0, False)

@@ -2,10 +2,10 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rfsense.errors import DomainError
+from rfsense.errors import FLOAT_MAX, FLOAT_MIN, DomainError
 from rfsense.quantities import BOLTZMANN
 from rfsense.radar import (
     FOUR_PI_CUBED,
@@ -17,6 +17,9 @@ from rfsense.radar import (
     nesz_at_unit_snr,
     noise_power,
     processed_received_power,
+    _one_way_factor,
+    _one_way_terms,
+    _scaled_ratio,
     processing_gain_from_pulse,
     range_resolution,
     received_power,
@@ -286,6 +289,18 @@ class TestResultsWhoseInlineFormOverflows:
         # The inline form is inf * 0, a NaN.
         assert received_power(RadarScenario(1e300, 1e10, 1.0, 1.0, PointTarget(0.0), 1e3)) == 0.0
 
+    def test_zero_cross_section_behind_an_exponent_past_the_float_range_is_zero(self):
+        # The other factors' exponents sum past the largest float's.
+        s = RadarScenario(1e300, 1e20, 1.0, 1.0, PointTarget(0.0), 1.0)
+        assert received_power(s) == 0.0
+        cell = RadarScenario(1e300, 1e20, 1.0, 1.0, ResolutionCell(0.0, 1.0), 1.0)
+        assert processed_received_power(cell) == 0.0
+
+    def test_zero_noise_power_behind_an_exponent_past_the_float_range_is_zero(self):
+        s = RadarScenario(1.0, 1.0, 1.0, 1.0, ResolutionCell(1.0, 1.0), 1e100,
+                          system_temperature_k=0.0, bandwidth_hz=1e6)
+        assert nesz_at_unit_snr(s) == 0.0
+
     def test_result_beyond_the_float_range_is_still_refused(self):
         s = RadarScenario(1e300, 1e300, 1.0, 1.0, PointTarget(1.0), 1.0)
         with pytest.raises(DomainError) as caught:
@@ -294,3 +309,17 @@ class TestResultsWhoseInlineFormOverflows:
 
     def test_result_below_the_float_range_is_zero(self):
         assert received_power(reference_scenario(range_m=1e300)) == 0.0
+
+
+_moderate = st.floats(min_value=1e-30, max_value=1e30)
+_loss = st.floats(min_value=1.0, max_value=1e30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moderate, _moderate, _moderate, _moderate, _moderate, _loss, _loss)
+def test_the_one_way_terms_are_the_factors_of_the_inline_form(p_t, g_t, g_r, wavelength,
+                                                              range_m, l_s, l_p):
+    s = RadarScenario(p_t, g_t, g_r, wavelength, PointTarget(1.0), range_m, l_s, l_p)
+    inline = _one_way_factor(s)
+    assume(FLOAT_MIN <= inline <= FLOAT_MAX)
+    assert _scaled_ratio(*_one_way_terms(s)) == pytest.approx(inline, rel=1e-14)
