@@ -64,7 +64,8 @@ def _cmd_radar(args) -> dict:
         if ratio > 0.0:
             payload["snr_db"] = linear_to_db(ratio)
         if isinstance(target, rd.ResolutionCell):
-            payload["nesz"] = rd.nesz(target.sigma0, ratio)
+            if ratio > 0.0:  # sigma0 / SNR has no value at an SNR of 0
+                payload["nesz"] = rd.nesz(target.sigma0, ratio)
             payload["nesz_at_unit_snr"] = rd.nesz_at_unit_snr(scenario)
     if args.bandwidth is not None:
         payload["range_resolution_m"] = rd.range_resolution(args.bandwidth)

@@ -12,9 +12,9 @@ Conventions at this boundary:
 - A subcommand's handler and flag rows live in its family module (``_cli_radiometry``,
   ``_cli_radar``, ``_cli_linkbudget``, ``_cli_fieldmetrics``, ``_cli_rydberg`` or
   ``_cli_dataset``, as ``SUBCOMMANDS`` names it), so a cold call compiles this module
-  and that one alone.  The handler imports the engine module it calls, so a cold call
-  loads only the modules its ``OPERATION_MAP`` entry names (and what they import),
-  besides those two, ``errors`` and ``quantities``; a help page loads no engine.
+  and that one alone.  The handler imports the engine modules it calls, so a cold call
+  loads only those (and what they import), besides those two, ``errors`` and
+  ``quantities``; a help page loads no engine.
 - Only two kinds of call load the ``json`` package (and the ``re`` it
   imports): ``budget --input``, which reads a JSON document, and a JSON
   report that holds a table, whose string cells go through json's C
@@ -47,81 +47,7 @@ from operator import itemgetter
 from .errors import DomainError, SchemaError
 from .quantities import db_to_linear
 
-__all__ = ["OPERATION_MAP", "build_parser", "format_number", "main", "render_json"]
-
-# Subcommand -> engine operations it exposes.  Every public operation is
-# listed under exactly one subcommand; a coverage test enforces this.
-OPERATION_MAP: dict[str, tuple[str, ...]] = {
-    "nedt": (
-        "radiometry.nedt",
-        "radiometry.radiometer_output_power",
-        "radiometry.tsys_from_nedt",
-    ),
-    "calibrate": ("radiometry.calibrate_hot_cold",),
-    "radar": (
-        "radar.received_power",
-        "radar.processed_received_power",
-        "radar.processing_gain_from_pulse",
-        "radar.noise_power",
-        "radar.snr",
-        "radar.nesz",
-        "radar.nesz_at_unit_snr",
-        "radar.range_resolution",
-        "radar.max_range_ratio",
-    ),
-    "budget": (
-        "linkbudget.eirp",
-        "linkbudget.system_noise_temperature",
-        "linkbudget.figure_of_merit",
-        "linkbudget.free_space_loss",
-        "linkbudget.total_loss",
-        "linkbudget.c_over_n0",
-        "linkbudget.eb_over_n0",
-        "linkbudget.evaluate_link",
-    ),
-    "nef": (
-        "fieldmetrics.sefd",
-        "fieldmetrics.nef_from_aperture",
-        "fieldmetrics.nef_from_gain",
-        "fieldmetrics.aperture_from_gain",
-        "fieldmetrics.aperture_from_diameter",
-        "fieldmetrics.default_polarisation_coupling",
-    ),
-    "convert": (
-        "quantities.db_to_linear",
-        "quantities.linear_to_db",
-        "quantities.frequency_to_wavelength",
-        "quantities.power_from_field",
-        "fieldmetrics.tsys_from_nef",
-        "fieldmetrics.trx_from_noise_figure",
-    ),
-    "enhance": (
-        "fieldmetrics.enhancement_factor_cavity",
-        "fieldmetrics.local_field_requirement",
-        "fieldmetrics.meets_classical_reference",
-    ),
-    "rydberg": (
-        "rydberg.dipole_moment",
-        "rydberg.qpn_nef",
-        "rydberg.photon_shot_noise_nep",
-        "rydberg.rabi_from_field",
-        "rydberg.field_from_rabi",
-        "rydberg.ac_stark_shift",
-        "rydberg.compare_to_classical",
-    ),
-    "dataset-derive": (
-        "dataset.parse_instruments",
-        "dataset.derive_record",
-        "dataset.derive_records",
-        "dataset.consistency_diagnostics",
-        "dataset.load_bundled_dataset",
-    ),
-    "dataset-ranges": (
-        "dataset.synthesize_all",
-        "dataset.round_to_sig_figs",
-    ),
-    "dataset-plotdata": ("dataset.emit_plot_data",),
-}
+__all__ = ["build_parser", "format_number", "main", "render_json"]
 
 # ---------------------------------------------------------------------------
 # Flag value parsing (magnitude + unit suffix)

@@ -1,4 +1,6 @@
-"""Physical constants, the configured free-space impedance, and dB/linear helpers.
+"""Physical constants, the configured free-space impedance, dB/linear helpers,
+and the scaled ratio an engine recomputes a result with when its inline form
+leaves the float range.
 
 All engine modules work in strict SI floats (Hz, m, K, W, V/m); unit checking
 lives in the CLI's suffixed flags, and decibel values appear only at
@@ -9,6 +11,7 @@ engine.
 
 import math
 import os
+import sys
 
 from .errors import FLOAT_MAX, DomainError, require
 
@@ -59,6 +62,35 @@ class ValidatedRecord(tuple):
     @classmethod
     def _make(cls, values):
         return cls(*values)
+
+
+def _scaled_ratio(numerators, denominators) -> float:
+    """``prod(numerators) / prod(denominators)`` with the binary exponents summed apart.
+
+    An engine's inline product or quotient can overflow or underflow on the
+    way to a result that a float can hold; each caller recomputes with this
+    only when its inline result is not a normal float, so ordinary inputs
+    keep their bits.  Every factor is finite and no denominator is 0.  A
+    zero numerator gives a zero of the inline form's sign, whatever the
+    other exponents sum to; any other result beyond the float range is an
+    infinity of its sign, and one below it rounds to a subnormal or a zero.
+    """
+    mantissa, exponent = 1.0, 0
+    for x in numerators:
+        m, e = math.frexp(x)
+        mantissa *= m
+        exponent += e
+    for x in denominators:
+        m, e = math.frexp(x)
+        mantissa /= m
+        exponent -= e
+    if mantissa == 0.0:
+        return mantissa
+    mantissa, e = math.frexp(mantissa)
+    exponent += e
+    if exponent > sys.float_info.max_exp:
+        return math.copysign(math.inf, mantissa)
+    return math.ldexp(mantissa, exponent)
 
 
 # Physical constants (SI units).  Field metrics read ETA_0 through default_eta0().

@@ -1,11 +1,10 @@
 """Radar link physics: received power, noise floor, SNR, NESZ, resolution."""
 
 import math
-import sys
 from collections import namedtuple
 
 from .errors import FLOAT_MAX, FLOAT_MIN, DomainError, require
-from .quantities import BOLTZMANN, LIGHT_SPEED, ValidatedRecord
+from .quantities import BOLTZMANN, LIGHT_SPEED, ValidatedRecord, _scaled_ratio
 
 __all__ = [
     "PointTarget",
@@ -117,33 +116,6 @@ def _one_way_terms(s: RadarScenario):
         (s.transmit_power_w, s.transmit_gain, s.receive_gain, s.wavelength_m, s.wavelength_m),
         (FOUR_PI_CUBED, r, r, r, r, s.system_loss, s.propagation_loss),
     )
-
-
-def _scaled_ratio(numerators, denominators) -> float:
-    """``prod(numerators) / prod(denominators)`` with the binary exponents summed apart.
-
-    The inline forms of the radar equation can overflow or underflow on the
-    way to a result that a float can hold; each caller recomputes with this
-    only when its inline result is not a normal float, so ordinary inputs
-    keep their bits.  Every factor is finite and no denominator is 0.  A
-    zero numerator gives 0, whatever the other exponents sum to; any other
-    result beyond the float range is ``inf``, and one below it rounds to a
-    subnormal or 0.
-    """
-    mantissa, exponent = 1.0, 0
-    for x in numerators:
-        m, e = math.frexp(x)
-        mantissa *= m
-        exponent += e
-    for x in denominators:
-        m, e = math.frexp(x)
-        mantissa /= m
-        exponent -= e
-    if mantissa == 0.0:
-        return 0.0
-    mantissa, e = math.frexp(mantissa)
-    exponent += e
-    return math.ldexp(mantissa, exponent) if exponent <= sys.float_info.max_exp else math.inf
 
 
 def received_power(s: RadarScenario) -> float:
@@ -277,13 +249,15 @@ def range_resolution(bandwidth_hz: float) -> float:
 def max_range_ratio(system_temperature_1_k: float, system_temperature_2_k: float) -> float:
     """Maximum-range ratio when T_sys changes from value 1 to value 2.
 
-    R_max scales as T_sys^(-1/4), so the ratio is (T1/T2)^(1/4).
+    R_max scales as T_sys^(-1/4), so the ratio is (T1/T2)^(1/4), which lies
+    inside the float range for any two valid temperatures.
     """
     if not (0.0 < system_temperature_1_k <= FLOAT_MAX
             and 0.0 < system_temperature_2_k <= FLOAT_MAX):
         require("system temperature 1", system_temperature_1_k, "K")
         require("system temperature 2", system_temperature_2_k, "K")
-    ratio = (system_temperature_1_k / system_temperature_2_k) ** 0.25
-    if not 0.0 < ratio <= FLOAT_MAX:
-        require("maximum-range ratio", ratio)
-    return ratio
+    quotient = system_temperature_1_k / system_temperature_2_k
+    if FLOAT_MIN <= quotient <= FLOAT_MAX:
+        return quotient ** 0.25
+    # T1/T2 left the float range, or lost digits below it: one root per factor.
+    return system_temperature_1_k ** 0.25 / system_temperature_2_k ** 0.25

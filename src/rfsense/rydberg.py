@@ -4,8 +4,8 @@
 import math
 
 from . import fieldmetrics
-from .errors import FLOAT_MAX, DomainError, require
-from .quantities import PLANCK, REDUCED_PLANCK
+from .errors import FLOAT_MAX, FLOAT_MIN, DomainError, require
+from .quantities import PLANCK, REDUCED_PLANCK, _scaled_ratio
 
 __all__ = [
     "ATOMIC_DIPOLE_UNIT",
@@ -86,9 +86,13 @@ def rabi_from_field(
         require("dipole moment", dipole_moment_cm, "C*m")
         require("field amplitude", field_v_per_m, "V/m", 0.0, False)
         require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
+    # d*E can leave the float range where Omega does not.
     rabi = dipole_moment_cm * field_v_per_m * alignment_cosine / REDUCED_PLANCK
-    if not -FLOAT_MAX <= rabi <= FLOAT_MAX:
-        require("Rabi frequency", rabi, "rad/s", -FLOAT_MAX, False)
+    if not FLOAT_MIN <= abs(rabi) <= FLOAT_MAX:
+        rabi = _scaled_ratio((dipole_moment_cm, field_v_per_m, alignment_cosine),
+                             (REDUCED_PLANCK,))
+        if not -FLOAT_MAX <= rabi <= FLOAT_MAX:
+            require("Rabi frequency", rabi, "rad/s", -FLOAT_MAX, False)
     return rabi
 
 
@@ -107,9 +111,13 @@ def field_from_rabi(
         require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
     if alignment_cosine == 0.0:
         raise DomainError("alignment cosine must be non-zero")
+    # Omega*hbar can leave the float range where E does not.
     field = rabi_rad_per_s * REDUCED_PLANCK / dipole_moment_cm / alignment_cosine
-    if not -FLOAT_MAX <= field <= FLOAT_MAX:
-        require("field amplitude", field, "V/m", -FLOAT_MAX, False)
+    if not FLOAT_MIN <= abs(field) <= FLOAT_MAX:
+        field = _scaled_ratio((rabi_rad_per_s, REDUCED_PLANCK),
+                              (dipole_moment_cm, alignment_cosine))
+        if not -FLOAT_MAX <= field <= FLOAT_MAX:
+            require("field amplitude", field, "V/m", -FLOAT_MAX, False)
     return field
 
 
@@ -133,9 +141,13 @@ def ac_stark_shift(
         raise DomainError("detuning must be non-zero (resonant case has no Stark shift)")
     if not -FLOAT_MAX <= proportionality <= FLOAT_MAX:
         require("Stark proportionality constant", proportionality, "", -FLOAT_MAX, False)
+    # Omega^2 can leave the float range where the shift does not.
     shift = proportionality * (rabi_rad_per_s * rabi_rad_per_s) / detuning_rad_per_s
-    if not -FLOAT_MAX <= shift <= FLOAT_MAX:
-        require("AC Stark shift", shift, "rad/s", -FLOAT_MAX, False)
+    if not FLOAT_MIN <= abs(shift) <= FLOAT_MAX:
+        shift = _scaled_ratio((proportionality, rabi_rad_per_s, rabi_rad_per_s),
+                              (detuning_rad_per_s,))
+        if not -FLOAT_MAX <= shift <= FLOAT_MAX:
+            require("AC Stark shift", shift, "rad/s", -FLOAT_MAX, False)
     return shift
 
 

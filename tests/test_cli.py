@@ -1,8 +1,11 @@
 import codecs
+import contextlib
 import errno
+import functools
 import gc
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -17,17 +20,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_contract import CLI_FLAGS, ENGINES, NON_OPERATIONS, OPERATIONS, _cli
 
 import rfsense.cli
 import rfsense.dataset
-import rfsense.fieldmetrics
 import rfsense.linkbudget
-import rfsense.quantities
-import rfsense.radar
-import rfsense.radiometry
-import rfsense.rydberg
 from rfsense.cli import (
-    OPERATION_MAP, SUBCOMMANDS, ReportTable, _append_json, _Exit, _is_negative_number,
+    SUBCOMMANDS, ReportTable, _append_json, _Exit, _is_negative_number,
     _split_quantity, build_parser, format_number, main, render_json, render_report,
 )
 from rfsense._cli_dataset import _append_table
@@ -187,7 +186,7 @@ class TestGoldenFiles:
         code, out, _ = run(capsys, [])
         assert code == 2
         chunks = [out]
-        for name in OPERATION_MAP:
+        for name in SUBCOMMANDS:
             code, out, _ = run(capsys, [name, "--help"])
             assert code == 0
             chunks.append(out)
@@ -814,6 +813,23 @@ class TestSubcommands:
         assert abs(report["nesz"] * report["snr"] - 0.05) < 0.05 * 1e-4
         assert abs(report["nesz_at_unit_snr"] / report["nesz"] - 1.0) < 1e-4
 
+    RADAR_CELL = ["radar", "--tx-power", "1w", "--tx-gain", "1lin", "--rx-gain", "1lin",
+                  "--wavelength", "1m", "--cell-area", "1m2", "--tsys", "300",
+                  "--bandwidth", "1mhz"]
+
+    def test_radar_cell_at_zero_snr_reports_the_nesz_at_unit_snr(self, capsys):
+        # sigma0 / SNR has no value at SNR 0; the sigma0 of unit SNR still has one.
+        code, out, err = run(capsys, self.RADAR_CELL + ["--sigma0", "0", "--range", "1km"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["snr"] == 0 and "nesz" not in report and "snr_db" not in report
+        assert report["nesz_at_unit_snr"] == 8.21929
+
+    def test_radar_cell_whose_nesz_leaves_the_float_range_is_refused(self, capsys):
+        code, out, err = run(capsys, self.RADAR_CELL + ["--sigma0", "1", "--range", "1e100m"])
+        assert (code, out) == (2, "")
+        assert err == "domain-error: NESZ must be finite and >= 0, got inf\n"
+
     def test_nef_subcommand(self, capsys):
         code, out, _ = run(capsys, [
             "nef", "--tsys", "23", "--aperture", "2660m2", "--rho2", "1",
@@ -960,33 +976,64 @@ class TestSubcommands:
         assert "nef_v_m_sqrthz = " in out
 
 
-class TestOperationCoverage:
-    MODULES = {
-        "quantities": rfsense.quantities,
-        "radiometry": rfsense.radiometry,
-        "radar": rfsense.radar,
-        "linkbudget": rfsense.linkbudget,
-        "fieldmetrics": rfsense.fieldmetrics,
-        "rydberg": rfsense.rydberg,
-        "dataset": rfsense.dataset,
+@functools.cache
+def measured_calls() -> dict[str, frozenset[str]]:
+    """Subcommand -> the public engine functions, as ``module.name``, that its example
+    argv call: the golden, README and contract-baseline argv, plus one argv for each
+    operation those leave out, the pulse-compression gain and the AC-Stark shift.
+
+    Every function an engine ``__all__`` names is wrapped, in each rfsense module that
+    holds a reference to it, by one that records the subcommand that is running.
+    """
+    from test_package import _readme_argv
+
+    names = {
+        getattr(module, symbol): f"{module_name}.{symbol}"
+        for module_name, module in ENGINES.items()
+        for symbol in module.__all__
+        if inspect.isfunction(getattr(module, symbol))
     }
-    # Configuration accessors, not engine operations.
-    NON_OPERATIONS = {"quantities.default_eta0"}
+    called: dict[str, set[str]] = {}
+    running = None  # the subcommand of the argv that is running
 
-    def test_every_operation_reachable_from_exactly_one_subcommand(self):
-        operations = set()
-        for module_name, module in self.MODULES.items():
-            for symbol in module.__all__:
-                if inspect.isfunction(getattr(module, symbol)):
-                    operations.add(f"{module_name}.{symbol}")
-        operations -= self.NON_OPERATIONS
+    def recording(function):
+        def wrapper(*args, **kwargs):
+            called.setdefault(running, set()).add(names[function])
+            return function(*args, **kwargs)
+        return wrapper
 
-        mapped = [op for ops in OPERATION_MAP.values() for op in ops]
-        assert len(mapped) == len(set(mapped)), "an operation is mapped twice"
-        assert set(mapped) == operations
+    argvs = [argv for argv, _ in GOLDEN_CASES] + list(_readme_argv().values()) + [
+        RADAR_POINT + ["--range", "100km", "--tsys", "290", "--bandwidth", "1mhz",
+                       "--pulse-width", "10us"],
+        ["rydberg", "--rabi", "1e5", "--detuning", "1e7"],
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        # A module that imports an operation by name holds its own reference to it.
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("rfsense"):
+                for symbol, value in list(vars(module).items()):
+                    if inspect.isfunction(value) and value in names:
+                        patch.setattr(module, symbol, recording(value))
+        for argv in argvs:
+            running = argv[0]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        for command in CLI_FLAGS:
+            running = command
+            argv, code, _, _ = _cli(command, {})
+            assert code == 0, argv
+    return {command: frozenset(operations) for command, operations in called.items()}
 
-    def test_subcommand_names_match_parser(self):
-        assert set(SUBCOMMANDS) == set(OPERATION_MAP)
+
+class TestOperationCoverage:
+    def test_every_operation_is_called_by_an_example_argv(self):
+        called = set().union(*measured_calls().values())
+        assert called - NON_OPERATIONS == set(OPERATIONS)
+
+    def test_every_subcommand_calls_an_operation(self):
+        calling = {command for command, calls in measured_calls().items()
+                   if calls - NON_OPERATIONS}
+        assert calling == set(SUBCOMMANDS)
 
     def test_every_subcommand_resolves_to_the_family_module_that_defines_it(self):
         # Each family module's COMMANDS table, and each subcommand in exactly one of them.
@@ -995,45 +1042,6 @@ class TestOperationCoverage:
             for command in importlib.import_module("rfsense." + path.stem).COMMANDS:
                 defined.setdefault(command, []).append(path.stem)
         assert defined == {command: [module] for command, (_, module) in SUBCOMMANDS.items()}
-
-    def test_every_listed_operation_is_called_by_an_example_argv(self, capsys, monkeypatch):
-        # The golden, README and contract-baseline argv, plus one argv for each
-        # operation those leave out: the pulse-compression gain and the AC-Stark shift.
-        from test_contract import CLI_FLAGS, _cli
-        from test_package import _readme_argv
-
-        names = {
-            getattr(module, symbol): f"{module_name}.{symbol}"
-            for module_name, module in self.MODULES.items()
-            for symbol in module.__all__
-            if inspect.isfunction(getattr(module, symbol))
-        }
-        called = set()
-
-        def recording(function):
-            def wrapper(*args, **kwargs):
-                called.add(names[function])
-                return function(*args, **kwargs)
-            return wrapper
-
-        # A module that imports an operation by name holds its own reference to it.
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("rfsense"):
-                for symbol, value in list(vars(module).items()):
-                    if inspect.isfunction(value) and value in names:
-                        monkeypatch.setattr(module, symbol, recording(value))
-        argvs = [argv for argv, _ in GOLDEN_CASES] + list(_readme_argv().values()) + [
-            RADAR_POINT + ["--range", "100km", "--tsys", "290", "--bandwidth", "1mhz",
-                           "--pulse-width", "10us"],
-            ["rydberg", "--rabi", "1e5", "--detuning", "1e7"],
-        ]
-        for argv in argvs:
-            assert run(capsys, argv)[0] == 0, argv
-        for command in CLI_FLAGS:
-            argv, code, _, _ = _cli(command, {})
-            assert code == 0, argv
-        mapped = {op for ops in OPERATION_MAP.values() for op in ops}
-        assert mapped - called == set()
 
 
 def _non_finite_dataset(tmp_path) -> str:
@@ -1110,10 +1118,8 @@ class TestExitHook:
         assert child.stdout == "[0, 0, 0] 0\nat exit 1 True\n"
 
     def test_importing_every_module_keeps_the_default_exit(self):
-        engines = {operation.partition(".")[0]
-                   for operations in OPERATION_MAP.values() for operation in operations}
         families = {family for _, family in SUBCOMMANDS.values()}
-        modules = ", ".join(f"rfsense.{name}" for name in sorted({"cli"} | engines | families))
+        modules = ", ".join(f"rfsense.{name}" for name in sorted({"cli"} | set(ENGINES) | families))
         child = _fresh_python(["-c", _EXIT_PROBE + f"import {modules}\n"])
         assert (child.returncode, child.stderr) == (0, "")
         assert child.stdout == "at exit 0 False\n"

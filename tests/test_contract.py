@@ -9,12 +9,12 @@ result is checked > 0) or raise a ``DomainError`` that names the parameter or
 the result that left the float range.  An operation that reads the free-space
 impedance from ``RFSENSE_ETA0_OHMS`` gets the bad values through that
 variable, and must raise a ``DomainError`` that names it, and its result must
-follow a valid value of it.  The operations come from
-``cli.OPERATION_MAP``, so a new public operation fails here until it has a
-baseline.  A record-typed argument (``ReceiverNoiseModel``, ``RadarScenario``,
-...) contributes its float fields as parameters; an ``InstrumentRecord`` is a
-parsed table row whose cells the parser validates, so its fields are not
-varied.
+follow a valid value of it.  The operations are the functions that the
+engine modules name in their ``__all__``, so a new public operation fails
+here until it has a baseline.  A record-typed argument
+(``ReceiverNoiseModel``, ``RadarScenario``, ...) contributes its float
+fields as parameters; an ``InstrumentRecord`` is a parsed table row whose
+cells the parser validates, so its fields are not varied.
 
 CLI: every subcommand, driven in-process with generated flag values, ends in
 exit 0, 2 or 3 with at most one stderr line.
@@ -23,6 +23,7 @@ exit 0, 2 or 3 with at most one stderr line.
 import contextlib
 import gc
 import importlib
+import inspect
 import io
 import math
 import re
@@ -40,7 +41,7 @@ from rfsense import radar as rd
 from rfsense import radiometry as rm
 from rfsense import rydberg as ry
 from rfsense._cli_dataset import int_flag
-from rfsense.cli import OPERATION_MAP, SUBCOMMANDS, main
+from rfsense.cli import SUBCOMMANDS, main
 from rfsense.errors import DomainError, SingularFitError
 
 ABOVE_ONE = math.nextafter(1.0, 2.0)
@@ -70,7 +71,7 @@ EXTREME_FINITE = (1e300, -1e300, 1e-300, 1e-320, 5e-324)
 RESULT_QUANTITIES = {
     "AC Stark shift", "NEDT", "NEF", "NESZ", "Rabi frequency", "SNR", "collected power",
     "dB value", "dipole moment", "effective aperture", "enhancement factor",
-    "field amplitude", "linear ratio", "local field requirement", "maximum-range ratio",
+    "field amplitude", "linear ratio", "local field requirement",
     "processed received power", "processing gain", "projection-noise NEF",
     "range resolution", "received power", "system temperature", "wavelength",
 }
@@ -294,7 +295,15 @@ BASELINES = {
              thermal_reference_field=(2.4e-8, ">0")),
     ),
 }
-OPERATIONS = sorted(op for ops in OPERATION_MAP.values() for op in ops)
+# The engine modules by name, and their public operations: each function an
+# ``__all__`` names, less the configuration accessors.
+ENGINES = {"quantities": q, "radiometry": rm, "radar": rd, "linkbudget": lb,
+           "fieldmetrics": fm, "rydberg": ry, "dataset": ds}
+NON_OPERATIONS = {"quantities.default_eta0"}
+OPERATIONS = sorted(
+    f"{name}.{symbol}" for name, module in ENGINES.items() for symbol in module.__all__
+    if inspect.isfunction(getattr(module, symbol)) and f"{name}.{symbol}" not in NON_OPERATIONS
+)
 
 
 def _finite(result) -> bool:
@@ -491,7 +500,7 @@ def _cli(command, changed):
 
 
 def test_cli_flags_cover_every_subcommand():
-    assert set(CLI_FLAGS) == set(OPERATION_MAP)
+    assert set(CLI_FLAGS) == set(SUBCOMMANDS)
 
 
 def _rows(command):

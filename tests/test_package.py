@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli import measured_calls
 
 import rfsense
-from rfsense.cli import OPERATION_MAP, SUBCOMMANDS
+from rfsense.cli import SUBCOMMANDS
 
 SRC = Path(rfsense.__file__).resolve().parents[1]
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -112,7 +113,7 @@ def _module_imports(module: str) -> set[str]:
 
 
 def test_readme_shows_every_subcommand():
-    assert set(_readme_argv()) == set(OPERATION_MAP)
+    assert set(_readme_argv()) == set(SUBCOMMANDS)
 
 
 # Standard-library modules no cold call may load: records are namedtuples,
@@ -131,7 +132,7 @@ def test_importing_the_cli_loads_no_heavy_module():
 
 
 # The README's call of each subcommand, and a budget read from a JSON document.
-_COLD_CALLS = sorted(OPERATION_MAP) + ["budget --input"]
+_COLD_CALLS = sorted(SUBCOMMANDS) + ["budget --input"]
 _TABLE_REPORTS = ("dataset-derive", "dataset-ranges")
 
 
@@ -162,7 +163,8 @@ def test_a_cold_call_loads_only_the_modules_of_its_subcommand(call, tmp_path):
     code, loaded, heavy, parsers, future = ast.literal_eval(child.stdout)
     assert code == 0, child.stderr
     assert heavy == [] and not future
-    entry = {operation.partition(".")[0] for operation in OPERATION_MAP[argv[0]]}
+    # The engine modules whose operations the subcommand was measured to call.
+    entry = {operation.partition(".")[0] for operation in measured_calls()[argv[0]]}
     family = SUBCOMMANDS[argv[0]][1]
     allowed = entry | {"cli", "errors", "quantities", family}
     for module in entry:

@@ -17,6 +17,7 @@ from rfsense.quantities import (
     REDUCED_PLANCK,
     REFERENCE_TEMPERATURE,
     VACUUM_PERMITTIVITY,
+    _scaled_ratio,
     db_to_linear,
     default_eta0,
     frequency_to_wavelength,
@@ -211,3 +212,14 @@ class TestConstantsConfig:
         assert VACUUM_PERMITTIVITY == 8.8541878128e-12
         assert REFERENCE_TEMPERATURE == 290.0
         assert REDUCED_PLANCK == 6.62607015e-34 / (2.0 * math.pi)
+
+
+class TestScaledRatio:
+    def test_a_result_beyond_the_float_range_is_an_infinity_of_its_sign(self):
+        assert _scaled_ratio((1e300, 1e300), (1.0,)) == math.inf
+        assert _scaled_ratio((-1e300, 1e300), (1.0,)) == -math.inf
+        assert _scaled_ratio((1e300,), (-1e-300,)) == -math.inf
+
+    def test_a_zero_numerator_is_a_zero_of_its_sign(self):
+        assert math.copysign(1.0, _scaled_ratio((0.0, 1e300, 1e300), (1.0,))) == 1.0
+        assert math.copysign(1.0, _scaled_ratio((-0.0, 1e300, 1e300), (1.0,))) == -1.0

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfsense.errors import FLOAT_MAX, FLOAT_MIN, DomainError
-from rfsense.quantities import BOLTZMANN
+from rfsense.quantities import BOLTZMANN, _scaled_ratio
 from rfsense.radar import (
     FOUR_PI_CUBED,
     PointTarget,
@@ -19,7 +19,6 @@ from rfsense.radar import (
     processed_received_power,
     _one_way_factor,
     _one_way_terms,
-    _scaled_ratio,
     processing_gain_from_pulse,
     range_resolution,
     received_power,
@@ -309,6 +308,14 @@ class TestResultsWhoseInlineFormOverflows:
 
     def test_result_below_the_float_range_is_zero(self):
         assert received_power(reference_scenario(range_m=1e300)) == 0.0
+
+    def test_max_range_ratio_whose_quotient_overflows(self):
+        with localcontext() as context:
+            context.prec = 60
+            reference = float((Decimal(1e300) / Decimal(1e-300)).sqrt().sqrt())
+        assert reference == pytest.approx(1e150, rel=1e-12)
+        assert max_range_ratio(1e300, 1e-300) == pytest.approx(reference, rel=1e-12)
+        assert max_range_ratio(1e-300, 1e300) == pytest.approx(1.0 / reference, rel=1e-12)
 
 
 _moderate = st.floats(min_value=1e-30, max_value=1e30)

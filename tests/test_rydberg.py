@@ -4,10 +4,11 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_radar import _exact
 
 from rfsense.errors import DomainError
 from rfsense.fieldmetrics import nef_from_gain
-from rfsense.quantities import LIGHT_SPEED, PLANCK
+from rfsense.quantities import LIGHT_SPEED, PLANCK, REDUCED_PLANCK
 from rfsense.rydberg import (
     ATOMIC_DIPOLE_UNIT,
     ac_stark_shift,
@@ -187,6 +188,37 @@ class TestAcStark:
         assert ac_stark_shift(1e5, 1e7, proportionality=1.0) == pytest.approx(
             4.0 * ac_stark_shift(1e5, 1e7), rel=1e-12
         )
+
+
+class TestResultsWhoseInlineFormLeavesTheFloatRange:
+    """d*E, Omega*hbar or Omega^2 leaves the float range; the result does not."""
+
+    def test_rabi_whose_product_underflows(self):
+        reference = _exact((1e-40, 1e-300), (REDUCED_PLANCK,))
+        assert reference == pytest.approx(9.48252e-307, rel=1e-5)
+        assert rabi_from_field(1e-300, 1e-40) == pytest.approx(reference, rel=1e-12)
+
+    def test_field_whose_product_underflows(self):
+        reference = _exact((1e-300, REDUCED_PLANCK), (1e-40,))
+        assert reference == pytest.approx(1.05457e-294, rel=1e-5)
+        assert field_from_rabi(1e-300, 1e-40) == pytest.approx(reference, rel=1e-12)
+
+    def test_stark_shift_whose_rabi_square_overflows(self):
+        reference = _exact((0.25, 1e200, 1e200), (1e300,))
+        assert reference == pytest.approx(2.5e99, rel=1e-12)
+        assert ac_stark_shift(1e200, 1e300) == pytest.approx(reference, rel=1e-12)
+        assert ac_stark_shift(1e200, -1e300) == pytest.approx(-reference, rel=1e-12)
+
+    def test_negative_results_keep_their_sign(self):
+        reference = _exact((1e-40, 1e-300, 0.5), (REDUCED_PLANCK,))
+        assert rabi_from_field(1e-300, 1e-40, -0.5) == pytest.approx(-reference, rel=1e-12)
+        reference = _exact((1e-300, REDUCED_PLANCK), (1e-40, 0.5))
+        assert field_from_rabi(1e-300, 1e-40, -0.5) == pytest.approx(-reference, rel=1e-12)
+
+    def test_a_negative_shift_beyond_the_float_range_is_refused(self):
+        with pytest.raises(DomainError) as caught:
+            ac_stark_shift(1e200, -1e-300)
+        assert str(caught.value) == "AC Stark shift must be finite, got -inf"
 
 
 class TestCompareToClassical:
