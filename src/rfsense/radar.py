@@ -101,10 +101,16 @@ class RadarScenario(ValidatedRecord, namedtuple(
 
 
 def _one_way_factor(s: RadarScenario) -> float:
+    """The radar equation without its target term, or NaN when ``P_t*G_t`` is
+    subnormal: its lost digits could be lifted into a normal result, and NaN
+    sends the caller's result test to the exact path."""
     # One factor at a time: a product of inputs could underflow to a zero divisor.
     r = s.range_m
+    head = s.transmit_power_w * s.transmit_gain
+    if head < FLOAT_MIN:
+        return math.nan
     return (
-        s.transmit_power_w * s.transmit_gain * s.receive_gain * s.wavelength_m * s.wavelength_m
+        head * s.receive_gain * s.wavelength_m * s.wavelength_m
         / FOUR_PI_CUBED / r / r / r / r / s.system_loss / s.propagation_loss
     )
 

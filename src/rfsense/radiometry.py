@@ -3,10 +3,10 @@
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import FLOAT_MAX, FLOAT_MIN, DomainError, SingularFitError, require
-from .quantities import BOLTZMANN, ValidatedRecord
+from .quantities import BOLTZMANN, ValidatedRecord, _scaled_ratio
 
 __all__ = [
     "CalibrationPoint",
@@ -124,9 +124,15 @@ def radiometer_output_power(
         require("receiver temperature", receiver_temperature_k, "K", 0.0, False)
         require("bandwidth", bandwidth_hz, "Hz")
     t_sys = antenna_temperature_k + receiver_temperature_k
-    power = gain * BOLTZMANN * t_sys * bandwidth_hz
-    if not 0.0 <= power <= FLOAT_MAX:
-        require("output power", power, "W", 0.0, False)
+    # A partial product below the normal range has lost digits that the next
+    # factor can lift into a normal result, and one beyond it is inf.
+    scaled_gain = gain * BOLTZMANN
+    per_hz = scaled_gain * t_sys
+    power = per_hz * bandwidth_hz
+    if not (FLOAT_MIN <= scaled_gain and FLOAT_MIN <= per_hz and power <= FLOAT_MAX):
+        power = _scaled_ratio((gain, BOLTZMANN, t_sys, bandwidth_hz), ())
+        if not 0.0 <= power <= FLOAT_MAX:
+            require("output power", power, "W", 0.0, False)
     return power
 
 
@@ -147,7 +153,14 @@ def calibrate_hot_cold(
 
     The fit runs in coordinates shifted to the coldest load and the lowest
     power and scaled by the spread of each, so its sums neither overflow
-    nor underflow whatever the magnitude of the inputs.
+    nor underflow whatever the magnitude of the inputs.  Both coordinates
+    lie in [0, 1], and the sums of squares Sxx, Syy and Sdd (of the centred
+    differences x - y) come from three ``math.dist`` norms, each at most
+    sqrt(n); the cross sum is then Sxy = (Sxx + Syy - Sdd)/2.  So no pass
+    over the points runs in Python, and the offset n*(mean x - mean y)^2
+    taken out of Sdd is at most n.  The gain is recomputed with its binary
+    exponents summed apart when a quotient on the way to it leaves the
+    normal range.
 
     Raises:
         SingularFitError: fewer than two points, all load temperatures
@@ -180,13 +193,20 @@ def calibrate_hot_cold(
     ys = [(p - p_min) / p_span for p in powers]
     x_mean = math.fsum(xs) / n
     y_mean = math.fsum(ys) / n
-    us = [x - x_mean for x in xs]
-    slope = math.fsum(map(mul, us, ys)) / math.fsum(map(mul, us, us))
+    sxx = math.dist(xs, [x_mean] * n) ** 2
+    syy = math.dist(ys, [y_mean] * n) ** 2
+    sdd = math.dist(xs, ys) ** 2 - n * (x_mean - y_mean) ** 2
+    slope = (sxx + syy - sdd) / (2.0 * sxx)
     if slope <= 0.0:
         raise SingularFitError("fitted slope is non-positive; measurements are inconsistent")
     # Fitted power at the coldest load.
     cold = p_min / p_span + (y_mean - slope * x_mean)
-    gain = p_span / t_span * slope / BOLTZMANN / bandwidth_hz
+    # A subnormal power-to-load ratio has lost digits that 1/(k_B*B) can
+    # lift into a normal gain.
+    ratio = p_span / t_span
+    gain = ratio / BOLTZMANN * slope / bandwidth_hz
+    if not (FLOAT_MIN <= ratio and FLOAT_MIN <= gain <= FLOAT_MAX):
+        gain = _scaled_ratio((p_span, slope), (t_span, BOLTZMANN, bandwidth_hz))
     receiver_temperature = t_span * (cold / slope) - t_min
     if not (0.0 < gain < math.inf and math.isfinite(receiver_temperature)):
         raise SingularFitError(

@@ -86,9 +86,12 @@ def rabi_from_field(
         require("dipole moment", dipole_moment_cm, "C*m")
         require("field amplitude", field_v_per_m, "V/m", 0.0, False)
         require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
-    # d*E can leave the float range where Omega does not.
-    rabi = dipole_moment_cm * field_v_per_m * alignment_cosine / REDUCED_PLANCK
-    if not FLOAT_MIN <= abs(rabi) <= FLOAT_MAX:
+    # d*E can leave the float range where Omega does not.  Dividing by hbar
+    # lifts a subnormal d*E*cos, digits lost, into a normal Omega; a normal
+    # one stays at least FLOAT_MIN.
+    moment = dipole_moment_cm * field_v_per_m * alignment_cosine
+    rabi = moment / REDUCED_PLANCK
+    if not (FLOAT_MIN <= abs(moment) and -FLOAT_MAX <= rabi <= FLOAT_MAX):
         rabi = _scaled_ratio((dipole_moment_cm, field_v_per_m, alignment_cosine),
                              (REDUCED_PLANCK,))
         if not -FLOAT_MAX <= rabi <= FLOAT_MAX:
@@ -111,9 +114,13 @@ def field_from_rabi(
         require("alignment cosine", alignment_cosine, "", -1.0, False, 1.0)
     if alignment_cosine == 0.0:
         raise DomainError("alignment cosine must be non-zero")
-    # Omega*hbar can leave the float range where E does not.
-    field = rabi_rad_per_s * REDUCED_PLANCK / dipole_moment_cm / alignment_cosine
-    if not FLOAT_MIN <= abs(field) <= FLOAT_MAX:
+    # Omega*hbar can leave the float range where E does not.  Dividing by d
+    # or by the cosine can lift a subnormal partial, digits lost, into a
+    # normal E; |cos| <= 1, so a normal Omega*hbar/d gives |E| >= FLOAT_MIN.
+    action = rabi_rad_per_s * REDUCED_PLANCK
+    per_dipole = action / dipole_moment_cm
+    field = per_dipole / alignment_cosine
+    if not (FLOAT_MIN <= action and FLOAT_MIN <= per_dipole and -FLOAT_MAX <= field <= FLOAT_MAX):
         field = _scaled_ratio((rabi_rad_per_s, REDUCED_PLANCK),
                               (dipole_moment_cm, alignment_cosine))
         if not -FLOAT_MAX <= field <= FLOAT_MAX:

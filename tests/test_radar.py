@@ -282,7 +282,7 @@ class TestResultsWhoseInlineFormOverflows:
         reference = _exact((BOLTZMANN, 300.0, 1e6, FOUR_PI_CUBED, 1e80, 1e80, 1e80, 1e80),
                            (1e300, 1e10, 1e10))
         assert reference == 8.219286699336818e-12
-        assert nesz_at_unit_snr(s) == pytest.approx(reference, rel=1e-15)
+        assert nesz_at_unit_snr(s) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     def test_zero_cross_section_behind_an_overflow_is_zero(self):
         # The inline form is inf * 0, a NaN.
@@ -316,6 +316,28 @@ class TestResultsWhoseInlineFormOverflows:
         assert reference == pytest.approx(1e150, rel=1e-12)
         assert max_range_ratio(1e300, 1e-300) == pytest.approx(reference, rel=1e-12)
         assert max_range_ratio(1e-300, 1e300) == pytest.approx(1.0 / reference, rel=1e-12)
+
+
+class TestResultsWhosePartialProductIsSubnormal:
+    """P_t*G_t is subnormal, digits lost, and G_r lifts it into a normal result."""
+
+    def test_received_power(self):
+        s = RadarScenario(1e-300, 1e-23, 1e300, 1.0, PointTarget(1.0), 1.0)
+        reference = _exact((1e-300, 1e-23, 1e300), (FOUR_PI_CUBED,))
+        assert reference == pytest.approx(5.03930e-27, rel=1e-5, abs=0.0)
+        assert received_power(s) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_processed_received_power(self):
+        s = RadarScenario(1e-300, 1e-23, 1e300, 1.0, ResolutionCell(1.0, 1.0), 1.0)
+        reference = _exact((1e-300, 1e-23, 1e300), (FOUR_PI_CUBED,))
+        assert processed_received_power(s) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_nesz_at_unit_snr(self):
+        # The inverse form divides by each input, so no partial is subnormal here.
+        s = RadarScenario(1e-300, 1e-23, 1e300, 1.0, ResolutionCell(1.0, 1.0), 1.0,
+                          system_temperature_k=300.0, bandwidth_hz=1e6)
+        reference = _exact((BOLTZMANN, 300.0, 1e6, FOUR_PI_CUBED), (1e-300, 1e-23, 1e300))
+        assert nesz_at_unit_snr(s) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 _moderate = st.floats(min_value=1e-30, max_value=1e30)

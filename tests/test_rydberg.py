@@ -191,29 +191,54 @@ class TestAcStark:
 
 
 class TestResultsWhoseInlineFormLeavesTheFloatRange:
-    """d*E, Omega*hbar or Omega^2 leaves the float range; the result does not."""
+    """d*E, Omega*hbar or Omega^2 leaves the float range, or a partial product
+    is subnormal and a later factor lifts it; the result does not.  Every
+    comparison is relative only: pytest.approx's default absolute tolerance of
+    1e-12 would pass any result this small."""
 
     def test_rabi_whose_product_underflows(self):
         reference = _exact((1e-40, 1e-300), (REDUCED_PLANCK,))
-        assert reference == pytest.approx(9.48252e-307, rel=1e-5)
-        assert rabi_from_field(1e-300, 1e-40) == pytest.approx(reference, rel=1e-12)
+        assert reference == pytest.approx(9.48252e-307, rel=1e-5, abs=0.0)
+        assert rabi_from_field(1e-300, 1e-40) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_field_whose_product_underflows(self):
         reference = _exact((1e-300, REDUCED_PLANCK), (1e-40,))
-        assert reference == pytest.approx(1.05457e-294, rel=1e-5)
-        assert field_from_rabi(1e-300, 1e-40) == pytest.approx(reference, rel=1e-12)
+        assert reference == pytest.approx(1.05457e-294, rel=1e-5, abs=0.0)
+        assert field_from_rabi(1e-300, 1e-40) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_stark_shift_whose_rabi_square_overflows(self):
         reference = _exact((0.25, 1e200, 1e200), (1e300,))
-        assert reference == pytest.approx(2.5e99, rel=1e-12)
-        assert ac_stark_shift(1e200, 1e300) == pytest.approx(reference, rel=1e-12)
-        assert ac_stark_shift(1e200, -1e300) == pytest.approx(-reference, rel=1e-12)
+        assert reference == pytest.approx(2.5e99, rel=1e-12, abs=0.0)
+        assert ac_stark_shift(1e200, 1e300) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert ac_stark_shift(1e200, -1e300) == pytest.approx(-reference, rel=1e-12, abs=0.0)
+
+    def test_rabi_whose_partial_product_is_subnormal(self):
+        # d*E is subnormal, digits lost, and 1/hbar lifts it into a normal Omega.
+        reference = _exact((1e-23, 1e-300), (REDUCED_PLANCK,))
+        assert reference == pytest.approx(9.48252e-290, rel=1e-5, abs=0.0)
+        assert rabi_from_field(1e-300, 1e-23) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        # d*E is normal; times the cosine it is subnormal.
+        reference = _exact((1e-5, 1e-300, 1e-10), (REDUCED_PLANCK,))
+        assert rabi_from_field(1e-300, 1e-5, 1e-10) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_field_whose_partial_product_is_subnormal(self):
+        # Omega*hbar is subnormal, and 1/d lifts it into a normal E.
+        reference = _exact((1e-280, REDUCED_PLANCK), (1e-40,))
+        assert reference == pytest.approx(1.05457e-274, rel=1e-5, abs=0.0)
+        assert field_from_rabi(1e-280, 1e-40) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        # Omega*hbar/d is subnormal, and 1/cos lifts it.
+        reference = _exact((1e-250, REDUCED_PLANCK), (1e30, 1e-60))
+        assert field_from_rabi(1e-250, 1e30, 1e-60) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_negative_results_keep_their_sign(self):
         reference = _exact((1e-40, 1e-300, 0.5), (REDUCED_PLANCK,))
-        assert rabi_from_field(1e-300, 1e-40, -0.5) == pytest.approx(-reference, rel=1e-12)
+        assert rabi_from_field(1e-300, 1e-40, -0.5) == pytest.approx(
+            -reference, rel=1e-12, abs=0.0
+        )
         reference = _exact((1e-300, REDUCED_PLANCK), (1e-40, 0.5))
-        assert field_from_rabi(1e-300, 1e-40, -0.5) == pytest.approx(-reference, rel=1e-12)
+        assert field_from_rabi(1e-300, 1e-40, -0.5) == pytest.approx(
+            -reference, rel=1e-12, abs=0.0
+        )
 
     def test_a_negative_shift_beyond_the_float_range_is_refused(self):
         with pytest.raises(DomainError) as caught:
